@@ -4,7 +4,10 @@ Subcommands: analyze, solve-linear, solve-limit, sweep, run (all stages),
 scenarios.  A stage whose precondition fails for a reason the theory
 predicts (non-equilibrated loads, incompatible loads, non-strict sweep)
 is refused, not failed: the run reports the explanation and exits with
-code 2.  Genuine errors (bad config, broken mesh) exit with code 1.
+code 2.  A sweep whose minimizer stops short of convergence is aborted:
+the partial sweep and the reason go to sweep.csv and report.json, and
+the run exits with code 1.  Genuine errors (bad config, broken mesh)
+exit with code 1 without a report.
 """
 
 import argparse
@@ -15,7 +18,7 @@ from .algebra import Density
 from .fem import NotEquilibratedError, solve_linear
 from .limit import IncompatibleLoadsError, minimize_limit, shifted_minimizer
 from .loads import WEAK, assemble_loads, classify_compatibility
-from .nonlinear import SweepRefusedError, h_sweep
+from .nonlinear import SweepAbortedError, SweepRefusedError, h_sweep
 from .report import (checked, classification_dict, provenance, report_json,
                      solution_dump, sweep_csv)
 from .scenarios import (DEFAULT_H_LIST, ConfigError, builtin_scenarios,
@@ -24,6 +27,7 @@ from .scenarios import (DEFAULT_H_LIST, ConfigError, builtin_scenarios,
 OK = "ok"
 REFUSED = "refused"
 SKIPPED = "skipped"
+ABORTED = "aborted"
 
 
 class _Run:
@@ -153,14 +157,17 @@ class _Run:
             self.report["nonlinear"] = {"refused": str(exc)}
             print(f"sweep refused: {exc}")
             return
+        except SweepAbortedError as exc:
+            self.stages["sweep"] = ABORTED
+            self.report["nonlinear"] = {"aborted": str(exc),
+                                        "sweep": self._sweep_rows(exc.records)}
+            self.write("sweep.csv", sweep_csv(exc.records))
+            print(exc)
+            return
         table = sweep_csv(result.records)
         self.write("sweep.csv", table)
         self.report["nonlinear"] = {
-            "sweep": [
-                {"h": r.h, "Fh": r.Fh, "W_proxy": checked(r.W_proxy, 1e-4),
-                 "moment_dist": r.moment_dist, "iters": r.iters, "status": r.status}
-                for r in result.records
-            ],
+            "sweep": self._sweep_rows(result.records),
             "limit_value": result.limit_value,
             "limit_W0_norm": checked(result.limit_W0_norm, 1e-6),
             "energy_floor": result.energy_floor,
@@ -168,7 +175,17 @@ class _Run:
         self.stages["sweep"] = OK
         print(table, end="")
 
+    @staticmethod
+    def _sweep_rows(records):
+        return [
+            {"h": r.h, "Fh": r.Fh, "W_proxy": checked(r.W_proxy, 1e-4),
+             "moment_dist": r.moment_dist, "iters": r.iters, "status": r.status}
+            for r in records
+        ]
+
     def exit_code(self):
+        if ABORTED in self.stages.values():
+            return 1
         return 2 if REFUSED in self.stages.values() else 0
 
     def finish(self):

@@ -197,6 +197,49 @@ class LinearSolution:
     residual: float
 
 
+def _projected_pcg(K, b, Zeu, tol, max_iter=None):
+    """Jacobi-preconditioned CG for K x = b on the complement of span(Zeu).
+
+    ``b`` must be Euclidean-orthogonal to the columns of ``Zeu``; the
+    residual is re-projected every iteration.  Stops when the Jacobi-norm
+    residual relative to ``b`` is at most ``tol``.  Returns
+    ``(x, iterations, relative residual)``; ``x`` is not projected.
+
+    Raises NoConvergenceError after ``max_iter`` (default 20 * len(b))
+    iterations.
+    """
+    n = b.size
+    if max_iter is None:
+        max_iter = 20 * n
+    inv_diag = 1.0 / K.diagonal()
+
+    x = np.zeros(n)
+    r = b.copy()
+    z = inv_diag * r
+    rho = r @ z
+    denom = np.sqrt(b @ (inv_diag * b))
+    if denom == 0.0:
+        return x, 0, 0.0
+    p = z.copy()
+    rel = np.sqrt(rho) / denom
+    it = 0
+    while rel > tol:
+        if it >= max_iter:
+            raise NoConvergenceError(it, float(rel))
+        Kp = K @ p
+        alpha = rho / (p @ Kp)
+        x += alpha * p
+        r -= alpha * Kp
+        r -= Zeu @ (Zeu.T @ r)
+        z = inv_diag * r
+        rho_new = r @ z
+        p = z + (rho_new / rho) * p
+        rho = rho_new
+        rel = np.sqrt(max(rho, 0.0)) / denom
+        it += 1
+    return x, it, float(rel)
+
+
 def solve_linear(mesh, density, assembly, eigenstrain=None, tol=1e-10,
                  max_iter=None, equilibrium_tol=1e-9):
     """Minimize int quadratic(E(v) - B0) dx - L(v) over the rigid-mode complement.
@@ -235,39 +278,8 @@ def solve_linear(mesh, density, assembly, eigenstrain=None, tol=1e-10,
     Zeu = rb.euclid
     b = b_raw - Zeu @ (Zeu.T @ b_raw)
 
-    n = b.size
-    if max_iter is None:
-        max_iter = 20 * n
-    diag = K.diagonal()
-    inv_diag = 1.0 / diag
-
-    x = np.zeros(n)
-    r = b.copy()
-    z = inv_diag * r
-    rho = r @ z
-    denom = np.sqrt(b @ (inv_diag * b))
-    if denom == 0.0:
-        sol = DisplacementField(mesh, x.reshape(-1, 2))
-        return LinearSolution(sol, const_term, 0, 0.0)
-    p = z.copy()
-    rel = np.sqrt(rho) / denom
-    it = 0
-    while rel > tol:
-        if it >= max_iter:
-            raise NoConvergenceError(it, float(rel))
-        Kp = K @ p
-        alpha = rho / (p @ Kp)
-        x += alpha * p
-        r -= alpha * Kp
-        r -= Zeu @ (Zeu.T @ r)
-        z = inv_diag * r
-        rho_new = r @ z
-        p = z + (rho_new / rho) * p
-        rho = rho_new
-        rel = np.sqrt(max(rho, 0.0)) / denom
-        it += 1
-
+    x, it, rel = _projected_pcg(K, b, Zeu, tol, max_iter)
     x -= rb.matrix @ (rb.matrix.T @ (M @ x))
     energy = 0.5 * float(x @ (K @ x)) - float(x @ b_raw) + const_term
     sol = DisplacementField(mesh, x.reshape(-1, 2))
-    return LinearSolution(sol, energy, it, float(rel))
+    return LinearSolution(sol, energy, it, rel)

@@ -10,11 +10,16 @@ per-element gradient, so one-point quadrature is exact.
 
 Minimization uses limited-memory BFGS with a backtracking line search
 that enforces both the Armijo decrease and the orientation barrier
-det(I + h grad v) >= delta.  Only the translation gauge is imposed
+det(I + h grad v) >= delta.  As h -> 0, h^-2 W(I + h B) tends to
+quadratic(sym B), so the Hessian of Fh at v = 0 is the linear-elastic
+stiffness K for every h.  The two-loop recursion therefore starts from
+the inverse of K on the complement of the rigid displacements (Nocedal &
+Wright, Numerical Optimization, sec. 7.2), which makes the iteration
+count independent of the mesh.  Only the translation gauge is imposed
 (subtract the mass-mean displacement each iteration); rotations are not
-a symmetry of Fh under loads and are deliberately not gauged out, which
-leaves near-flat rotational directions: expect ill-conditioning there,
-handled by the curvature pairs.
+a symmetry of Fh under loads and are deliberately not gauged out.  K
+does not see them, so on the rigid span the initial matrix keeps the
+scalar L-BFGS scaling and the curvature pairs supply the rest.
 
 Independent sweep points must not be parallelized: each h is
 warm-started from the minimizer of the previous one.
@@ -25,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import (DisplacementField, element_gradients, element_strains,
-                  integral_mean, linear_field, solve_linear)
+from .fem import (DisplacementField, _projected_pcg, assemble_stiffness,
+                  element_gradients, element_strains, integral_mean,
+                  linear_field, rigid_basis)
 from .limit import IncompatibleLoadsError, minimize_limit
 from .loads import (INCOMPATIBLE, STRICT, assemble_loads,
                     classify_compatibility, load_work)
@@ -38,6 +44,10 @@ ITER_LIMIT = "iter_limit"
 
 _BARRIER_DELTA = 1e-8
 _ARMIJO = 1e-4
+# relative residual of the inner K^+ solve: tighter saves a few outer
+# iterations on the first h but costs more per step; at 64x64, 1e-8 is on
+# par and 1e-10 about 20% slower per tension sweep
+_H0_CG_TOL = 1e-6
 
 
 class InadmissibleStateError(ValueError):
@@ -136,7 +146,7 @@ class DivergenceCertificate:
     direction: DisplacementField
     thetas: np.ndarray
     trace: np.ndarray
-    witness_work: float
+    witness_work: float | None
 
 
 @dataclass
@@ -195,16 +205,40 @@ def _instability_probe(mesh, density, assembly, h, classification, n_theta=64):
     )
 
 
-def _two_loop(grad, s_list, y_list, rho_list):
+def _stiffness_h0(mesh, density):
+    """Initial inverse Hessian H0 = P K^+ P + gamma Zeu Zeu^T of the two-loop recursion.
+
+    K is the linear-elastic stiffness, Zeu the Euclidean-orthonormal rigid
+    basis and P = I - Zeu Zeu^T.  Returns ``apply(q, gamma)``; K^+ is applied
+    by projected Jacobi-PCG to relative residual _H0_CG_TOL, so H0 is
+    symmetric positive definite up to that tolerance.
+    """
+    K = assemble_stiffness(mesh, density)
+    Zeu = rigid_basis(mesh).euclid
+
+    def apply(q, gamma):
+        rigid = Zeu @ (Zeu.T @ q)
+        b = q - rigid
+        # second pass: b must be rigid-free relative to its own size, also
+        # when q is nearly rigid, or CG meets an inconsistent system
+        b -= Zeu @ (Zeu.T @ b)
+        x, _, _ = _projected_pcg(K, b, Zeu, _H0_CG_TOL)
+        return x - Zeu @ (Zeu.T @ x) + gamma * rigid
+    return apply
+
+
+def _two_loop(grad, s_list, y_list, rho_list, h0):
     q = grad.copy()
     alphas = []
     for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
         a = rho * (s @ q)
         alphas.append(a)
         q -= a * y
+    gamma = 1.0
     if s_list:
         s, y = s_list[-1], y_list[-1]
-        q *= (s @ y) / (y @ y)
+        gamma = (s @ y) / (y @ y)
+    q = h0(q, gamma)
     for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
         b = rho * (y @ q)
         q += (a - b) * s
@@ -216,9 +250,12 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
                       probe_instability=True):
     """Quasi-Newton minimization of the rescaled energy at fixed h.
 
-    L-BFGS (memory 10) with a backtracking line search that first halves
-    the step until every element satisfies det(I + h grad v) >= 1e-8 and
-    then enforces the Armijo decrease.  Converged means
+    L-BFGS (memory 10) with a backtracking line search from the unit step
+    that first halves the step until every element satisfies
+    det(I + h grad v) >= 1e-8 and then enforces the Armijo decrease.  The
+    two-loop recursion starts from the stiffness inverse K^+ on the
+    rigid-mode complement and from the scalar sy/yy on the rigid span, so
+    the iteration count does not grow with the mesh.  Converged means
     |grad| <= grad_tol * (1 + |Fh|).  Diverged is declared when the
     energy falls below -divergence_threshold (default 1e6 * (1 + |l|)),
     or immediately via the rotation-orbit certificate when the loads are
@@ -239,6 +276,7 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
         if classification.compat_class == INCOMPATIBLE:
             return _instability_probe(mesh, density, assembly, h, classification)
 
+    h0 = _stiffness_h0(mesh, density)
     x = np.zeros((mesh.n_nodes, 2)) if init is None else np.asarray(init.values, dtype=float)
     x = _gauge(mesh, x)
     fld = DisplacementField(mesh, x)
@@ -265,10 +303,10 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
             status = DIVERGED
             break
 
-        d = -_two_loop(g, s_list, y_list, rho_list)
+        d = -_two_loop(g, s_list, y_list, rho_list, h0)
         if d @ g >= 0.0:
             d = -g
-        t = 1.0 if s_list else min(1.0, 1.0 / max(gnorm, 1.0))
+        t = 1.0
         gd = g @ d
         accepted = False
         for _ in range(80):
@@ -398,7 +436,8 @@ def h_sweep(mesh, density, spec, h_list, refinements=0, grad_tol=1e-8,
     """Minimize Fh along a descending h list and compare with the limit.
 
     Only strictly compatible loads are accepted.  Each h is warm-started
-    from the previous minimizer (the first from the linear-elastic one),
+    from the previous minimizer, the first from the limit minimizer (for
+    strict loads it is the linear-elastic one),
     tracking the minimizing branch.  Returns records (h, min Fh, the
     proxy |sqrt(h) mean skew grad|, strain-moment distances to the limit
     minimizer) plus the limit comparison values.
@@ -424,8 +463,7 @@ def h_sweep(mesh, density, spec, h_list, refinements=0, grad_tol=1e-8,
     limit_moments = strain_moments(mesh, limit_min.field)
     limit_W0_norm = math.sqrt(limit_min.W0.norm_sq())
 
-    linear = solve_linear(mesh, density, assembly)
-    warm = linear.field
+    warm = limit_min.field
     records = []
     floor = np.inf
     for h in hs:

@@ -1,20 +1,28 @@
 import numpy as np
 import pytest
 
-from conftest import admissible_field, infmany_spec, pressure_spec, zero_spec
+from conftest import (SIDES, admissible_field, infmany_spec, pressure_spec,
+                      zero_spec)
 from tractionlab.algebra import Density, J2, rodrigues, skew2
 from tractionlab.fem import (DisplacementField, elastic_energy, linear_field,
-                             solve_linear)
-from tractionlab.limit import IncompatibleLoadsError
-from tractionlab.loads import assemble_loads
+                             rigid_basis, solve_linear)
+from tractionlab.limit import IncompatibleLoadsError, minimize_limit
+from tractionlab.loads import BodyForce, LoadSpec, TractionRule, assemble_loads
 from tractionlab.mesh import rect_mesh
-from tractionlab.nonlinear import (CONVERGED, DIVERGED, InadmissibleStateError,
-                                   SweepRefusedError, eval_rescaled, h_sweep,
+from tractionlab.nonlinear import (_H0_CG_TOL, CONVERGED, DIVERGED,
+                                   InadmissibleStateError, SweepRefusedError,
+                                   _stiffness_h0, eval_rescaled, h_sweep,
                                    mean_skew_gradient, minimize_rescaled,
                                    rescaled_gradient, rotation_path_field,
                                    strain_moments)
 
 W_UNIT = skew2(1.0)
+
+
+def body_spec(A):
+    """Zero tractions plus the linear body force g = A x."""
+    zero = TractionRule("constant", (0.0, 0.0))
+    return LoadSpec({tag: zero for tag in SIDES}, BodyForce("linear", A))
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +251,62 @@ class TestSweep:
         m = rect_mesh(4, 4)
         sw = h_sweep(m, density, pressure_spec(16.0), (0.2, 0.1), refinements=1)
         assert all(r.status == CONVERGED for r in sw.records)
+
+
+class TestPreconditionedSolver:
+    def test_h0_symmetric_positive_definite(self, mesh, density):
+        h0 = _stiffness_h0(mesh, density)
+        rng = np.random.default_rng(64)
+        U = rng.standard_normal((6, 2 * mesh.n_nodes))
+        for gamma in (1.0, 1e-3):
+            G = U @ np.array([h0(u, gamma) for u in U]).T
+            assert np.all(np.diag(G) > 0.0)
+            assert np.linalg.eigvalsh(0.5 * (G + G.T))[0] > 0.0
+            # K^+ is applied by an inner solve, so symmetry holds to its tolerance
+            scale = np.sqrt(np.outer(np.diag(G), np.diag(G)))
+            assert np.max(np.abs(G - G.T) / scale) <= 10.0 * _H0_CG_TOL
+
+    def test_h0_scales_rigid_span_by_gamma(self, mesh, density):
+        h0 = _stiffness_h0(mesh, density)
+        Z = rigid_basis(mesh).euclid
+        for k in range(3):
+            assert np.allclose(h0(Z[:, k], 0.25), 0.25 * Z[:, k], atol=1e-14)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_sweep_iterations_mesh_independent(self, density, n):
+        sw = h_sweep(rect_mesh(n, n), density, pressure_spec(16.0), (0.2, 0.1, 0.05, 0.025))
+        assert all(r.status == CONVERGED for r in sw.records)
+        assert max(r.iters for r in sw.records) <= 15
+
+    @pytest.mark.parametrize("spec", [pressure_spec(16.0), body_spec((1.0, 0.0, 0.0, 1.0))],
+                             ids=["tension", "bodyforce"])
+    def test_sweep_warm_start_is_linear_minimizer(self, mesh, density, spec):
+        asm = assemble_loads(mesh, spec)
+        linear = solve_linear(mesh, density, asm).field.values
+        warm = minimize_limit(mesh, density, asm).field.values
+        assert np.max(np.abs(warm - linear)) <= 1e-12 * (1.0 + np.max(np.abs(linear)))
+
+    def test_anisotropic_body_force(self, density):
+        # a strict load whose minimizer is not symmetric: the sweep must move
+        # the rotation, which the stiffness block of H0 does not see
+        mesh = rect_mesh(16, 16)
+        spec = body_spec((1.3, 0.3, 0.3, 0.7))
+        hs = (0.1, 0.05)
+        sw = h_sweep(mesh, density, spec, hs)
+        assert [r.status for r in sw.records] == [CONVERGED] * len(hs)
+        assert all(r.W_proxy > 1e-5 for r in sw.records)
+
+        asm = assemble_loads(mesh, spec)
+        linear = solve_linear(mesh, density, asm).field
+        warm = linear
+        for h, rec in zip(hs, sw.records):
+            res = minimize_rescaled(mesh, density, asm, h, init=warm, max_iter=2000,
+                                    probe_instability=False)
+            assert res.value == rec.Fh
+            g = rescaled_gradient(mesh, density, asm, res.field, h)
+            assert np.linalg.norm(g) <= 1e-8 * (1.0 + abs(rec.Fh))
+            assert rec.Fh <= eval_rescaled(mesh, density, asm, linear, h)
+            warm = res.field
 
 
 class TestMoments:

@@ -172,6 +172,22 @@ class TestCli:
             assert abs(c["F_delta"]["value"]) <= c["F_delta"]["tol"]
             assert c["E_delta_positive"] is True
 
+    def test_sweep_abort_reported(self, tmp_path):
+        # grad_tol below floating-point resolution: the minimizer stops short
+        sc_file = tmp_path / "sc.ini"
+        sc_file.write_text(SMALL_TENSION.replace("nx = 6\nny = 6", "nx = 8\nny = 8")
+                           .replace("h_list = 0.2 0.1", "h_list = 0.1\ngrad_tol = 1e-30"))
+        out = tmp_path / "o"
+        assert main(["run", str(sc_file), "--out", str(out)]) == 1
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["stages"]["sweep"] == "aborted"
+        assert "sweep aborted at h = 0.1" in rep["nonlinear"]["aborted"]
+        rows = rep["nonlinear"]["sweep"]
+        assert [r["h"] for r in rows] == [0.1]
+        assert rows[0]["status"] != "converged"
+        csv_lines = (out / "sweep.csv").read_text().splitlines()
+        assert len(csv_lines) == 2 and csv_lines[1].endswith(rows[0]["status"])
+
     def test_sweep_on_weak_refused(self, tmp_path):
         out = tmp_path / "o"
         assert main(["sweep", "infmany", "--mesh-n", "8", "--out", str(out)]) == 2
