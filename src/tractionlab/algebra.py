@@ -150,100 +150,8 @@ class Density:
         return self.quadratic(Eh) / (h * h)
 
 
-def _eigs_2x2(S):
-    a, b, c = S[0, 0], S[0, 1], S[1, 1]
-    half_diff = 0.5 * (a - c)
-    disc = np.hypot(half_diff, b)
-    mean = 0.5 * (a + c)
-    lo, hi = mean - disc, mean + disc
-    # eigenvector of lo from the better-conditioned row of S - lo*I
-    u = np.array([b, lo - a])
-    v = np.array([lo - c, b])
-    vec = u if np.dot(u, u) >= np.dot(v, v) else v
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:  # S is a multiple of I
-        return np.array([lo, hi]), np.eye(2)
-    vec = vec / norm
-    Q = np.column_stack([vec, [-vec[1], vec[0]]])
-    return np.array([lo, hi]), Q
-
-
-def _null_vector_3x3(M):
-    """Unit null vector of a symmetric rank-2 matrix via row cross products."""
-    r0, r1, r2 = M
-    cands = [np.cross(r0, r1), np.cross(r0, r2), np.cross(r1, r2)]
-    norms = [np.dot(c, c) for c in cands]
-    k = int(np.argmax(norms))
-    if norms[k] <= 0.0:
-        # rank <= 1: any vector orthogonal to the largest row
-        rows = [r0, r1, r2]
-        j = int(np.argmax([np.dot(r, r) for r in rows]))
-        r = rows[j]
-        if np.dot(r, r) == 0.0:
-            return np.array([1.0, 0.0, 0.0])
-        t = np.array([1.0, 0.0, 0.0]) if abs(r[0]) <= abs(r[2]) else np.array([0.0, 0.0, 1.0])
-        v = np.cross(r, t)
-        return v / np.linalg.norm(v)
-    return cands[k] / np.sqrt(norms[k])
-
-
-def _char_poly_newton(S, lam):
-    """One Newton step on det(S - lam I) = 0, skipped near repeated roots."""
-    i1 = np.trace(S)
-    i2 = 0.5 * (i1 * i1 - np.trace(S @ S))
-    i3 = np.linalg.det(S)
-    p = -lam**3 + i1 * lam**2 - i2 * lam + i3
-    dp = -3.0 * lam**2 + 2.0 * i1 * lam - i2
-    scale = max(abs(i1), abs(lam), 1.0)
-    if abs(dp) < 1e-8 * scale * scale:
-        return lam
-    return lam - p / dp
-
-
-def _eigs_3x3(S):
-    scale = np.max(np.abs(S))
-    if scale == 0.0:
-        return np.zeros(3), np.eye(3)
-    A = S / scale
-    off = A[0, 1] ** 2 + A[0, 2] ** 2 + A[1, 2] ** 2
-    q = np.trace(A) / 3.0
-    p2 = np.sum((np.diag(A) - q) ** 2) + 2.0 * off
-    p = np.sqrt(p2 / 6.0)
-    if p < 1e-300:  # multiple of the identity
-        return scale * q * np.ones(3), np.eye(3)
-    B = (A - q * np.eye(3)) / p
-    r = np.clip(0.5 * np.linalg.det(B), -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    hi = q + 2.0 * p * np.cos(phi)
-    lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    mid = 3.0 * q - hi - lo
-    hi, mid, lo = (_char_poly_newton(A, v) for v in (hi, mid, lo))
-
-    # Resolve eigenvectors starting from the best isolated eigenvalue,
-    # then reduce the complement to a 2x2 problem (robust under near
-    # double eigenvalues).
-    iso = hi if (hi - mid) >= (mid - lo) else lo
-    v_iso = _null_vector_3x3(A - iso * np.eye(3))
-    t = np.array([1.0, 0.0, 0.0]) if abs(v_iso[0]) <= abs(v_iso[2]) else np.array([0.0, 0.0, 1.0])
-    u = np.cross(v_iso, t)
-    u /= np.linalg.norm(u)
-    w = np.cross(v_iso, u)
-    M2 = np.array(
-        [[u @ A @ u, u @ A @ w], [w @ A @ u, w @ A @ w]]
-    )
-    vals2, Q2 = _eigs_2x2(0.5 * (M2 + M2.T))
-    vecs = [v_iso, Q2[0, 0] * u + Q2[1, 0] * w, Q2[0, 1] * u + Q2[1, 1] * w]
-    vals = [iso, vals2[0], vals2[1]]
-    order = np.argsort(vals, kind="stable")
-    Q = np.column_stack([vecs[i] for i in order])
-    return scale * np.array([vals[i] for i in order]), Q
-
-
 def sym_eigs(S):
-    """Eigen-decomposition of a 2x2 or 3x3 symmetric matrix.
-
-    Closed form in 2D; trigonometric formula with one Newton polish per
-    eigenvalue in 3D (no external solver).
+    """Eigen-decomposition of a 2x2 or 3x3 symmetric matrix (``np.linalg.eigh``).
 
     Returns
     -------
@@ -251,8 +159,6 @@ def sym_eigs(S):
         with S @ Q[:, i] = vals[i] * Q[:, i].
     """
     S = np.asarray(S, dtype=float)
-    if S.shape == (2, 2):
-        return _eigs_2x2(S)
-    if S.shape == (3, 3):
-        return _eigs_3x3(S)
-    raise ValueError(f"expected a 2x2 or 3x3 matrix, got shape {S.shape}")
+    if S.shape not in ((2, 2), (3, 3)):
+        raise ValueError(f"expected a 2x2 or 3x3 matrix, got shape {S.shape}")
+    return np.linalg.eigh(S)

@@ -90,8 +90,8 @@ class _Run:
             return
         try:
             self.limit = minimize_limit(self.mesh, self.density, self.assembly,
-                                        cg_tol=sc.cg_tol,
-                                        classification=self.classification)
+                                        classification=self.classification,
+                                        linear=self.linear)
         except IncompatibleLoadsError as exc:
             self.stages["solve_limit"] = REFUSED
             self.report["limit"] = {
@@ -112,7 +112,6 @@ class _Run:
             "min_E": checked(lim.E_value, sc.cg_tol),
             "W0_norm": checked(float(lim.W0.norm_sq()) ** 0.5, 1e-6),
             "coincidence_abs_diff": checked(coincidence, 1e-9 * (1 + abs(lim.E_value))),
-            "alternating_iterations": lim.iterations,
         }
         if self.classification.compat_class == WEAK and sc.shift_ts:
             checks = []

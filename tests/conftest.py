@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tractionlab import Density, LoadSpec, assemble_loads, pressure, rect_mesh
-from tractionlab.loads import TractionRule
+from tractionlab.loads import BodyForce, TractionRule
 
 SIDES = ("left", "right", "top", "bottom")
 
@@ -18,6 +18,12 @@ def infmany_spec():
         "top": TractionRule("constant", (1.0, 0.0)),
         "bottom": TractionRule("constant", (-1.0, 0.0)),
     })
+
+
+def body_spec(A):
+    """Zero tractions plus the linear body force g = A x."""
+    zero = TractionRule("constant", (0.0, 0.0))
+    return LoadSpec({tag: zero for tag in SIDES}, BodyForce("linear", A))
 
 
 def zero_spec():

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
-from conftest import infmany_spec, pressure_spec, zero_spec
+from conftest import body_spec, infmany_spec, pressure_spec, zero_spec
+import tractionlab.limit as limit_module
 from tractionlab.algebra import Density, skew2, skew_square
-from tractionlab.fem import (DisplacementField, element_strains, linear_field,
-                             mass_matrix, rigid_basis, solve_linear)
+from tractionlab.fem import (DisplacementField, elastic_energy, element_strains,
+                             linear_field, mass_matrix, rigid_basis,
+                             solve_linear)
 from tractionlab.limit import (IncompatibleLoadsError, inner_skew_minimum,
                                inner_skew_minimum_3d, limit_report,
                                minimize_limit, shifted_minimizer)
@@ -171,12 +175,6 @@ class TestMinimize:
         assert abs(lim.F_value - lim.E_value) <= 1e-9 * (1.0 + abs(lim.E_value))
         assert np.sqrt(lim.W0.norm_sq()) <= 1e-6
 
-    def test_trace_non_increasing(self, mesh, density):
-        for spec in (pressure_spec(16.0), infmany_spec()):
-            lim = minimize_limit(mesh, density, assemble_loads(mesh, spec))
-            diffs = np.diff(lim.trace)
-            assert np.all(diffs <= 1e-12 * (1.0 + np.abs(lim.trace[:-1])))
-
     def test_argmin_coincidence_strict(self, mesh, density):
         asm = assemble_loads(mesh, pressure_spec(16.0))
         lim = minimize_limit(mesh, density, asm)
@@ -187,6 +185,44 @@ class TestMinimize:
         dist = np.sqrt(diff @ (M @ diff))
         norm = np.sqrt(vE @ (M @ vE))
         assert dist <= 1e-7 * (1.0 + norm)
+
+
+class TestOneSolve:
+    """The limit minimizer is the linear solution: one solve, or none if given."""
+
+    @pytest.fixture
+    def solve_calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return solve_linear(*args, **kwargs)
+
+        monkeypatch.setattr(limit_module, "solve_linear", counting)
+        return calls
+
+    @pytest.mark.parametrize("spec", [pressure_spec(16.0), infmany_spec(),
+                                      body_spec((1.3, 0.3, 0.3, 0.7))],
+                             ids=["tension", "infmany", "anisotropic_body"])
+    def test_one_solve_returns_linear_field(self, mesh, density, spec, solve_calls):
+        asm = assemble_loads(mesh, spec)
+        lim = minimize_limit(mesh, density, asm)
+        assert len(solve_calls) == 1
+        lin = solve_linear(mesh, density, asm)
+        assert np.array_equal(lim.field.values, lin.field.values)
+        assert np.sqrt(lim.W0.norm_sq()) <= 1e-6
+        assert abs(lim.F_value - lim.E_value) <= 1e-9 * (1.0 + abs(lim.E_value))
+
+    def test_given_linear_solution_is_reused(self, mesh, density, solve_calls):
+        asm = assemble_loads(mesh, infmany_spec())
+        lin = solve_linear(mesh, density, asm)
+        lim = minimize_limit(mesh, density, asm, linear=lin)
+        assert solve_calls == []
+        assert lim.field is lin.field
+        # F comes from the inner minimization, E from the classical energy
+        rep = limit_report(mesh, density, asm, lin.field)
+        assert lim.F_value == rep.F_value
+        assert lim.E_value == elastic_energy(mesh, density, asm, lin.field)
 
 
 @pytest.fixture(scope="module")
@@ -285,3 +321,60 @@ class TestInner3D:
         axis = np.asarray(W.coeffs)
         nz = axis[np.abs(axis) > 1e-8]
         assert nz.size and nz[0] > 0.0
+
+
+def _inner_objective(density, E):
+    """w -> quadratic(E - W^2/2) and its gradient, W^2 = w (x) w - |w|^2 I written out.
+
+    With D = quadratic_gradient(B) and dB/dw_k = -(e_k (x) w + w (x) e_k)/2
+    + w_k I, the gradient is (Tr D I - D) w.
+    """
+    def q(w):
+        B = E - 0.5 * (np.outer(w, w) - float(w @ w) * np.eye(3))
+        D = density.quadratic_gradient(B)
+        return density.quadratic(B), (np.trace(D) * np.eye(3) - D) @ w
+    return q
+
+
+_entries = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _strains(draw):
+    """Symmetric 3x3 strains; half of them with a repeated top eigenvalue."""
+    if draw(st.booleans()):
+        top = draw(_entries)
+        low = draw(st.floats(-3.0, top))
+        R, _ = np.linalg.qr(np.array(draw(st.lists(_entries, min_size=9, max_size=9)))
+                            .reshape(3, 3))
+        E = R @ np.diag([low, top, top]) @ R.T
+    else:
+        E = np.array(draw(st.lists(_entries, min_size=9, max_size=9))).reshape(3, 3)
+    return 0.5 * (E + E.T)
+
+
+class TestInner3DProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(E=_strains(), mu=st.floats(0.1, 10.0),
+           lam=st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+    def test_closed_form_is_the_minimum(self, E, mu, lam):
+        d = Density(mu, lam)
+        W, val = inner_skew_minimum_3d(d, E)
+        q = _inner_objective(d, E)
+
+        # the value is the objective at the returned W, materialized directly
+        Wm = W.matrix()
+        assert abs(val - d.quadratic(E - 0.5 * Wm @ Wm)) <= 1e-12 * (1.0 + abs(val))
+
+        # canonical sign: first nonzero axis component positive
+        nz = [c for c in W.coeffs if c != 0.0]
+        assert not nz or nz[0] > 0.0
+
+        # no start of an independent quasi-Newton search does better
+        scale = np.sqrt(1.0 + np.linalg.norm(E))
+        starts = [np.zeros(3)] + [m * e for e in np.vstack([np.eye(3), -np.eye(3),
+                                                            np.ones((1, 3)) / np.sqrt(3.0)])
+                                  for m in (0.5 * scale, 2.0 * scale)]
+        best = min(minimize(q, w0, jac=True, method="BFGS", options={"gtol": 1e-10}).fun
+                   for w0 in starts)
+        assert val <= best + 1e-8 * (1.0 + abs(best))

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import (SIDES, admissible_field, infmany_spec, pressure_spec,
+from conftest import (admissible_field, body_spec, infmany_spec, pressure_spec,
                       zero_spec)
 from tractionlab.algebra import Density, J2, rodrigues, skew2
 from tractionlab.fem import (DisplacementField, elastic_energy, linear_field,
                              rigid_basis, solve_linear)
 from tractionlab.limit import IncompatibleLoadsError, minimize_limit
-from tractionlab.loads import BodyForce, LoadSpec, TractionRule, assemble_loads
+from tractionlab.loads import assemble_loads
 from tractionlab.mesh import rect_mesh
 from tractionlab.nonlinear import (_H0_CG_TOL, CONVERGED, DIVERGED,
                                    InadmissibleStateError, SweepRefusedError,
@@ -17,12 +17,6 @@ from tractionlab.nonlinear import (_H0_CG_TOL, CONVERGED, DIVERGED,
                                    strain_moments)
 
 W_UNIT = skew2(1.0)
-
-
-def body_spec(A):
-    """Zero tractions plus the linear body force g = A x."""
-    zero = TractionRule("constant", (0.0, 0.0))
-    return LoadSpec({tag: zero for tag in SIDES}, BodyForce("linear", A))
 
 
 @pytest.fixture(scope="module")
