@@ -48,6 +48,7 @@ class _Run:
             "stages": self.stages,
         }
         self.linear = None
+        self.linear_dump = None
         self.limit = None
 
     def write(self, name, text):
@@ -79,7 +80,8 @@ class _Run:
             "cg_iterations": self.linear.iterations,
             "cg_residual": checked(self.linear.residual, sc.cg_tol),
         }
-        self.write("solution_linear.txt", solution_dump(self.mesh, self.linear.field))
+        self.linear_dump = solution_dump(self.mesh, self.linear.field)
+        self.write("solution_linear.txt", self.linear_dump)
         self.stages["solve_linear"] = OK
         print(f"min E = {self.linear.energy!r} ({self.linear.iterations} cg iterations)")
 
@@ -129,7 +131,8 @@ class _Run:
                 })
             block["shift_checks"] = checks
         self.report["limit"] = block
-        self.write("solution_limit.txt", solution_dump(self.mesh, lim.field))
+        # minimize_limit(linear=...) returns the linear field itself
+        self.write("solution_limit.txt", self.linear_dump)
         self.stages["solve_limit"] = OK
         print(f"min F = {lim.F_value!r}, |min F - min E| = {coincidence!r}")
 

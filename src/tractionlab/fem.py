@@ -62,9 +62,7 @@ def linear_field(mesh, A, b=(0.0, 0.0)):
 
 def element_gradients(mesh, values):
     """Per-element displacement gradient, shape (m, 2, 2), (grad v)_ij = dv_i/dx_j."""
-    v = np.asarray(values).reshape(mesh.n_nodes, 2)
-    ve = v[mesh.elements]                       # (m, 3, 2) nodal values
-    return np.einsum("mki,mkj->mij", ve, mesh.grads)
+    return (mesh.G @ np.asarray(values).reshape(-1)).reshape(-1, 2, 2)
 
 
 def element_strains(mesh, field):
@@ -76,16 +74,12 @@ def element_strains(mesh, field):
 def mass_matrix(mesh):
     """Consistent P1 vector mass matrix, dofs interleaved (node-major)."""
     Me = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    m = mesh.n_elements
-    data = np.empty((m, 3, 3, 2))
-    data[:] = (mesh.areas[:, None, None] * Me[None])[:, :, :, None]
-    dofs = 2 * mesh.elements[:, :, None] + np.arange(2)[None, None, :]   # (m, 3, 2)
-    rows = np.repeat(dofs[:, :, None, :], 3, axis=2)
-    cols = np.repeat(dofs[:, None, :, :], 3, axis=1)
-    n = 2 * mesh.n_nodes
-    return sp.coo_matrix(
-        (data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
-    ).tocsr()
+    data = mesh.areas[:, None, None] * Me[None]
+    rows = np.repeat(mesh.elements[:, :, None], 3, axis=2)
+    cols = np.repeat(mesh.elements[:, None, :], 3, axis=1)
+    n = mesh.n_nodes
+    scalar = sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
+    return sp.kron(scalar, sp.eye(2), format="csr")
 
 
 def integral_mean(mesh, values):
@@ -113,68 +107,33 @@ def rigid_basis(mesh, M=None):
     if M is None:
         M = mass_matrix(mesh)
     n = mesh.n_nodes
-    centroid = integral_mean_coords(mesh)
     raw = np.zeros((2 * n, 3))
     raw[0::2, 0] = 1.0
     raw[1::2, 1] = 1.0
-    rot = (mesh.nodes - centroid) @ J2.T
+    rot = (mesh.nodes - integral_mean(mesh, mesh.nodes)) @ J2.T
     raw[:, 2] = rot.reshape(-1)
 
-    # modified Gram-Schmidt in the mass inner product, one reorthogonalization pass
-    Z = raw.copy()
-    for _ in range(2):
-        for k in range(3):
-            for j in range(k):
-                Z[:, k] -= (Z[:, j] @ (M @ Z[:, k])) * Z[:, j]
-            Z[:, k] /= np.sqrt(Z[:, k] @ (M @ Z[:, k]))
+    # Z = raw L^-T with raw' M raw = L L' (Cholesky): mass-orthonormal, same span
+    L = np.linalg.cholesky(raw.T @ (M @ raw))
+    Z = np.linalg.solve(L, raw.T).T
     Zeu, _ = np.linalg.qr(Z)
     fields = [DisplacementField(mesh, Z[:, k].reshape(n, 2)) for k in range(3)]
     return RigidBasis(mesh, fields, Z, Zeu)
 
 
-def integral_mean_coords(mesh):
-    """Area centroid of the domain."""
-    cent = mesh.nodes[mesh.elements].mean(axis=1)
-    return (mesh.areas[:, None] * cent).sum(axis=0) / mesh.area
-
-
-def _elastic_matrix(density):
-    """3x3 form D with e' D e = quadratic(E) for e = (E11, E22, E12)."""
-    mu, lam = density.mu, density.lam
-    return np.array([
-        [4.0 * mu + 2.0 * lam, 2.0 * lam, 0.0],
-        [2.0 * lam, 4.0 * mu + 2.0 * lam, 0.0],
-        [0.0, 0.0, 8.0 * mu],
-    ])
-
-
 def assemble_stiffness(mesh, density):
-    """Sparse symmetric K with (1/2) v' K v = int quadratic(E(v)) dx."""
-    D = _elastic_matrix(density)
-    m = mesh.n_elements
-    B = np.zeros((m, 3, 6))
-    g = mesh.grads
-    for k in range(3):
-        B[:, 0, 2 * k + 0] = g[:, k, 0]
-        B[:, 1, 2 * k + 1] = g[:, k, 1]
-        B[:, 2, 2 * k + 0] = 0.5 * g[:, k, 1]
-        B[:, 2, 2 * k + 1] = 0.5 * g[:, k, 0]
-    Ke = 2.0 * mesh.areas[:, None, None] * np.einsum("mri,rs,msj->mij", B, D, B)
-    Ke = 0.5 * (Ke + np.swapaxes(Ke, 1, 2))     # exactly symmetric element blocks
-    dofs = (2 * mesh.elements[:, :, None] + np.arange(2)[None, None, :]).reshape(m, 6)
-    rows = np.repeat(dofs[:, :, None], 6, axis=2)
-    cols = np.repeat(dofs[:, None, :], 6, axis=1)
-    n = 2 * mesh.n_nodes
-    return sp.coo_matrix((Ke.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
+    """Sparse symmetric stiffness K = G' (diag(areas) (x) C) G.
 
-
-def eigenstrain_vector(mesh, density, B0):
-    """Nodal vector b with b . v = int quadratic_gradient(B0) : E(v) dx."""
-    G = density.quadratic_gradient(np.asarray(B0, dtype=float))
-    contrib = mesh.areas[:, None, None] * np.einsum("ij,mkj->mki", G, mesh.grads)
-    out = np.zeros((mesh.n_nodes, 2))
-    np.add.at(out, mesh.elements.reshape(-1), contrib.reshape(-1, 2))
-    return out
+    (1/2) v' K v = int quadratic(E(v)) dx.  G is the mesh's discrete
+    gradient; column kl of the 4x4 matrix C is
+    quadratic_gradient(sym(e_k (x) e_l)) in row-major order, so that
+    h' C h = 2 quadratic(sym H) for the flattened gradient h of H.
+    """
+    C = np.stack([density.quadratic_gradient(0.5 * (E + E.T)).ravel()
+                  for E in np.eye(4).reshape(4, 2, 2)], axis=1)
+    G = mesh.G
+    K = G.T @ (sp.kron(sp.diags(mesh.areas), C, format="csr") @ G)
+    return (0.5 * (K + K.T)).tocsr()
 
 
 def elastic_energy(mesh, density, assembly, field):
@@ -197,7 +156,7 @@ class LinearSolution:
     residual: float
 
 
-def _projected_pcg(K, b, Zeu, tol, max_iter=None):
+def _projected_pcg(K, b, Zeu, tol):
     """Jacobi-preconditioned CG for K x = b on the complement of span(Zeu).
 
     ``b`` must be Euclidean-orthogonal to the columns of ``Zeu``; the
@@ -205,12 +164,9 @@ def _projected_pcg(K, b, Zeu, tol, max_iter=None):
     residual relative to ``b`` is at most ``tol``.  Returns
     ``(x, iterations, relative residual)``; ``x`` is not projected.
 
-    Raises NoConvergenceError after ``max_iter`` (default 20 * len(b))
-    iterations.
+    Raises NoConvergenceError after 20 * len(b) iterations.
     """
     n = b.size
-    if max_iter is None:
-        max_iter = 20 * n
     inv_diag = 1.0 / K.diagonal()
 
     x = np.zeros(n)
@@ -224,7 +180,7 @@ def _projected_pcg(K, b, Zeu, tol, max_iter=None):
     rel = np.sqrt(rho) / denom
     it = 0
     while rel > tol:
-        if it >= max_iter:
+        if it >= 20 * n:
             raise NoConvergenceError(it, float(rel))
         Kp = K @ p
         alpha = rho / (p @ Kp)
@@ -240,15 +196,12 @@ def _projected_pcg(K, b, Zeu, tol, max_iter=None):
     return x, it, float(rel)
 
 
-def solve_linear(mesh, density, assembly, eigenstrain=None, tol=1e-10,
-                 max_iter=None, equilibrium_tol=1e-9):
-    """Minimize int quadratic(E(v) - B0) dx - L(v) over the rigid-mode complement.
+def solve_linear(mesh, density, assembly, tol=1e-10, equilibrium_tol=1e-9):
+    """Minimize int quadratic(E(v)) dx - L(v) over the rigid-mode complement.
 
     Jacobi-preconditioned conjugate gradients on the singular SPD system;
     rigid components of the residual are projected out every iteration and
     the returned minimizer carries the gauge P v = 0 (mass projection).
-    The reported energy includes the eigenstrain offset terms when B0 is
-    nonzero.
 
     Raises
     ------
@@ -267,19 +220,12 @@ def solve_linear(mesh, density, assembly, eigenstrain=None, tol=1e-10,
     M = mass_matrix(mesh)
     rb = rigid_basis(mesh, M)
 
-    b = assembly.load_vector.copy()
-    const_term = 0.0
-    if eigenstrain is not None:
-        B0 = np.asarray(eigenstrain, dtype=float)
-        b = b + eigenstrain_vector(mesh, density, B0)
-        const_term = mesh.area * density.quadratic(B0)
-    b_raw = b.reshape(-1)
-
+    b_raw = assembly.load_vector.reshape(-1)
     Zeu = rb.euclid
     b = b_raw - Zeu @ (Zeu.T @ b_raw)
 
-    x, it, rel = _projected_pcg(K, b, Zeu, tol, max_iter)
+    x, it, rel = _projected_pcg(K, b, Zeu, tol)
     x -= rb.matrix @ (rb.matrix.T @ (M @ x))
-    energy = 0.5 * float(x @ (K @ x)) - float(x @ b_raw) + const_term
+    energy = 0.5 * float(x @ (K @ x)) - float(x @ b_raw)
     sol = DisplacementField(mesh, x.reshape(-1, 2))
     return LinearSolution(sol, energy, it, rel)

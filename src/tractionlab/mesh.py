@@ -1,9 +1,9 @@
 """2D triangulated polygonal domains with tagged boundary edges.
 
 P1 (piecewise linear) triangles only; element geometry (areas, constant
-shape-function gradients, edge lengths and outward normals) is
-precomputed at construction.  A line-oriented text format supports
-round-trip persistence:
+shape-function gradients, edge lengths and outward normals) and the
+sparse discrete-gradient operator G are precomputed at construction.  A
+line-oriented text format supports round-trip persistence:
 
     # comment
     v <x> <y>
@@ -14,6 +14,7 @@ round-trip persistence:
 import io
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class MeshFormatError(ValueError):
@@ -40,6 +41,9 @@ class Mesh:
     edge_owner : (k,) int array, owning element of each boundary edge
     areas : (m,) element areas, all positive
     grads : (m, 3, 2) constant shape-function gradients
+    G : (4m, 2n) sparse CSR discrete gradient; maps interleaved nodal values
+        (v[2a + i] = v_i at node a) to row-major element gradients
+        ((G v)[4e + 2i + j] = dv_i/dx_j on element e)
     edge_lengths : (k,)
     edge_normals : (k, 2) outward unit normals
     """
@@ -79,6 +83,12 @@ class Mesh:
             g[:, i, 0] = (pj[:, 1] - pk[:, 1]) * inv2a
             g[:, i, 1] = (pk[:, 0] - pj[:, 0]) * inv2a
         self.grads = g
+
+        # row 4e + 2i + j holds the 3 entries g[e, k, j] at columns 2 elements[e, k] + i
+        e, i, j, k = np.indices((len(g), 2, 2, 3))
+        cols = (2 * self.elements[e, k] + i).ravel()
+        self.G = sp.csr_matrix((g[e, k, j].ravel(), cols, np.arange(0, cols.size + 1, 3)),
+                               shape=(4 * len(g), 2 * n))
 
         self._init_boundary(boundary_edges)
 

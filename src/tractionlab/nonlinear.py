@@ -105,26 +105,23 @@ def rescaled_gradient(mesh, density, assembly, field, h):
     """
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h}")
-    values = field.values
-    dets = _element_dets(mesh, values, h)
+    G = element_gradients(mesh, field.values)
+    F = h * G
+    F[:, 0, 0] += 1.0
+    F[:, 1, 1] += 1.0
+    dets = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
     if np.any(dets <= 0.0):
         bad = int(np.argmin(dets))
         raise InadmissibleStateError(
             f"element {bad} has det(I + h grad v) = {dets[bad]!r} <= 0"
         )
-    G = element_gradients(mesh, values)
     Eh = h * 0.5 * (G + np.swapaxes(G, 1, 2)) \
         + (0.5 * h * h) * np.einsum("mki,mkj->mij", G, G)
     D = 8.0 * density.mu * Eh \
         + 4.0 * density.lam * np.einsum("mii->m", Eh)[:, None, None] * np.eye(2)
     # d/dG of h^-2 quadratic(Eh) is (I + h G) D / h
-    F = h * G
-    F[:, 0, 0] += 1.0
-    F[:, 1, 1] += 1.0
     dPsi = np.einsum("mik,mkj->mij", F, D) / h
-    contrib = mesh.areas[:, None, None] * np.einsum("mij,mkj->mki", dPsi, mesh.grads)
-    out = np.zeros((mesh.n_nodes, 2))
-    np.add.at(out, mesh.elements.reshape(-1), contrib.reshape(-1, 2))
+    out = (mesh.G.T @ (mesh.areas[:, None, None] * dPsi).reshape(-1)).reshape(-1, 2)
     if assembly is not None:
         out = out - assembly.load_vector
     return out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tractionlab import Density, LoadSpec, assemble_loads, pressure, rect_mesh
+from tractionlab import Density, LoadSpec, Mesh, assemble_loads, pressure, rect_mesh
 from tractionlab.loads import BodyForce, TractionRule
 
 SIDES = ("left", "right", "top", "bottom")
@@ -28,6 +28,23 @@ def body_spec(A):
 
 def zero_spec():
     return LoadSpec({tag: TractionRule("constant", (0.0, 0.0)) for tag in SIDES})
+
+
+def jittered_mesh(nx, ny, rng, amplitude=0.2):
+    """rect_mesh(nx, ny) with each interior node moved by up to amplitude cells per axis.
+
+    A right triangle with legs a and b has altitudes at least ab/sqrt(a^2 + b^2);
+    with every vertex moved by at most sqrt(2) amplitude min(a, b), amplitude < 1/4
+    keeps each distance to the opposite side positive, so the triangles stay
+    counterclockwise (Mesh raises otherwise).  Boundary nodes and tags are kept.
+    """
+    base = rect_mesh(nx, ny)
+    step = amplitude * min(1.0 / nx, 1.0 / ny)
+    nodes = base.nodes.copy()
+    interior = np.setdiff1d(np.arange(base.n_nodes), base.edge_nodes)
+    nodes[interior] += rng.uniform(-step, step, (len(interior), 2))
+    edges = [(i, j, tag) for (i, j), tag in zip(base.edge_nodes, base.edge_tags)]
+    return Mesh(nodes, base.elements, edges)
 
 
 @pytest.fixture(scope="session")
