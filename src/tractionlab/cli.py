@@ -151,9 +151,12 @@ class _Run:
             print("sweep refused: limit stage did not complete")
             return
         try:
+            # on the scenario's own mesh the sweep starts from the limit stage's
+            # minimizer, the linear solution at the scenario's cg_tol
             result = h_sweep(self.mesh, self.density, sc.load_spec(), h_list,
                              refinements=sc.refinements, grad_tol=sc.grad_tol,
-                             divergence_threshold=sc.divergence_threshold)
+                             divergence_threshold=sc.divergence_threshold,
+                             limit=None if sc.refinements else self.limit)
         except (IncompatibleLoadsError, SweepRefusedError) as exc:
             self.stages["sweep"] = REFUSED
             self.report["nonlinear"] = {"refused": str(exc)}

@@ -9,9 +9,10 @@ line-oriented text format supports round-trip persistence:
     v <x> <y>
     t <i> <j> <k>        (0-based node indices, counterclockwise)
     e <i> <j> <tag>      (boundary edge with tag)
-"""
 
-import io
+A tag is one word: non-empty, without whitespace or '#', so that it
+reads back as written.
+"""
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,7 +38,7 @@ class Mesh:
     nodes : (n, 2) float array
     elements : (m, 3) int array, counterclockwise triangles
     edge_nodes : (k, 2) int array, boundary edge endpoints
-    edge_tags : list of k tag strings
+    edge_tags : list of k tag strings (each one word without '#')
     edge_owner : (k,) int array, owning element of each boundary edge
     areas : (m,) element areas, all positive
     grads : (m, 3, 2) constant shape-function gradients
@@ -93,41 +94,55 @@ class Mesh:
         self._init_boundary(boundary_edges)
 
     def _init_boundary(self, boundary_edges):
-        owner_of = {}
-        for e, tri in enumerate(self.elements):
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (min(a, b), max(a, b))
-                owner_of.setdefault(key, []).append(e)
-        single = {k for k, v in owner_of.items() if len(v) == 1}
+        entries = list(boundary_edges)
+        i_col, j_col, tag_col = zip(*entries) if entries else ((), (), ())
+        try:
+            ij = np.column_stack([np.array(i_col, dtype=np.int64),
+                                  np.array(j_col, dtype=np.int64)])
+        except OverflowError:
+            i, j = next((int(i), int(j)) for i, j in zip(i_col, j_col)
+                        if max(abs(int(i)), abs(int(j))) >= 2**63)
+            raise MeshFormatError(f"boundary edge ({i}, {j}) references a node out of range") \
+                from None
+        tags = [str(tag) for tag in tag_col]
+        for (i, j), tag in zip(ij.tolist(), tags):
+            if tag.split() != [tag] or "#" in tag:
+                raise MeshFormatError(f"boundary edge ({i}, {j}) has tag {tag!r}: a tag must "
+                                      "be one non-empty word without whitespace or '#'")
 
-        edge_nodes = []
-        edge_tags = []
-        edge_owner = []
-        seen = set()
         n = len(self.nodes)
-        for i, j, tag in boundary_edges:
-            i, j = int(i), int(j)
-            if not (0 <= i < n and 0 <= j < n):
-                raise MeshFormatError(f"boundary edge ({i}, {j}) references a node out of range")
-            key = (min(i, j), max(i, j))
-            if key not in owner_of:
-                raise MeshTopologyError(f"boundary edge ({i}, {j}) is not an element edge")
-            if key not in single:
-                raise MeshTopologyError(f"boundary edge ({i}, {j}) is interior (two owners)")
-            if key in seen:
-                raise MeshTopologyError(f"boundary edge ({i}, {j}) listed twice")
-            seen.add(key)
-            edge_nodes.append((i, j))
-            edge_tags.append(str(tag))
-            edge_owner.append(owner_of[key][0])
-        missing = single - seen
-        if missing:
-            i, j = sorted(missing)[0]
+        codes, owner, count = np.unique(_edge_codes(_element_edges(self.elements), n),
+                                        return_index=True, return_counts=True)
+        # a sentinel above every code keeps the search positions of tagged edges in range
+        codes, owner, count = np.append(codes, n * n), np.append(owner, -1), np.append(count, 0)
+        in_range = np.all((ij >= 0) & (ij < n), axis=1)
+        tagged = _edge_codes(np.where(in_range[:, None], ij, 0), n)
+        pos = np.searchsorted(codes, tagged)
+        is_edge = in_range & (codes[pos] == tagged)
+        order = np.argsort(tagged, kind="stable")
+        repeat = np.zeros(len(ij), dtype=bool)
+        repeat[order[1:]] = tagged[order[1:]] == tagged[order[:-1]]
+        # the first offending edge in list order, reported with its first failed check
+        failures = (
+            (~in_range, MeshFormatError, "references a node out of range"),
+            (in_range & ~is_edge, MeshTopologyError, "is not an element edge"),
+            (is_edge & (count[pos] > 1), MeshTopologyError, "is interior (two owners)"),
+            (repeat, MeshTopologyError, "listed twice"),
+        )
+        bad = np.column_stack([mask for mask, _, _ in failures])
+        if bad.any():
+            row = int(np.argmax(bad.any(axis=1)))
+            _, error, what = failures[int(np.argmax(bad[row]))]
+            i, j = ij[row].tolist()
+            raise error(f"boundary edge ({i}, {j}) {what}")
+        missing = np.setdiff1d(codes[count == 1], tagged)
+        if missing.size:
+            i, j = divmod(int(missing[0]), n)
             raise MeshTopologyError(f"triangulation boundary edge ({i}, {j}) has no tag entry")
 
-        self.edge_nodes = np.asarray(edge_nodes, dtype=np.int64).reshape(len(edge_nodes), 2)
-        self.edge_tags = edge_tags
-        self.edge_owner = np.asarray(edge_owner, dtype=np.int64)
+        self.edge_nodes = ij
+        self.edge_tags = tags
+        self.edge_owner = owner[pos] // 3
 
         pa = self.nodes[self.edge_nodes[:, 0]]
         pb = self.nodes[self.edge_nodes[:, 1]]
@@ -154,6 +169,16 @@ class Mesh:
         return sorted(set(self.edge_tags))
 
 
+def _element_edges(elements):
+    """(3m, 2) endpoints: row 3e + k joins local nodes k and k + 1 (mod 3) of element e."""
+    return np.column_stack([elements.ravel(), np.roll(elements, -1, axis=1).ravel()])
+
+
+def _edge_codes(pairs, n):
+    """Orientation-free key min * n + max of each node pair, n the node count."""
+    return np.minimum(pairs[:, 0], pairs[:, 1]) * n + np.maximum(pairs[:, 0], pairs[:, 1])
+
+
 def rect_mesh(nx, ny, x_range=(-0.5, 0.5), y_range=(-0.5, 0.5), tag_scheme="sides"):
     """Structured triangulation of a rectangle.
 
@@ -175,28 +200,22 @@ def rect_mesh(nx, ny, x_range=(-0.5, 0.5), y_range=(-0.5, 0.5), tag_scheme="side
     ys = y0 + (y1 - y0) * np.arange(ny + 1) / ny
     nodes = np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)])
 
-    def nid(i, j):
-        return j * (nx + 1) + i
+    # cell (i, j) has lower-left node a = j (nx + 1) + i and is split into (a, b, c), (a, c, d)
+    a = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    b, c, d = a + 1, a + nx + 2, a + nx + 1
+    elements = np.column_stack([a, b, c, a, c, d]).reshape(-1, 3)
 
-    elements = []
-    for j in range(ny):
-        for i in range(nx):
-            a, b = nid(i, j), nid(i + 1, j)
-            c, d = nid(i + 1, j + 1), nid(i, j + 1)
-            elements.append((a, b, c))
-            elements.append((a, c, d))
-
-    def side(name):
-        return name if tag_scheme == "sides" else "boundary"
-
-    edges = []
-    for i in range(nx):
-        edges.append((nid(i, 0), nid(i + 1, 0), side("bottom")))
-        edges.append((nid(i, ny), nid(i + 1, ny), side("top")))
-    for j in range(ny):
-        edges.append((nid(0, j), nid(0, j + 1), side("left")))
-        edges.append((nid(nx, j), nid(nx, j + 1), side("right")))
-    return Mesh(nodes, elements, edges)
+    i = np.arange(nx)
+    j = np.arange(ny) * (nx + 1)
+    bottom = np.column_stack([i, i + 1])
+    left = np.column_stack([j, j + nx + 1])
+    ends = np.concatenate([np.stack([bottom, bottom + ny * (nx + 1)], axis=1).reshape(-1, 2),
+                           np.stack([left, left + nx], axis=1).reshape(-1, 2)])
+    if tag_scheme == "sides":
+        tags = ["bottom", "top"] * nx + ["left", "right"] * ny
+    else:
+        tags = ["boundary"] * (2 * (nx + ny))
+    return Mesh(nodes, elements, zip(ends[:, 0].tolist(), ends[:, 1].tolist(), tags))
 
 
 def refine(mesh):
@@ -204,43 +223,50 @@ def refine(mesh):
 
     Boundary edges are split in two and keep their tags.
     """
-    midpoint_id = {}
-    new_nodes = [tuple(p) for p in mesh.nodes]
+    n = mesh.n_nodes
+    ends = _element_edges(mesh.elements)
+    codes, first, inverse = np.unique(_edge_codes(ends, n), return_index=True,
+                                      return_inverse=True)
+    # midpoints are numbered in the order their edges first appear, element by element
+    order = np.argsort(first)
+    midpoint = np.empty_like(order)
+    midpoint[order] = np.arange(n, n + len(order))
+    pa, pb = ends[first[order]].T
+    nodes = np.concatenate([mesh.nodes, 0.5 * (mesh.nodes[pa] + mesh.nodes[pb])])
 
-    def mid(a, b):
-        key = (min(a, b), max(a, b))
-        if key not in midpoint_id:
-            midpoint_id[key] = len(new_nodes)
-            new_nodes.append(tuple(0.5 * (mesh.nodes[a] + mesh.nodes[b])))
-        return midpoint_id[key]
+    a, b, c = mesh.elements.T
+    mab, mbc, mca = midpoint[inverse].reshape(-1, 3).T
+    elements = np.column_stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca])
 
-    elements = []
-    for a, b, c in mesh.elements:
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        elements.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
-
-    edges = []
-    for (i, j), tag in zip(mesh.edge_nodes, mesh.edge_tags):
-        m = mid(i, j)
-        edges.append((i, m, tag))
-        edges.append((m, j, tag))
-    return Mesh(np.asarray(new_nodes), elements, edges)
+    i, j = mesh.edge_nodes.T
+    mid = midpoint[np.searchsorted(codes, _edge_codes(mesh.edge_nodes, n))]
+    halves = np.column_stack([i, mid, mid, j]).reshape(-1, 2)
+    tags = [tag for tag in mesh.edge_tags for _ in range(2)]
+    return Mesh(nodes, elements.reshape(-1, 3),
+                zip(halves[:, 0].tolist(), halves[:, 1].tolist(), tags))
 
 
 def write_mesh(mesh, solution=None):
     """Serialize a mesh (optionally with nodal solution lines ``u i vx vy``)."""
-    out = io.StringIO()
-    for x, y in mesh.nodes:
-        out.write(f"v {float(x)!r} {float(y)!r}\n")
-    for a, b, c in mesh.elements:
-        out.write(f"t {a} {b} {c}\n")
-    for (i, j), tag in zip(mesh.edge_nodes, mesh.edge_tags):
-        out.write(f"e {i} {j} {tag}\n")
+    n, m, k = mesh.n_nodes, mesh.n_elements, len(mesh.edge_tags)
+    # %r of a Python float is its repr, the shortest round-trip form
+    parts = [("v %r %r\n" * n) % tuple(mesh.nodes.ravel().tolist()),
+             ("t %d %d %d\n" * m) % tuple(mesh.elements.ravel().tolist()),
+             ("e %d %d %s\n" * k)
+             % tuple(_interleave(*mesh.edge_nodes.T.tolist(), mesh.edge_tags))]
     if solution is not None:
-        values = np.asarray(solution)
-        for i, (vx, vy) in enumerate(values):
-            out.write(f"u {i} {float(vx)!r} {float(vy)!r}\n")
-    return out.getvalue()
+        values = np.asarray(solution, dtype=float)
+        parts.append(("u %d %r %r\n" * len(values))
+                     % tuple(_interleave(range(len(values)), *values.T.tolist())))
+    return "".join(parts)
+
+
+def _interleave(*columns):
+    """Flat list c0[0], c1[0], ..., c0[1], c1[1], ... of equal-length columns."""
+    flat = [None] * sum(map(len, columns))
+    for offset, column in enumerate(columns):
+        flat[offset::len(columns)] = column
+    return flat
 
 
 def read_mesh(text):

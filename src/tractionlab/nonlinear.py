@@ -429,19 +429,24 @@ class SweepAbortedError(RuntimeError):
 
 
 def h_sweep(mesh, density, spec, h_list, refinements=0, grad_tol=1e-8,
-            divergence_threshold=None, max_iter=2000):
+            divergence_threshold=None, max_iter=2000, limit=None):
     """Minimize Fh along a descending h list and compare with the limit.
 
     Only strictly compatible loads are accepted.  Each h is warm-started
     from the previous minimizer, the first from the limit minimizer (for
     strict loads it is the linear-elastic one),
-    tracking the minimizing branch.  Returns records (h, min Fh, the
+    tracking the minimizing branch.  ``limit`` is a LimitMinimum already
+    computed for these loads on ``mesh``; without it ``minimize_limit``
+    runs once.  It cannot be combined with ``refinements``, since the
+    refined mesh needs its own.  Returns records (h, min Fh, the
     proxy |sqrt(h) mean skew grad|, strain-moment distances to the limit
     minimizer) plus the limit comparison values.
     """
     hs = [float(h) for h in h_list]
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("h_list must be strictly decreasing")
+    if limit is not None and refinements:
+        raise ValueError("a given limit minimizer lives on the unrefined mesh")
     for _ in range(int(refinements)):
         mesh = refine(mesh)
     assembly = assemble_loads(mesh, spec)
@@ -456,11 +461,12 @@ def h_sweep(mesh, density, spec, h_list, refinements=0, grad_tol=1e-8,
             "with unbounded skew gradients)",
         )
 
-    limit_min = minimize_limit(mesh, density, assembly, classification=classification)
-    limit_moments = strain_moments(mesh, limit_min.field)
-    limit_W0_norm = math.sqrt(limit_min.W0.norm_sq())
+    if limit is None:
+        limit = minimize_limit(mesh, density, assembly, classification=classification)
+    limit_moments = strain_moments(mesh, limit.field)
+    limit_W0_norm = math.sqrt(limit.W0.norm_sq())
 
-    warm = limit_min.field
+    warm = limit.field
     records = []
     floor = np.inf
     for h in hs:
@@ -486,7 +492,7 @@ def h_sweep(mesh, density, spec, h_list, refinements=0, grad_tol=1e-8,
         warm = res.field
     return SweepResult(
         records=records,
-        limit_value=limit_min.F_value,
+        limit_value=limit.F_value,
         limit_W0_norm=limit_W0_norm,
         limit_moments=limit_moments,
         energy_floor=float(floor),

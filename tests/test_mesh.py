@@ -137,6 +137,11 @@ class TestTextFormat:
         with pytest.raises(MeshTopologyError, match="no tag entry"):
             read_mesh(text)
 
+    def test_index_beyond_int64_is_format_error(self):
+        text = UNIT_SQUARE_TEXT.replace("e 1 2 right", "e 1 99999999999999999999 right")
+        with pytest.raises(MeshFormatError, match="out of range"):
+            read_mesh(text)
+
     def test_non_edge_pair_is_topology_error(self):
         text = UNIT_SQUARE_TEXT.replace("e 3 0 left", "e 1 3 left")
         with pytest.raises(MeshTopologyError):
@@ -181,3 +186,18 @@ class TestConstructorValidation:
             [(0, 1, "a"), (1, 2, "b"), (2, 0, "c")],
         )
         assert m.area == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("tag", ["my side", "", "x#1"])
+    def test_tag_that_cannot_round_trip_rejected(self, tag):
+        m = rect_mesh(2, 2)
+        edges = [(i, j, t) for (i, j), t in zip(m.edge_nodes.tolist(), m.edge_tags)]
+        edges[3] = (*edges[3][:2], tag)
+        with pytest.raises(MeshFormatError, match="tag"):
+            Mesh(m.nodes, m.elements, edges)
+
+    def test_one_word_tags_round_trip(self):
+        m = rect_mesh(2, 1)
+        edges = [(i, j, f"side-{k}_{t}") for k, ((i, j), t)
+                 in enumerate(zip(m.edge_nodes.tolist(), m.edge_tags))]
+        m2, _ = read_mesh(write_mesh(Mesh(m.nodes, m.elements, edges)))
+        assert m2.edge_tags == [t for _, _, t in edges]

@@ -246,6 +246,19 @@ class TestSweep:
         sw = h_sweep(m, density, pressure_spec(16.0), (0.2, 0.1), refinements=1)
         assert all(r.status == CONVERGED for r in sw.records)
 
+    def test_given_limit_minimizer_is_the_warm_start(self, mesh, density):
+        spec = pressure_spec(16.0)
+        lim = minimize_limit(mesh, density, assemble_loads(mesh, spec))
+        given_, own = (h_sweep(mesh, density, spec, (0.2, 0.1), limit=limit)
+                       for limit in (lim, None))
+        for a, b in zip(given_.records, own.records, strict=True):
+            assert (a.h, a.Fh, a.W_proxy, a.moment_dist, a.iters) == \
+                (b.h, b.Fh, b.W_proxy, b.moment_dist, b.iters)
+            assert np.array_equal(a.moments, b.moments)
+        assert given_.limit_value == own.limit_value
+        with pytest.raises(ValueError, match="unrefined"):
+            h_sweep(mesh, density, spec, (0.2, 0.1), refinements=1, limit=lim)
+
 
 class TestPreconditionedSolver:
     def test_h0_symmetric_positive_definite(self, mesh, density):

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import tractionlab.cli
+import tractionlab.limit
 from tractionlab.cli import main
+from tractionlab.fem import solve_linear
 from tractionlab.loads import BodyForce
 from tractionlab.mesh import read_mesh, rect_mesh, write_mesh
 from tractionlab.scenarios import (ConfigError, Scenario, builtin_scenarios,
@@ -247,6 +250,33 @@ class TestCli:
         sc = load_scenario("tension")
         assert rep["provenance"]["config_sha256"] == sc.config_hash()
         assert rep["scenario"]["config"] == sc.effective_config()
+
+
+class TestSolveCount:
+    """On the scenario's own mesh the sweep starts from the limit stage's minimizer."""
+
+    @pytest.fixture
+    def solved_sizes(self, monkeypatch):
+        sizes = []
+
+        def counting(mesh, *args, **kwargs):
+            sizes.append(mesh.n_nodes)
+            return solve_linear(mesh, *args, **kwargs)
+
+        monkeypatch.setattr(tractionlab.cli, "solve_linear", counting)
+        monkeypatch.setattr(tractionlab.limit, "solve_linear", counting)
+        return sizes
+
+    def test_run_tension_solves_once(self, tmp_path, solved_sizes):
+        assert main(["run", "tension", "--mesh-n", "8", "--out", str(tmp_path)]) == 0
+        assert solved_sizes == [81]
+
+    def test_refined_sweep_solves_on_its_own_mesh(self, tmp_path, solved_sizes):
+        sc_file = tmp_path / "sc.ini"
+        sc_file.write_text(SMALL_TENSION.replace("h_list = 0.2 0.1",
+                                                 "h_list = 0.2 0.1\nrefinements = 1"))
+        assert main(["run", str(sc_file), "--out", str(tmp_path / "o")]) == 0
+        assert solved_sizes == [49, 169]
 
 
 class TestScenarioObjects:
