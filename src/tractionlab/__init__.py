@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .algebra import Density, SkewParam, rodrigues, skew2, skew3, skew_square, sym_eigs
 from .fem import (DisplacementField, NoConvergenceError, NotEquilibratedError,
                   assemble_stiffness, elastic_energy, element_strains,
-                  field_from_function, linear_field, rigid_basis, solve_linear)
+                  linear_field, operators, rigid_basis, solve_linear)
 from .limit import (IncompatibleLoadsError, LimitReport, inner_skew_minimum,
                     inner_skew_minimum_3d, limit_report, minimize_limit,
                     shifted_minimizer)

@@ -78,6 +78,7 @@ class _Run:
         self.report["linear"] = {
             "min_E": checked(self.linear.energy, sc.cg_tol),
             "cg_iterations": self.linear.iterations,
+            "preconditioner": "sa-amg",
             "cg_residual": checked(self.linear.residual, sc.cg_tol),
         }
         self.linear_dump = solution_dump(self.mesh, self.linear.field)
@@ -151,12 +152,16 @@ class _Run:
             print("sweep refused: limit stage did not complete")
             return
         try:
-            # on the scenario's own mesh the sweep starts from the limit stage's
+            # on the scenario's own mesh the sweep reuses the loads, their
+            # classification at the scenario's tol and the limit stage's
             # minimizer, the linear solution at the scenario's cg_tol
+            own_mesh = not sc.refinements
             result = h_sweep(self.mesh, self.density, sc.load_spec(), h_list,
                              refinements=sc.refinements, grad_tol=sc.grad_tol,
                              divergence_threshold=sc.divergence_threshold,
-                             limit=None if sc.refinements else self.limit)
+                             limit=self.limit if own_mesh else None,
+                             assembly=self.assembly if own_mesh else None,
+                             classification=self.classification)
         except (IncompatibleLoadsError, SweepRefusedError) as exc:
             self.stages["sweep"] = REFUSED
             self.report["nonlinear"] = {"refused": str(exc)}

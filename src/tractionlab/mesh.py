@@ -47,6 +47,7 @@ class Mesh:
         ((G v)[4e + 2i + j] = dv_i/dx_j on element e)
     edge_lengths : (k,)
     edge_normals : (k, 2) outward unit normals
+    operator_cache : dict, Density -> fem.Operators, filled by fem.operators
     """
 
     def __init__(self, nodes, elements, boundary_edges):
@@ -90,6 +91,7 @@ class Mesh:
         cols = (2 * self.elements[e, k] + i).ravel()
         self.G = sp.csr_matrix((g[e, k, j].ravel(), cols, np.arange(0, cols.size + 1, 3)),
                                shape=(4 * len(g), 2 * n))
+        self.operator_cache = {}
 
         self._init_boundary(boundary_edges)
 

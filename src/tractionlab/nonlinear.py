@@ -30,11 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import (DisplacementField, _projected_pcg, assemble_stiffness,
-                  element_gradients, element_strains, integral_mean,
-                  linear_field, rigid_basis)
+from .fem import (DisplacementField, _projected_pcg, element_gradients,
+                  element_strains, integral_mean, linear_field, operators)
 from .limit import IncompatibleLoadsError, minimize_limit
-from .loads import (INCOMPATIBLE, STRICT, assemble_loads,
+from .loads import (DEFAULT_TOL, INCOMPATIBLE, STRICT, assemble_loads,
                     classify_compatibility, load_work)
 from .mesh import refine, tri_midpoint3
 
@@ -206,12 +205,13 @@ def _stiffness_h0(mesh, density):
     """Initial inverse Hessian H0 = P K^+ P + gamma Zeu Zeu^T of the two-loop recursion.
 
     K is the linear-elastic stiffness, Zeu the Euclidean-orthonormal rigid
-    basis and P = I - Zeu Zeu^T.  Returns ``apply(q, gamma)``; K^+ is applied
-    by projected Jacobi-PCG to relative residual _H0_CG_TOL, so H0 is
-    symmetric positive definite up to that tolerance.
+    basis and P = I - Zeu Zeu^T, all taken from ``operators(mesh,
+    density)``.  Returns ``apply(q, gamma)``; K^+ is applied by projected
+    PCG with the bundle's preconditioner to relative residual _H0_CG_TOL,
+    so H0 is symmetric positive definite up to that tolerance.
     """
-    K = assemble_stiffness(mesh, density)
-    Zeu = rigid_basis(mesh).euclid
+    ops = operators(mesh, density)
+    K, Zeu = ops.K, ops.Zeu
 
     def apply(q, gamma):
         rigid = Zeu @ (Zeu.T @ q)
@@ -219,7 +219,7 @@ def _stiffness_h0(mesh, density):
         # second pass: b must be rigid-free relative to its own size, also
         # when q is nearly rigid, or CG meets an inconsistent system
         b -= Zeu @ (Zeu.T @ b)
-        x, _, _ = _projected_pcg(K, b, Zeu, _H0_CG_TOL)
+        x, _, _ = _projected_pcg(K, b, Zeu, _H0_CG_TOL, ops.vcycle)
         return x - Zeu @ (Zeu.T @ x) + gamma * rigid
     return apply
 
@@ -429,28 +429,38 @@ class SweepAbortedError(RuntimeError):
 
 
 def h_sweep(mesh, density, spec, h_list, refinements=0, grad_tol=1e-8,
-            divergence_threshold=None, max_iter=2000, limit=None):
+            divergence_threshold=None, max_iter=2000, limit=None, assembly=None,
+            classification=None):
     """Minimize Fh along a descending h list and compare with the limit.
 
     Only strictly compatible loads are accepted.  Each h is warm-started
     from the previous minimizer, the first from the limit minimizer (for
     strict loads it is the linear-elastic one),
-    tracking the minimizing branch.  ``limit`` is a LimitMinimum already
-    computed for these loads on ``mesh``; without it ``minimize_limit``
-    runs once.  It cannot be combined with ``refinements``, since the
-    refined mesh needs its own.  Returns records (h, min Fh, the
-    proxy |sqrt(h) mean skew grad|, strain-moment distances to the limit
-    minimizer) plus the limit comparison values.
+    tracking the minimizing branch.  ``assembly``, ``classification`` and
+    ``limit`` are the loads assembled on ``mesh``, their classification
+    and their LimitMinimum, already computed; each one not given is
+    computed here (the classification at the default tolerance).  With
+    ``refinements`` the loads are assembled again on the refined mesh and
+    classified at ``classification.tol``; ``assembly`` and ``limit`` live
+    on the unrefined mesh and cannot be given then.  Returns records (h,
+    min Fh, the proxy |sqrt(h) mean skew grad|, strain-moment distances to
+    the limit minimizer) plus the limit comparison values.
     """
     hs = [float(h) for h in h_list]
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("h_list must be strictly decreasing")
-    if limit is not None and refinements:
-        raise ValueError("a given limit minimizer lives on the unrefined mesh")
-    for _ in range(int(refinements)):
-        mesh = refine(mesh)
-    assembly = assemble_loads(mesh, spec)
-    classification = classify_compatibility(assembly)
+    if refinements:
+        if limit is not None or assembly is not None:
+            raise ValueError("a given assembly or limit minimizer lives on the unrefined mesh")
+        tol = DEFAULT_TOL if classification is None else classification.tol
+        for _ in range(int(refinements)):
+            mesh = refine(mesh)
+        assembly = assemble_loads(mesh, spec)
+        classification = classify_compatibility(assembly, tol)
+    if assembly is None:
+        assembly = assemble_loads(mesh, spec)
+    if classification is None:
+        classification = classify_compatibility(assembly)
     if classification.compat_class == INCOMPATIBLE:
         raise IncompatibleLoadsError(classification.witness, classification.witness_work)
     if classification.compat_class != STRICT:

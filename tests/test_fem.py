@@ -29,6 +29,12 @@ class TestRigidBasis:
     def test_dimension(self, mesh):
         assert len(rigid_basis(mesh).fields) == 3
 
+    def test_basis_keeps_its_mesh(self):
+        # built on a temporary mesh, the basis must still reach it
+        rb = rigid_basis(rect_mesh(4, 4))
+        assert rb.mesh.n_nodes == 25
+        assert all(f.mesh is rb.mesh for f in rb.fields)
+
     def test_strain_free_on_dyadic_mesh(self, mesh):
         # raw generators are exactly strain free; normalization scales by an
         # irrational factor, leaving per-entry rounding only

@@ -7,7 +7,8 @@ from tractionlab.algebra import Density, J2, rodrigues, skew2
 from tractionlab.fem import (DisplacementField, elastic_energy, linear_field,
                              rigid_basis, solve_linear)
 from tractionlab.limit import IncompatibleLoadsError, minimize_limit
-from tractionlab.loads import assemble_loads
+from tractionlab.loads import (LoadSpec, TractionRule, assemble_loads,
+                               classify_compatibility)
 from tractionlab.mesh import rect_mesh
 from tractionlab.nonlinear import (_H0_CG_TOL, CONVERGED, DIVERGED,
                                    InadmissibleStateError, SweepRefusedError,
@@ -258,6 +259,28 @@ class TestSweep:
         assert given_.limit_value == own.limit_value
         with pytest.raises(ValueError, match="unrefined"):
             h_sweep(mesh, density, spec, (0.2, 0.1), refinements=1, limit=lim)
+
+    def test_given_classification_decides(self, mesh, density):
+        # infmany plus a 1e-6 pressure: strict at the default tol, weak at 1e-3,
+        # also when the sweep refines the mesh and classifies again
+        spec = LoadSpec({tag: TractionRule("constant", v) for tag, v in
+                         (("right", (1e-6, 1.0)), ("left", (-1e-6, -1.0)),
+                          ("top", (1.0, 1e-6)), ("bottom", (-1.0, -1e-6)))})
+        asm = assemble_loads(mesh, spec)
+        assert classify_compatibility(asm).compat_class == "strict"
+        weak = classify_compatibility(asm, 1e-3)
+        assert weak.compat_class == "weak"
+        for refinements in (0, 1):
+            with pytest.raises(SweepRefusedError, match="compactness"):
+                h_sweep(mesh, density, spec, (0.1, 0.05), refinements=refinements,
+                        classification=weak)
+        own = h_sweep(mesh, density, spec, (0.1,))
+        given_ = h_sweep(mesh, density, spec, (0.1,), assembly=asm,
+                         classification=classify_compatibility(asm))
+        assert [(r.Fh, r.moment_dist, r.iters) for r in given_.records] == \
+            [(r.Fh, r.moment_dist, r.iters) for r in own.records]
+        with pytest.raises(ValueError, match="unrefined"):
+            h_sweep(mesh, density, spec, (0.1,), refinements=1, assembly=asm)
 
 
 class TestPreconditionedSolver:

@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tractionlab
 import tractionlab.cli
+import tractionlab.fem
 import tractionlab.limit
 from tractionlab.cli import main
-from tractionlab.fem import solve_linear
+from tractionlab.fem import assemble_stiffness, solve_linear
 from tractionlab.loads import BodyForce
 from tractionlab.mesh import read_mesh, rect_mesh, write_mesh
 from tractionlab.scenarios import (ConfigError, Scenario, builtin_scenarios,
@@ -36,6 +42,33 @@ pressure = 16
 
 [experiment]
 h_list = 0.2 0.1
+"""
+
+NEAR_WEAK = """\
+[scenario]
+name = near-weak
+
+[mesh]
+kind = rect
+nx = 8
+ny = 8
+
+[density]
+mu = 1.0
+lambda = 1.0
+
+[loads.right]
+constant = 1e-6 1.0
+[loads.left]
+constant = -1e-6 -1.0
+[loads.top]
+constant = 1.0 1e-6
+[loads.bottom]
+constant = -1.0 -1e-6
+
+[experiment]
+tol = 1e-3
+h_list = 0.1 0.05
 """
 
 
@@ -209,6 +242,24 @@ class TestCli:
         assert rep["stages"]["solve_linear"] == "refused"
         assert rep["stages"]["solve_limit"] == "skipped"
 
+    def test_sweep_classifies_at_the_scenario_tol(self, tmp_path):
+        # infmany plus a 1e-6 normal component: Tr S = 2e-6 is weak at
+        # tol = 1e-3 and strict at 1e-9, and the sweep follows the scenario
+        sc_file = tmp_path / "near_weak.ini"
+        sc_file.write_text(NEAR_WEAK)
+        out = tmp_path / "o"
+        assert main(["run", str(sc_file), "--out", str(out)]) == 2
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["classification"]["class"] == "weak"
+        assert rep["stages"]["sweep"] == "refused"
+        assert "compactness" in rep["nonlinear"]["refused"]
+
+        out = tmp_path / "strict"
+        assert main(["run", str(sc_file), "--tol", "1e-9", "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["classification"]["class"] == "strict"
+        assert rep["stages"]["sweep"] == "ok"
+
     def test_bad_config_exit_1(self, tmp_path, capsys):
         assert main(["run", "definitely-missing", "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
@@ -277,6 +328,42 @@ class TestSolveCount:
                                                  "h_list = 0.2 0.1\nrefinements = 1"))
         assert main(["run", str(sc_file), "--out", str(tmp_path / "o")]) == 0
         assert solved_sizes == [49, 169]
+
+
+class TestOperatorBundle:
+    """One stiffness assembly per run; the multigrid imports no solver module."""
+
+    def test_run_assembles_the_stiffness_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return assemble_stiffness(*args, **kwargs)
+
+        monkeypatch.setattr(tractionlab.fem, "assemble_stiffness", counting)
+        assert main(["run", "tension", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
+    def test_no_scipy_solver_import(self, tmp_path):
+        # importing scipy.sparse.linalg (and with it scipy.linalg) costs
+        # about 9 MB of resident memory
+        code = (
+            "import sys\n"
+            "from tractionlab.cli import main\n"
+            f"assert main(['run', 'tension', '--out', {str(tmp_path / 'a')!r}]) == 0\n"
+            f"assert main(['solve-limit', 'tension', '--mesh-n', '64', "
+            f"'--out', {str(tmp_path / 'b')!r}]) == 0\n"
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') "
+            "if m in sys.modules))\n"
+        )
+        src = str(Path(tractionlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        for sub in ("a", "b"):
+            rep = json.loads((tmp_path / sub / "report.json").read_text())
+            assert rep["linear"]["preconditioner"] == "sa-amg"
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestScenarioObjects:
