@@ -127,6 +127,16 @@ class Density:
         B = np.asarray(B)
         return 4.0 * self.mu * float(np.sum(B * B)) + 2.0 * self.lam * float(np.trace(B)) ** 2
 
+    def quadratic_sym2(self, e00, e01, e11):
+        """``quadratic`` of the symmetric 2x2 matrices [[e00, e01], [e01, e11]].
+
+        The components are scalars or arrays of one shape; the result has
+        that shape.
+        """
+        tr = e00 + e11
+        return 4.0 * self.mu * (e00 * e00 + 2.0 * (e01 * e01) + e11 * e11) \
+            + 2.0 * self.lam * (tr * tr)
+
     def quadratic_gradient(self, B):
         """Gradient of ``quadratic`` in B: 8 mu B + 4 lam (Tr B) I."""
         B = np.asarray(B)

@@ -86,9 +86,7 @@ def mass_matrix(mesh):
 
 def integral_mean(mesh, values):
     """Domain mean of a nodal field, exact for P1: (1/|Omega|) int v dx."""
-    v = np.asarray(values).reshape(mesh.n_nodes, 2)
-    sums = v[mesh.elements].sum(axis=1)          # (m, 2)
-    return (mesh.areas[:, None] * sums).sum(axis=0) / (3.0 * mesh.area)
+    return mesh.mean_weights @ np.asarray(values).reshape(mesh.n_nodes, 2)
 
 
 @dataclass
@@ -140,13 +138,8 @@ def assemble_stiffness(mesh, density):
 
 def elastic_energy(mesh, density, assembly, field):
     """Classical linear-elastic energy int quadratic(E(v)) dx - L(v)."""
-    E = element_strains(mesh, field)
-    stored = float(
-        np.sum(mesh.areas * (
-            4.0 * density.mu * np.einsum("mij,mij->m", E, E)
-            + 2.0 * density.lam * np.einsum("mii->m", E) ** 2
-        ))
-    )
+    a, b, c, d = (mesh.G @ field.values.reshape(-1)).reshape(-1, 4).T
+    stored = float(mesh.areas @ density.quadratic_sym2(a, 0.5 * (b + c), d))
     return stored - float(np.sum(assembly.load_vector * field.values))
 
 

@@ -80,11 +80,9 @@ def inner_skew_minimum(mesh, density, strains):
     den = mesh.area * density.quadratic(np.eye(2))
     snap = _NEGATIVE_PART_SNAP * (1.0 + float(np.sum(mesh.areas * np.abs(per_elem))))
     a2 = (-num / den) if num < -snap else 0.0
-    offset = strains + (0.5 * a2) * np.eye(2)
-    energy = float(np.sum(mesh.areas * (
-        4.0 * density.mu * np.einsum("mij,mij->m", offset, offset)
-        + 2.0 * density.lam * np.einsum("mii->m", offset) ** 2
-    )))
+    shift = 0.5 * a2
+    energy = float(mesh.areas @ density.quadratic_sym2(
+        strains[:, 0, 0] + shift, strains[:, 0, 1], strains[:, 1, 1] + shift))
     return skew2(math.sqrt(a2)), energy, a2
 
 

@@ -55,11 +55,13 @@ class TractionRule:
             raise ValueError(f"{self.kind} traction needs a scalar")
 
     def evaluate(self, normal):
+        """Traction for one outward normal (2,) or a stack of them (k, 2)."""
+        normal = np.asarray(normal, dtype=float)
         if self.kind == "constant":
-            return np.asarray(self.value)
+            return np.broadcast_to(np.asarray(self.value), normal.shape).copy()
         if self.kind == "pressure":
             return self.value[0] * normal
-        return self.value[0] * np.array([-normal[1], normal[0]])
+        return self.value[0] * np.stack([-normal[..., 1], normal[..., 0]], axis=-1)
 
 
 def constant_traction(cx, cy):
@@ -127,23 +129,25 @@ class LoadAssembly:
     """
 
     def __init__(self, mesh, spec):
+        tags = np.asarray(mesh.edge_tags)
+        f = np.zeros((len(tags), 2))
         for tag in mesh.tags():
-            spec.rule_for(tag)
+            on_tag = tags == tag
+            f[on_tag] = spec.rule_for(tag).evaluate(mesh.edge_normals[on_tag])
 
-        ell = np.zeros((mesh.n_nodes, 2))
-        S = np.zeros((2, 2))
-
+        # contributions w (1 - t) f to the first and w t f to the second endpoint
+        # of each edge at each Gauss point, shape (k, 2 points, 2 endpoints, 2)
         pts, wts = edge_gauss2(mesh)
-        gauss_t = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
-        for e in range(len(mesh.edge_nodes)):
-            rule = spec.rule_for(mesh.edge_tags[e])
-            f = rule.evaluate(mesh.edge_normals[e])
-            i, j = mesh.edge_nodes[e]
-            for q, tq in enumerate(gauss_t):
-                w = wts[e, q]
-                ell[i] += w * (1.0 - tq) * f
-                ell[j] += w * tq * f
-                S += w * np.outer(f, pts[e, q])
+        gauss_t = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+        shares = wts[:, :, None] * np.stack([1.0 - gauss_t, gauss_t], axis=1)
+        ell = np.zeros((mesh.n_nodes, 2))
+        # np.add.at adds in index order: per node, the sum runs in edge order
+        np.add.at(ell, np.repeat(mesh.edge_nodes[:, None, :], 2, axis=1).reshape(-1),
+                  (shares[:, :, :, None] * f[:, None, None, :]).reshape(-1, 2))
+        # S = 0 + w f (x) x summed over Gauss points one by one in edge order, as
+        # accumulate does and the pairwise np.sum does not
+        terms = wts[:, :, None, None] * (f[:, None, :, None] * pts[:, :, None, :])
+        S = np.add.accumulate(np.concatenate([np.zeros((1, 2, 2)), terms.reshape(-1, 2, 2)]))[-1]
 
         if spec.body.kind != "zero":
             qpts, qwts, hat = tri_midpoint3(mesh)

@@ -45,6 +45,8 @@ class Mesh:
     G : (4m, 2n) sparse CSR discrete gradient; maps interleaved nodal values
         (v[2a + i] = v_i at node a) to row-major element gradients
         ((G v)[4e + 2i + j] = dv_i/dx_j on element e)
+    mean_weights : (n,) nodal weights of the domain mean of a P1 field
+    centroids : (m, 2) element centroids
     edge_lengths : (k,)
     edge_normals : (k, 2) outward unit normals
     operator_cache : dict, Density -> fem.Operators, filled by fem.operators
@@ -91,6 +93,10 @@ class Mesh:
         cols = (2 * self.elements[e, k] + i).ravel()
         self.G = sp.csr_matrix((g[e, k, j].ravel(), cols, np.arange(0, cols.size + 1, 3)),
                                shape=(4 * len(g), 2 * n))
+        # P1 quadrature of the domain mean: (1/|Omega|) int v dx = mean_weights @ v
+        self.mean_weights = np.bincount(self.elements.ravel(), np.repeat(signed / 3.0, 3),
+                                        minlength=n) / self.area
+        self.centroids = (p0 + p1 + p2) / 3.0
         self.operator_cache = {}
 
         self._init_boundary(boundary_edges)

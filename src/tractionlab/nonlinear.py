@@ -6,7 +6,11 @@ The rescaled energy of a displacement v at parameter h > 0 is
 
 +infinity as soon as some element loses orientation
 (det(I + h grad v) <= 0).  The integrand is polynomial in the constant
-per-element gradient, so one-point quadrature is exact.
+per-element gradient, so one-point quadrature is exact.  The element
+kernels work on the four gradient components of ``mesh.G @ v`` as flat
+arrays: F = I + h grad v, det F and the Green strain come from one
+helper, and the density and its derivative are written out component by
+component, for the L-BFGS steps and the rotation-path probe alike.
 
 Minimization uses limited-memory BFGS with a backtracking line search
 that enforces both the Armijo decrease and the orientation barrier
@@ -19,7 +23,9 @@ count independent of the mesh.  Only the translation gauge is imposed
 (subtract the mass-mean displacement each iteration); rotations are not
 a symmetry of Fh under loads and are deliberately not gauged out.  K
 does not see them, so on the rigid span the initial matrix keeps the
-scalar L-BFGS scaling and the curvature pairs supply the rest.
+scalar L-BFGS scaling and the curvature pairs supply the rest.  A run
+whose accepted steps stop lowering Fh (a gradient tolerance below
+round-off) ends as stalled instead of running to its iteration limit.
 
 Independent sweep points must not be parallelized: each h is
 warm-started from the minimizer of the previous one.
@@ -35,18 +41,25 @@ from .fem import (DisplacementField, _projected_pcg, element_gradients,
 from .limit import IncompatibleLoadsError, minimize_limit
 from .loads import (DEFAULT_TOL, INCOMPATIBLE, STRICT, assemble_loads,
                     classify_compatibility, load_work)
-from .mesh import refine, tri_midpoint3
+from .mesh import refine
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
 ITER_LIMIT = "iter_limit"
+STALLED = "stalled"
 
 _BARRIER_DELTA = 1e-8
 _ARMIJO = 1e-4
-# relative residual of the inner K^+ solve: tighter saves a few outer
-# iterations on the first h but costs more per step; at 64x64, 1e-8 is on
-# par and 1e-10 about 20% slower per tension sweep
-_H0_CG_TOL = 1e-6
+# relative residual of the inner K^+ solve.  With the multigrid V-cycle each
+# factor of 100 costs only a few PCG iterations per application, and an H0
+# that close to K^+ saves outer L-BFGS iterations on the first h: the
+# tension sweep takes 5/4/3/3 at 32x32 and 128x128 against 11/4/3/3 and
+# 8/4/3/3 at 1e-6, for about the same number of inner iterations in total
+_H0_CG_TOL = 1e-8
+# consecutive accepted steps that do not lower Fh after which the
+# minimization stops as stalled: Fh is flat to round-off there, and a
+# grad_tol below what round-off allows is never reached
+_STALL_STEPS = 10
 
 
 class InadmissibleStateError(ValueError):
@@ -62,29 +75,41 @@ class SweepRefusedError(RuntimeError):
         super().__init__(reason)
 
 
+def _deformation(mesh, values, h):
+    """Per-element F = I + h grad v, det F and the rescaled Green strain, in components.
+
+    The four columns of ``mesh.G @ values`` are the gradient components
+    a, b, c, d = dv_0/dx_0, dv_0/dx_1, dv_1/dx_0, dv_1/dx_1.  Returns
+    ``((F00, F01, F10, F11), det F, (e00, e01, e11))`` with e = Eh / h =
+    sym(grad v) + (h/2) grad v' grad v, the Green strain Eh of F divided
+    by h.
+    """
+    a, b, c, d = (mesh.G @ np.asarray(values).reshape(-1)).reshape(-1, 4).T
+    F00 = 1.0 + h * a
+    F01 = h * b
+    F10 = h * c
+    F11 = 1.0 + h * d
+    det = F00 * F11 - F01 * F10
+    half_h = 0.5 * h
+    e00 = a + half_h * (a * a + c * c)
+    e01 = 0.5 * (b + c) + half_h * (a * b + c * d)
+    e11 = d + half_h * (b * b + d * d)
+    return (F00, F01, F10, F11), det, (e00, e01, e11)
+
+
 def _element_dets(mesh, values, h):
-    G = element_gradients(mesh, values)
-    F00 = 1.0 + h * G[:, 0, 0]
-    F11 = 1.0 + h * G[:, 1, 1]
-    return F00 * F11 - (h * G[:, 0, 1]) * (h * G[:, 1, 0])
+    return _deformation(mesh, values, h)[1]
 
 
 def stored_rescaled(mesh, density, values, h):
     """Stored part of the rescaled energy; +inf when orientation is lost."""
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h}")
-    G = element_gradients(mesh, values)
-    F = h * G
-    F[:, 0, 0] += 1.0
-    F[:, 1, 1] += 1.0
-    dets = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
-    if np.any(dets <= 0.0):
+    _, det, e = _deformation(mesh, values, h)
+    if np.any(det <= 0.0):
         return np.inf
-    Eh = h * 0.5 * (G + np.swapaxes(G, 1, 2)) \
-        + (0.5 * h * h) * np.einsum("mki,mkj->mij", G, G)
-    per = 4.0 * density.mu * np.einsum("mij,mij->m", Eh, Eh) \
-        + 2.0 * density.lam * np.einsum("mii->m", Eh) ** 2
-    return float(np.sum(mesh.areas * per)) / (h * h)
+    # h^-2 quadratic(Eh) = quadratic(Eh / h)
+    return float(mesh.areas @ density.quadratic_sym2(*e))
 
 
 def eval_rescaled(mesh, density, assembly, field, h):
@@ -104,23 +129,24 @@ def rescaled_gradient(mesh, density, assembly, field, h):
     """
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h}")
-    G = element_gradients(mesh, field.values)
-    F = h * G
-    F[:, 0, 0] += 1.0
-    F[:, 1, 1] += 1.0
-    dets = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
-    if np.any(dets <= 0.0):
-        bad = int(np.argmin(dets))
+    (F00, F01, F10, F11), det, (e00, e01, e11) = _deformation(mesh, field.values, h)
+    if np.any(det <= 0.0):
+        bad = int(np.argmin(det))
         raise InadmissibleStateError(
-            f"element {bad} has det(I + h grad v) = {dets[bad]!r} <= 0"
+            f"element {bad} has det(I + h grad v) = {det[bad]!r} <= 0"
         )
-    Eh = h * 0.5 * (G + np.swapaxes(G, 1, 2)) \
-        + (0.5 * h * h) * np.einsum("mki,mkj->mij", G, G)
-    D = 8.0 * density.mu * Eh \
-        + 4.0 * density.lam * np.einsum("mii->m", Eh)[:, None, None] * np.eye(2)
-    # d/dG of h^-2 quadratic(Eh) is (I + h G) D / h
-    dPsi = np.einsum("mik,mkj->mij", F, D) / h
-    out = (mesh.G.T @ (mesh.areas[:, None, None] * dPsi).reshape(-1)).reshape(-1, 2)
+    # d/dG of h^-2 quadratic(Eh) is F S with S = quadratic_gradient(Eh / h)
+    mu8, lam4tr = 8.0 * density.mu, 4.0 * density.lam * (e00 + e11)
+    S00 = mu8 * e00 + lam4tr
+    S01 = mu8 * e01
+    S11 = mu8 * e11 + lam4tr
+    dPsi = np.empty((len(det), 4))
+    dPsi[:, 0] = F00 * S00 + F01 * S01
+    dPsi[:, 1] = F00 * S01 + F01 * S11
+    dPsi[:, 2] = F10 * S00 + F11 * S01
+    dPsi[:, 3] = F10 * S01 + F11 * S11
+    dPsi *= mesh.areas[:, None]
+    out = (mesh.G.T @ dPsi.reshape(-1)).reshape(-1, 2)
     if assembly is not None:
         out = out - assembly.load_vector
     return out
@@ -253,12 +279,14 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
     two-loop recursion starts from the stiffness inverse K^+ on the
     rigid-mode complement and from the scalar sy/yy on the rigid span, so
     the iteration count does not grow with the mesh.  Converged means
-    |grad| <= grad_tol * (1 + |Fh|).  Diverged is declared when the
-    energy falls below -divergence_threshold (default 1e6 * (1 + |l|)),
-    or immediately via the rotation-orbit certificate when the loads are
-    classified incompatible (legitimate unbounded-descent regime).  The
-    solver reports gradient-norm stationarity only; it never claims
-    global optimality.
+    |grad| <= grad_tol * (1 + |Fh|).  Stalled means that 10 accepted
+    steps in a row did not lower Fh (grad_tol is below what round-off in
+    Fh allows).  Diverged is declared when the energy falls below
+    -divergence_threshold (default 1e6 * (1 + |l|)), or immediately via
+    the rotation-orbit certificate when the loads are classified
+    incompatible (legitimate unbounded-descent regime).  The solver
+    reports gradient-norm stationarity only; it never claims global
+    optimality.
 
     ``energy_floor`` records the lowest finite energy seen across all
     accepted and trial states.
@@ -289,6 +317,7 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
 
     status = ITER_LIMIT
     it = 0
+    flat_steps = 0
     for it in range(1, max_iter + 1):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= grad_tol * (1.0 + abs(f)) \
@@ -341,9 +370,13 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
                 s_list.pop(0)
                 y_list.pop(0)
                 rho_list.pop(0)
+        flat_steps = flat_steps + 1 if f_new >= f else 0
         xf, f, g = x_new, f_new, g_new
         floor = min(floor, f)
         energy_trace.append(f)
+        if flat_steps >= _STALL_STEPS:
+            status = STALLED
+            break
 
     field = DisplacementField(mesh, xf.reshape(-1, 2))
     certificate = None
@@ -378,16 +411,11 @@ _PANEL_CONST = (
 
 def strain_moments(mesh, field):
     """Strain moments int E(v) : T_k dx for the fixed 9-tensor panel."""
-    E = element_strains(mesh, field)
-    pts, wts, _ = tri_midpoint3(mesh)
-    moments = []
-    for T in _PANEL_CONST:
-        base = np.einsum("mij,ij->m", E, T)
-        moments.append(float(np.sum(mesh.areas * base)))
-        for c in range(2):
-            weight = np.sum(wts * pts[:, :, c], axis=1)    # int x_c over element
-            moments.append(float(np.sum(weight * base)))
-    return np.asarray(moments)
+    panel = np.stack([T.ravel() for T in _PANEL_CONST], axis=1)
+    base = element_strains(mesh, field).reshape(-1, 4) @ panel          # (m, 3)
+    # int 1, int x1 and int x2 over each element
+    weights = mesh.areas[:, None] * np.column_stack([np.ones(mesh.n_elements), mesh.centroids])
+    return (base.T @ weights).reshape(-1)
 
 
 def mean_skew_gradient(mesh, field):

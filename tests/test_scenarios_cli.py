@@ -209,7 +209,7 @@ class TestCli:
             assert c["E_delta_positive"] is True
 
     def test_sweep_abort_reported(self, tmp_path):
-        # grad_tol below floating-point resolution: the minimizer stops short
+        # grad_tol below floating-point resolution: the minimizer stalls
         sc_file = tmp_path / "sc.ini"
         sc_file.write_text(SMALL_TENSION.replace("nx = 6\nny = 6", "nx = 8\nny = 8")
                            .replace("h_list = 0.2 0.1", "h_list = 0.1\ngrad_tol = 1e-30"))
@@ -220,7 +220,7 @@ class TestCli:
         assert "sweep aborted at h = 0.1" in rep["nonlinear"]["aborted"]
         rows = rep["nonlinear"]["sweep"]
         assert [r["h"] for r in rows] == [0.1]
-        assert rows[0]["status"] != "converged"
+        assert rows[0]["status"] == "stalled"
         csv_lines = (out / "sweep.csv").read_text().splitlines()
         assert len(csv_lines) == 2 and csv_lines[1].endswith(rows[0]["status"])
 
