@@ -122,7 +122,7 @@ class _Run:
                 _, rec = shifted_minimizer(
                     self.mesh, self.density, self.assembly, lim.field,
                     self.classification.kernel[0], t, lim.F_value, lim.E_value,
-                    tol=sc.tol,
+                    self.classification,
                 )
                 checks.append({
                     "t": rec.t,
@@ -152,17 +152,10 @@ class _Run:
             print("sweep refused: limit stage did not complete")
             return
         try:
-            # on the scenario's own mesh the sweep reuses the loads, their
-            # classification at the scenario's tol and the limit stage's
-            # minimizer, the linear solution at the scenario's cg_tol
-            own_mesh = not sc.refinements
-            result = h_sweep(self.mesh, self.density, sc.load_spec(), h_list,
-                             refinements=sc.refinements, grad_tol=sc.grad_tol,
-                             divergence_threshold=sc.divergence_threshold,
-                             limit=self.limit if own_mesh else None,
-                             assembly=self.assembly if own_mesh else None,
-                             classification=self.classification)
-        except (IncompatibleLoadsError, SweepRefusedError) as exc:
+            result = h_sweep(self.mesh, self.density, self.assembly, self.classification,
+                             self.limit, h_list, grad_tol=sc.grad_tol,
+                             divergence_threshold=sc.divergence_threshold)
+        except SweepRefusedError as exc:
             self.stages["sweep"] = REFUSED
             self.report["nonlinear"] = {"refused": str(exc)}
             print(f"sweep refused: {exc}")

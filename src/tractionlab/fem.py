@@ -98,9 +98,6 @@ class RigidBasis:
     matrix: np.ndarray          # (2n, 3), mass-orthonormal columns
     euclid: np.ndarray          # (2n, 3), Euclidean-orthonormal columns, same span
 
-    def project_coeffs(self, values, M):
-        return self.matrix.T @ (M @ np.asarray(values).reshape(-1))
-
 
 def rigid_basis(mesh, M=None):
     """Translations plus the rotation J (x - centroid), mass-orthonormalized."""

@@ -59,7 +59,7 @@ class LimitReport:
     gap: float
     W_star: SkewParam
     a_star_sq: float
-    gap_formula: float      # independent closed-form value of E - F (2D)
+    gap_formula: float      # E - F (2D) in closed form from a_star_sq
 
 
 def inner_skew_minimum(mesh, density, strains):
@@ -114,27 +114,23 @@ def inner_skew_minimum_3d(density, strain, volume=1.0):
 def limit_report(mesh, density, assembly, field):
     """Evaluate the limit energy F, the classical energy E and their gap.
 
-    The 2D gap is cross-checked against its closed form
-    (1/4) (int quadratic(I))^-1 [ (int quadratic_gradient(I):E)^- ]^2,
-    reported in ``gap_formula``.
+    The 2D gap E - F is cross-checked against its closed form
+    (1/4) int quadratic(I) (a*^2)^2 in ``gap_formula``, which equals
+    (1/4) (int quadratic(I))^-1 [ (int quadratic_gradient(I):E)^- ]^2
+    only for the right a*^2.
     """
     strains = element_strains(mesh, field)
     W_star, offset_energy, a2 = inner_skew_minimum(mesh, density, strains)
     work = load_work(assembly, field)
     F_value = offset_energy - work
     E_value = elastic_energy(mesh, density, assembly, field)
-    num = float(np.sum(mesh.areas * np.einsum(
-        "ij,mij->m", density.quadratic_gradient(np.eye(2)), strains
-    )))
-    den = mesh.area * density.quadratic(np.eye(2))
-    gap_formula = 0.25 * (max(-num, 0.0) ** 2) / den
     return LimitReport(
         F_value=F_value,
         E_value=E_value,
         gap=E_value - F_value,
         W_star=W_star,
         a_star_sq=a2,
-        gap_formula=gap_formula,
+        gap_formula=0.25 * mesh.area * density.quadratic(np.eye(2)) * a2 * a2,
     )
 
 
@@ -182,18 +178,17 @@ class ShiftRecord:
 
 
 def shifted_minimizer(mesh, density, assembly, v_star, direction, t,
-                      min_F, min_E, tol=1e-9):
+                      min_F, min_E, classification):
     """Shift a minimizer along a kernel direction: v = v_star + t * U^2 x.
 
     For the canonical 2D kernel direction (|U|^2 = 2, U^2 = -I) this is
-    exactly v_star - t * x.  Requires weak compatibility and
-    L(U^2 x) = 0 within tolerance.
+    exactly v_star - t * x.  ``classification`` is that of ``assembly``;
+    it must be weak, and L(U^2 x) must vanish within its tolerance.
 
     Returns (field, ShiftRecord).
     """
     if t < 0.0:
         raise ValueError("shift parameter t must be nonnegative")
-    classification = classify_compatibility(assembly, tol)
     if classification.compat_class != WEAK:
         raise ValueError(
             f"shifted minimizers require weak compatibility, got {classification.compat_class!r}"
@@ -201,7 +196,7 @@ def shifted_minimizer(mesh, density, assembly, v_star, direction, t,
     U2 = skew_square(direction)
     kernel_work = float(np.sum(U2 * classification.moment_matrix))
     scale = 1.0 + float(np.linalg.norm(classification.moment_matrix))
-    if abs(kernel_work) > tol * scale:
+    if abs(kernel_work) > classification.tol * scale:
         raise ValueError(
             f"direction is not in the load kernel: L(U^2 x) = {kernel_work:.3e}"
         )

@@ -38,10 +38,9 @@ import numpy as np
 
 from .fem import (DisplacementField, _projected_pcg, element_gradients,
                   element_strains, integral_mean, linear_field, operators)
-from .limit import IncompatibleLoadsError, minimize_limit
-from .loads import (DEFAULT_TOL, INCOMPATIBLE, STRICT, assemble_loads,
-                    classify_compatibility, load_work)
-from .mesh import refine
+from .limit import IncompatibleLoadsError
+from .loads import (INCOMPATIBLE, STRICT, MeshMismatchError, classify_compatibility,
+                    load_work)
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -336,7 +335,9 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
         gd = g @ d
         accepted = False
         for _ in range(80):
-            cand = xf + t * d
+            # gauged before it is evaluated, so an accepted trial point is the
+            # next iterate with its energy already known
+            cand = _gauge(mesh, (xf + t * d).reshape(-1, 2)).reshape(-1)
             if np.any(_element_dets(mesh, cand, h) < _BARRIER_DELTA):
                 barrier_hits += 1
                 t *= 0.5
@@ -355,10 +356,10 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
             status = ITER_LIMIT
             break
 
-        x_new = _gauge(mesh, cand.reshape(-1, 2)).reshape(-1)
-        fld = DisplacementField(mesh, x_new)
-        f_new = eval_rescaled(mesh, density, assembly, fld, h)
-        g_new = rescaled_gradient(mesh, density, assembly, fld, h).reshape(-1)
+        x_new, f_new = cand, f_cand
+        g_new = rescaled_gradient(
+            mesh, density, assembly, DisplacementField(mesh, x_new), h
+        ).reshape(-1)
         s = x_new - xf
         y = g_new - g
         sy = s @ y
@@ -372,7 +373,6 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
                 rho_list.pop(0)
         flat_steps = flat_steps + 1 if f_new >= f else 0
         xf, f, g = x_new, f_new, g_new
-        floor = min(floor, f)
         energy_trace.append(f)
         if flat_steps >= _STALL_STEPS:
             status = STALLED
@@ -456,39 +456,24 @@ class SweepAbortedError(RuntimeError):
         )
 
 
-def h_sweep(mesh, density, spec, h_list, refinements=0, grad_tol=1e-8,
-            divergence_threshold=None, max_iter=2000, limit=None, assembly=None,
-            classification=None):
+def h_sweep(mesh, density, assembly, classification, limit, h_list, grad_tol=1e-8,
+            divergence_threshold=None, max_iter=2000):
     """Minimize Fh along a descending h list and compare with the limit.
 
-    Only strictly compatible loads are accepted.  Each h is warm-started
-    from the previous minimizer, the first from the limit minimizer (for
-    strict loads it is the linear-elastic one),
-    tracking the minimizing branch.  ``assembly``, ``classification`` and
-    ``limit`` are the loads assembled on ``mesh``, their classification
-    and their LimitMinimum, already computed; each one not given is
-    computed here (the classification at the default tolerance).  With
-    ``refinements`` the loads are assembled again on the refined mesh and
-    classified at ``classification.tol``; ``assembly`` and ``limit`` live
-    on the unrefined mesh and cannot be given then.  Returns records (h,
-    min Fh, the proxy |sqrt(h) mean skew grad|, strain-moment distances to
-    the limit minimizer) plus the limit comparison values.
+    ``assembly`` holds the loads assembled on ``mesh``, ``classification``
+    their compatibility class and ``limit`` their LimitMinimum on the same
+    mesh.  Only strictly compatible loads are accepted; incompatible loads
+    have no limit minimizer, so ``limit`` is not looked at for them.  Each
+    h is warm-started from the previous minimizer, the first from the limit
+    minimizer (for strict loads it is the linear-elastic one), tracking the
+    minimizing branch.  Raises MeshMismatchError when ``assembly`` or
+    ``limit`` lives on another mesh.  Returns records (h, min Fh, the proxy
+    |sqrt(h) mean skew grad|, strain-moment distances to the limit
+    minimizer) plus the limit comparison values.
     """
     hs = [float(h) for h in h_list]
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("h_list must be strictly decreasing")
-    if refinements:
-        if limit is not None or assembly is not None:
-            raise ValueError("a given assembly or limit minimizer lives on the unrefined mesh")
-        tol = DEFAULT_TOL if classification is None else classification.tol
-        for _ in range(int(refinements)):
-            mesh = refine(mesh)
-        assembly = assemble_loads(mesh, spec)
-        classification = classify_compatibility(assembly, tol)
-    if assembly is None:
-        assembly = assemble_loads(mesh, spec)
-    if classification is None:
-        classification = classify_compatibility(assembly)
     if classification.compat_class == INCOMPATIBLE:
         raise IncompatibleLoadsError(classification.witness, classification.witness_work)
     if classification.compat_class != STRICT:
@@ -498,9 +483,9 @@ def h_sweep(mesh, density, spec, h_list, refinements=0, grad_tol=1e-8,
             "minimizing sequences may lose compactness (extra limit minimizers "
             "with unbounded skew gradients)",
         )
+    if assembly.mesh is not mesh or limit.field.mesh is not mesh:
+        raise MeshMismatchError("the sweep's loads and limit minimizer must live on its mesh")
 
-    if limit is None:
-        limit = minimize_limit(mesh, density, assembly, classification=classification)
     limit_moments = strain_moments(mesh, limit.field)
     limit_W0_norm = math.sqrt(limit.W0.norm_sq())
 

@@ -20,7 +20,7 @@ import io
 from dataclasses import dataclass, field, replace
 
 from .loads import BodyForce, LoadSpec, TractionRule
-from .mesh import read_mesh, rect_mesh
+from .mesh import read_mesh, rect_mesh, refine
 
 
 class ConfigError(ValueError):
@@ -66,10 +66,14 @@ class Scenario:
         return LoadSpec(dict(self.tractions), self.body)
 
     def build_mesh(self):
+        """The rect or file mesh, refined ``refinements`` times; every stage runs on it."""
         if self.mesh_kind == "rect":
-            return rect_mesh(self.nx, self.ny, self.x_range, self.y_range)
-        with open(self.mesh_path, encoding="utf-8") as fh:
-            mesh, _ = read_mesh(fh.read())
+            mesh = rect_mesh(self.nx, self.ny, self.x_range, self.y_range)
+        else:
+            with open(self.mesh_path, encoding="utf-8") as fh:
+                mesh, _ = read_mesh(fh.read())
+        for _ in range(self.refinements):
+            mesh = refine(mesh)
         return mesh
 
     def effective_config(self):
@@ -213,6 +217,11 @@ def parse_scenario(text, name=None):
             raise ConfigError(f"bad number {dt_raw!r}", "experiment",
                               "divergence_threshold") from None
 
+    refinements = _int(parser, "experiment", "refinements", 0)
+    if refinements < 0:
+        raise ConfigError(f"must be nonnegative, got {refinements}", "experiment",
+                          "refinements")
+
     return Scenario(
         name=sc_name,
         mesh_kind=mesh_kind,
@@ -226,7 +235,7 @@ def parse_scenario(text, name=None):
         tractions=tractions,
         body=body,
         h_list=h_list,
-        refinements=_int(parser, "experiment", "refinements", 0),
+        refinements=refinements,
         tol=_float(parser, "experiment", "tol", 1e-9),
         cg_tol=_float(parser, "experiment", "cg_tol", 1e-10),
         grad_tol=_float(parser, "experiment", "grad_tol", 1e-8),

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from tractionlab import Density, LoadSpec, Mesh, assemble_loads, pressure, rect_mesh
-from tractionlab.loads import BodyForce, TractionRule
+from tractionlab.limit import minimize_limit
+from tractionlab.loads import (DEFAULT_TOL, INCOMPATIBLE, BodyForce, TractionRule,
+                               classify_compatibility)
 
 SIDES = ("left", "right", "top", "bottom")
 
@@ -28,6 +30,20 @@ def body_spec(A):
 
 def zero_spec():
     return LoadSpec({tag: TractionRule("constant", (0.0, 0.0)) for tag in SIDES})
+
+
+def sweep_inputs(mesh, density, spec, tol=DEFAULT_TOL):
+    """(assembly, classification, limit) of spec on mesh, as h_sweep takes them.
+
+    The loads are classified at tol; limit is None for incompatible loads,
+    which have no limit minimizer.
+    """
+    assembly = assemble_loads(mesh, spec)
+    classification = classify_compatibility(assembly, tol)
+    limit = None
+    if classification.compat_class != INCOMPATIBLE:
+        limit = minimize_limit(mesh, density, assembly, classification=classification)
+    return assembly, classification, limit
 
 
 def jittered_mesh(nx, ny, rng, amplitude=0.2):

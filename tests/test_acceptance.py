@@ -8,7 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import admissible_field, infmany_spec, pressure_spec, zero_spec
+from conftest import (admissible_field, infmany_spec, pressure_spec, sweep_inputs,
+                      zero_spec)
 from tractionlab.algebra import Density, J2, rodrigues, skew2
 from tractionlab.fem import (DisplacementField, element_strains, linear_field,
                              solve_linear)
@@ -50,7 +51,8 @@ def sweep_ctx(density):
     sc = builtin_scenarios()["tension"]
     mesh = sc.build_mesh()
     t0 = time.perf_counter()
-    result = h_sweep(mesh, density, sc.load_spec(), sc.h_list)
+    result = h_sweep(mesh, density, *sweep_inputs(mesh, density, sc.load_spec(), sc.tol),
+                     sc.h_list)
     elapsed = time.perf_counter() - t0
     return {"result": result, "seconds": elapsed, "h_list": sc.h_list}
 
@@ -63,7 +65,7 @@ def infmany_ctx(density):
     limit = minimize_limit(mesh, density, assembly)
     cls = classify_compatibility(assembly, sc.tol)
     return {"mesh": mesh, "assembly": assembly, "limit": limit,
-            "kernel": cls.kernel[0], "scenario": sc}
+            "classification": cls, "kernel": cls.kernel[0], "scenario": sc}
 
 
 def test_criterion_1_minimum_coincidence(tension_ctx):
@@ -152,6 +154,7 @@ def test_criterion_6_extra_minimizers(infmany_ctx, density):
         _, rec = shifted_minimizer(
             infmany_ctx["mesh"], density, infmany_ctx["assembly"],
             lim.field, infmany_ctx["kernel"], t, lim.F_value, lim.E_value,
+            infmany_ctx["classification"],
         )
         assert rec.F_delta <= 1e-8 * (1.0 + abs(lim.F_value))
         assert rec.E_delta > 0.0

@@ -13,7 +13,7 @@ from tractionlab.fem import (DisplacementField, elastic_energy, element_strains,
 from tractionlab.limit import (IncompatibleLoadsError, inner_skew_minimum,
                                inner_skew_minimum_3d, limit_report,
                                minimize_limit, shifted_minimizer)
-from tractionlab.loads import assemble_loads
+from tractionlab.loads import assemble_loads, classify_compatibility
 from tractionlab.mesh import rect_mesh
 
 
@@ -229,37 +229,39 @@ class TestOneSolve:
 def setup(mesh, density):
     asm = assemble_loads(mesh, infmany_spec())
     lim = minimize_limit(mesh, density, asm)
-    from tractionlab.loads import classify_compatibility
     cls = classify_compatibility(asm)
-    return mesh, density, asm, lim, cls.kernel[0]
+    return mesh, density, asm, lim, cls
 
 
 class TestShiftedMinimizers:
 
     def test_zero_shift_is_identity(self, setup):
-        mesh, density, asm, lim, U = setup
+        mesh, density, asm, lim, cls = setup
+        U = cls.kernel[0]
         field, rec = shifted_minimizer(mesh, density, asm, lim.field, U, 0.0,
-                                       lim.F_value, lim.E_value)
+                                       lim.F_value, lim.E_value, cls)
         assert np.array_equal(field.values, lim.field.values)
         assert abs(rec.F_delta) <= 1e-10
         assert abs(rec.E_delta) <= 1e-10
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_shifts_stay_minimal_for_limit_energy(self, setup, t):
-        mesh, density, asm, lim, U = setup
+        mesh, density, asm, lim, cls = setup
+        U = cls.kernel[0]
         field, rec = shifted_minimizer(mesh, density, asm, lim.field, U, t,
-                                       lim.F_value, lim.E_value)
+                                       lim.F_value, lim.E_value, cls)
         assert rec.F_delta <= 1e-8 * (1.0 + abs(lim.F_value))
         assert rec.E_delta > 0.0
         # the shift field is exactly -t x in 2D
         assert np.allclose(field.values, lim.field.values - t * mesh.nodes, atol=1e-14)
 
     def test_classical_energy_grows_quadratically(self, setup):
-        mesh, density, asm, lim, U = setup
+        mesh, density, asm, lim, cls = setup
+        U = cls.kernel[0]
         _, rec1 = shifted_minimizer(mesh, density, asm, lim.field, U, 1.0,
-                                    lim.F_value, lim.E_value)
+                                    lim.F_value, lim.E_value, cls)
         _, rec2 = shifted_minimizer(mesh, density, asm, lim.field, U, 2.0,
-                                    lim.F_value, lim.E_value)
+                                    lim.F_value, lim.E_value, cls)
         # E(v* - t x) - min E = 16 t^2 on the unit square
         assert rec1.E_delta == pytest.approx(16.0, rel=1e-9)
         assert rec2.E_delta == pytest.approx(64.0, rel=1e-9)
@@ -267,15 +269,17 @@ class TestShiftedMinimizers:
     def test_strict_load_refused(self, mesh, density):
         asm = assemble_loads(mesh, pressure_spec(16.0))
         lim = minimize_limit(mesh, density, asm)
+        cls = classify_compatibility(asm)
         with pytest.raises(ValueError, match="weak"):
             shifted_minimizer(mesh, density, asm, lim.field, skew2(1.0), 1.0,
-                              lim.F_value, lim.E_value)
+                              lim.F_value, lim.E_value, cls)
 
     def test_negative_t_rejected(self, setup):
-        mesh, density, asm, lim, U = setup
+        mesh, density, asm, lim, cls = setup
+        U = cls.kernel[0]
         with pytest.raises(ValueError):
             shifted_minimizer(mesh, density, asm, lim.field, U, -0.5,
-                              lim.F_value, lim.E_value)
+                              lim.F_value, lim.E_value, cls)
 
 
 class TestInner3D:

@@ -2,20 +2,21 @@ import numpy as np
 import pytest
 
 from conftest import (admissible_field, body_spec, infmany_spec, pressure_spec,
-                      zero_spec)
+                      sweep_inputs, zero_spec)
 from tractionlab.algebra import Density, J2, rodrigues, skew2
 from tractionlab.fem import (DisplacementField, elastic_energy, linear_field,
                              rigid_basis, solve_linear)
 from tractionlab.limit import IncompatibleLoadsError, minimize_limit
-from tractionlab.loads import (LoadSpec, TractionRule, assemble_loads,
-                               classify_compatibility)
-from tractionlab.mesh import rect_mesh
+from tractionlab.loads import (LoadSpec, MeshMismatchError, TractionRule,
+                               assemble_loads, classify_compatibility)
+from tractionlab.mesh import rect_mesh, refine
 from tractionlab.nonlinear import (_H0_CG_TOL, CONVERGED, DIVERGED,
                                    InadmissibleStateError, SweepRefusedError,
                                    _stiffness_h0, eval_rescaled, h_sweep,
                                    mean_skew_gradient, minimize_rescaled,
                                    rescaled_gradient, rotation_path_field,
                                    strain_moments)
+from tractionlab.scenarios import Scenario
 
 W_UNIT = skew2(1.0)
 
@@ -210,9 +211,13 @@ class TestMinimize:
             minimize_rescaled(mesh, density, tension, 0.1, init=bad)
 
 
+def sweep(mesh, density, spec, h_list):
+    return h_sweep(mesh, density, *sweep_inputs(mesh, density, spec), h_list)
+
+
 class TestSweep:
     def test_tension_sweep_monotone(self, mesh, density):
-        sw = h_sweep(mesh, density, pressure_spec(16.0), (0.2, 0.1, 0.05))
+        sw = sweep(mesh, density, pressure_spec(16.0), (0.2, 0.1, 0.05))
         assert all(r.status == CONVERGED for r in sw.records)
         gaps = [abs(r.Fh + 16.0) for r in sw.records]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -226,61 +231,66 @@ class TestSweep:
         assert sw.limit_W0_norm <= 1e-6
 
     def test_upper_bound_by_oracle(self, mesh, density):
-        sw = h_sweep(mesh, density, pressure_spec(16.0), (0.2, 0.1))
+        sw = sweep(mesh, density, pressure_spec(16.0), (0.2, 0.1))
         for r in sw.records:
             assert r.Fh <= homogeneous_oracle(r.h) + 1e-8
 
     def test_compression_refused(self, mesh, density):
+        # incompatible loads have no limit minimizer: sweep_inputs passes None
         with pytest.raises(IncompatibleLoadsError):
-            h_sweep(mesh, density, pressure_spec(-1.0), (0.2, 0.1))
+            sweep(mesh, density, pressure_spec(-1.0), (0.2, 0.1))
 
     def test_weak_refused(self, mesh, density):
         with pytest.raises(SweepRefusedError, match="compactness"):
-            h_sweep(mesh, density, infmany_spec(), (0.2, 0.1))
+            sweep(mesh, density, infmany_spec(), (0.2, 0.1))
 
     def test_h_list_must_decrease(self, mesh, density):
         with pytest.raises(ValueError):
-            h_sweep(mesh, density, pressure_spec(16.0), (0.1, 0.2))
+            sweep(mesh, density, pressure_spec(16.0), (0.1, 0.2))
 
     def test_refinements_argument(self, density):
-        m = rect_mesh(4, 4)
-        sw = h_sweep(m, density, pressure_spec(16.0), (0.2, 0.1), refinements=1)
+        # refinement belongs to the scenario's mesh, and the sweep runs on it
+        sc = Scenario(nx=4, ny=4, refinements=1, tractions=pressure_spec(16.0).tractions)
+        m = sc.build_mesh()
+        fine = refine(rect_mesh(4, 4))
+        assert m.n_nodes == 81
+        assert np.array_equal(m.nodes, fine.nodes)
+        assert np.array_equal(m.elements, fine.elements)
+        assert m.edge_tags == fine.edge_tags
+        sw = sweep(m, density, sc.load_spec(), (0.2, 0.1))
         assert all(r.status == CONVERGED for r in sw.records)
 
     def test_given_limit_minimizer_is_the_warm_start(self, mesh, density):
-        spec = pressure_spec(16.0)
-        lim = minimize_limit(mesh, density, assemble_loads(mesh, spec))
-        given_, own = (h_sweep(mesh, density, spec, (0.2, 0.1), limit=limit)
-                       for limit in (lim, None))
-        for a, b in zip(given_.records, own.records, strict=True):
-            assert (a.h, a.Fh, a.W_proxy, a.moment_dist, a.iters) == \
-                (b.h, b.Fh, b.W_proxy, b.moment_dist, b.iters)
-            assert np.array_equal(a.moments, b.moments)
-        assert given_.limit_value == own.limit_value
-        with pytest.raises(ValueError, match="unrefined"):
-            h_sweep(mesh, density, spec, (0.2, 0.1), refinements=1, limit=lim)
+        asm, cls, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
+        sw = h_sweep(mesh, density, asm, cls, lim, (0.2, 0.1))
+        first = minimize_rescaled(mesh, density, asm, 0.2, init=lim.field, max_iter=2000,
+                                  probe_instability=False)
+        assert (sw.records[0].Fh, sw.records[0].iters) == (first.value, first.iterations)
+        assert np.array_equal(sw.records[0].moments, strain_moments(mesh, first.field))
+        assert sw.limit_value == lim.F_value
 
     def test_given_classification_decides(self, mesh, density):
-        # infmany plus a 1e-6 pressure: strict at the default tol, weak at 1e-3,
-        # also when the sweep refines the mesh and classifies again
+        # infmany plus a 1e-6 pressure: strict at the default tol, weak at 1e-3
         spec = LoadSpec({tag: TractionRule("constant", v) for tag, v in
                          (("right", (1e-6, 1.0)), ("left", (-1e-6, -1.0)),
                           ("top", (1.0, 1e-6)), ("bottom", (-1.0, -1e-6)))})
-        asm = assemble_loads(mesh, spec)
-        assert classify_compatibility(asm).compat_class == "strict"
+        asm, strict, lim = sweep_inputs(mesh, density, spec)
+        assert strict.compat_class == "strict"
         weak = classify_compatibility(asm, 1e-3)
         assert weak.compat_class == "weak"
-        for refinements in (0, 1):
-            with pytest.raises(SweepRefusedError, match="compactness"):
-                h_sweep(mesh, density, spec, (0.1, 0.05), refinements=refinements,
-                        classification=weak)
-        own = h_sweep(mesh, density, spec, (0.1,))
-        given_ = h_sweep(mesh, density, spec, (0.1,), assembly=asm,
-                         classification=classify_compatibility(asm))
-        assert [(r.Fh, r.moment_dist, r.iters) for r in given_.records] == \
-            [(r.Fh, r.moment_dist, r.iters) for r in own.records]
-        with pytest.raises(ValueError, match="unrefined"):
-            h_sweep(mesh, density, spec, (0.1,), refinements=1, assembly=asm)
+        with pytest.raises(SweepRefusedError, match="compactness"):
+            h_sweep(mesh, density, asm, weak, lim, (0.1, 0.05))
+        sw = h_sweep(mesh, density, asm, strict, lim, (0.1,))
+        assert [r.status for r in sw.records] == [CONVERGED]
+
+    def test_inputs_on_another_mesh_rejected(self, mesh, density):
+        spec = pressure_spec(16.0)
+        asm, cls, lim = sweep_inputs(mesh, density, spec)
+        other = rect_mesh(8, 8)
+        asm_other, _, lim_other = sweep_inputs(other, density, spec)
+        for a, lm in ((asm_other, lim), (asm, lim_other)):
+            with pytest.raises(MeshMismatchError):
+                h_sweep(mesh, density, a, cls, lm, (0.2, 0.1))
 
 
 class TestPreconditionedSolver:
@@ -304,7 +314,7 @@ class TestPreconditionedSolver:
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_sweep_iterations_mesh_independent(self, density, n):
-        sw = h_sweep(rect_mesh(n, n), density, pressure_spec(16.0), (0.2, 0.1, 0.05, 0.025))
+        sw = sweep(rect_mesh(n, n), density, pressure_spec(16.0), (0.2, 0.1, 0.05, 0.025))
         assert all(r.status == CONVERGED for r in sw.records)
         assert max(r.iters for r in sw.records) <= 15
 
@@ -322,7 +332,7 @@ class TestPreconditionedSolver:
         mesh = rect_mesh(16, 16)
         spec = body_spec((1.3, 0.3, 0.3, 0.7))
         hs = (0.1, 0.05)
-        sw = h_sweep(mesh, density, spec, hs)
+        sw = sweep(mesh, density, spec, hs)
         assert [r.status for r in sw.records] == [CONVERGED] * len(hs)
         assert all(r.W_proxy > 1e-5 for r in sw.records)
 

@@ -106,6 +106,9 @@ class TestParsing:
         bad = SMALL_TENSION.replace("mu = 1.0", "mu = fast")
         with pytest.raises(ConfigError, match=r"\[density\] mu"):
             parse_scenario(bad)
+        negative = SMALL_TENSION.replace("h_list = 0.2 0.1", "refinements = -1")
+        with pytest.raises(ConfigError, match=r"\[experiment\] refinements"):
+            parse_scenario(negative)
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match="unknown section"):
@@ -260,6 +263,19 @@ class TestCli:
         assert rep["classification"]["class"] == "strict"
         assert rep["stages"]["sweep"] == "ok"
 
+    def test_refinements_apply_to_every_stage(self, tmp_path):
+        sc_file = tmp_path / "sc.ini"
+        sc_file.write_text(SMALL_TENSION.replace("h_list = 0.2 0.1",
+                                                 "h_list = 0.2 0.1\nrefinements = 1"))
+        out = tmp_path / "o"
+        assert main(["run", str(sc_file), "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["stages"]["sweep"] == "ok"
+        assert "refinements = 1" in rep["scenario"]["config"]
+        for dump in ("solution_linear.txt", "solution_limit.txt"):
+            lines = (out / dump).read_text().splitlines()
+            assert sum(line.startswith("v ") for line in lines) == 169
+
     def test_bad_config_exit_1(self, tmp_path, capsys):
         assert main(["run", "definitely-missing", "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
@@ -304,7 +320,7 @@ class TestCli:
 
 
 class TestSolveCount:
-    """On the scenario's own mesh the sweep starts from the limit stage's minimizer."""
+    """Every stage runs on the scenario's mesh; the sweep starts from the limit stage's minimizer."""
 
     @pytest.fixture
     def solved_sizes(self, monkeypatch):
@@ -327,7 +343,7 @@ class TestSolveCount:
         sc_file.write_text(SMALL_TENSION.replace("h_list = 0.2 0.1",
                                                  "h_list = 0.2 0.1\nrefinements = 1"))
         assert main(["run", str(sc_file), "--out", str(tmp_path / "o")]) == 0
-        assert solved_sizes == [49, 169]
+        assert solved_sizes == [169]
 
 
 class TestOperatorBundle:
@@ -371,6 +387,13 @@ class TestScenarioObjects:
         sc = Scenario(nx=3, ny=2)
         m = sc.build_mesh()
         assert m.n_nodes == 12
+
+    def test_build_mesh_refines_a_file_mesh(self, tmp_path):
+        mesh_file = tmp_path / "grid.mesh"
+        mesh_file.write_text(write_mesh(rect_mesh(3, 2)))
+        m = Scenario(mesh_kind="file", mesh_path=str(mesh_file), refinements=2).build_mesh()
+        assert (m.n_nodes, m.n_elements) == (13 * 9, 16 * 12)
+        assert sorted(m.tags()) == ["bottom", "left", "right", "top"]
 
     def test_load_spec_covers_tags(self):
         sc = builtin_scenarios()["tension"]
