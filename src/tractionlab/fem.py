@@ -6,13 +6,16 @@ preconditioned conjugate gradients on the rigid-mode complement:
 residuals are projected every iteration and the returned field carries
 the gauge P v = 0 in the L2 mass inner product.
 
-``operators(mesh, density)`` builds the stiffness, the mass matrix, the
-rigid basis and the preconditioner once per (mesh, density) and keeps
-them on the mesh; ``solve_linear`` and the rescaled-energy L-BFGS take
-them from there.  The preconditioner is a symmetric smoothed-aggregation
-multigrid V-cycle with the rigid modes as its near-null space, so the
-iteration count hardly grows with the mesh: 46 iterations to 1e-10 at
-128x128 and 60 at 256x256, against 702 and 1392 with Jacobi.
+``operators(mesh, density)`` builds the stiffness, the rigid basis with
+its mass image ``M Z`` and the preconditioner once per (mesh, density)
+and keeps them on the mesh; ``solve_linear`` and the rescaled-energy
+L-BFGS take them from there.  The solve path never assembles the mass
+matrix: ``mass_action`` applies it element by element, and
+``mass_matrix`` stays as the assembled reference.  The preconditioner
+is a symmetric smoothed-aggregation multigrid V-cycle with the rigid
+modes as its near-null space, so the iteration count hardly grows with
+the mesh: 46 iterations to 1e-10 at 128x128 and 60 at 256x256, against
+702 and 1392 with Jacobi.
 """
 
 from dataclasses import dataclass
@@ -84,6 +87,25 @@ def mass_matrix(mesh):
     return sp.kron(scalar, sp.eye(2), format="csr")
 
 
+def mass_action(mesh, x):
+    """M x for the consistent P1 vector mass matrix M, without assembling M.
+
+    ``x`` holds interleaved nodal dofs, shape (2n,) or (2n, k).  Per
+    scalar component, (M f)_a = sum over triangles T containing a of
+    |T| (f_a + sum_{b in T} f_b) / 12.
+    """
+    x = np.asarray(x, dtype=float)
+    n = mesh.n_nodes
+    f = x.reshape(n, -1)
+    out = np.empty_like(f)
+    for c in range(f.shape[1]):
+        fe = f[mesh.elements, c]
+        fe += fe.sum(axis=1, keepdims=True)
+        fe *= mesh.areas[:, None] / 12.0
+        out[:, c] = np.bincount(mesh.elements.ravel(), fe.ravel(), minlength=n)
+    return out.reshape(x.shape)
+
+
 def integral_mean(mesh, values):
     """Domain mean of a nodal field, exact for P1: (1/|Omega|) int v dx."""
     return mesh.mean_weights @ np.asarray(values).reshape(mesh.n_nodes, 2)
@@ -97,12 +119,11 @@ class RigidBasis:
     fields: list
     matrix: np.ndarray          # (2n, 3), mass-orthonormal columns
     euclid: np.ndarray          # (2n, 3), Euclidean-orthonormal columns, same span
+    mass: np.ndarray            # (2n, 3), M @ matrix
 
 
-def rigid_basis(mesh, M=None):
+def rigid_basis(mesh):
     """Translations plus the rotation J (x - centroid), mass-orthonormalized."""
-    if M is None:
-        M = mass_matrix(mesh)
     n = mesh.n_nodes
     raw = np.zeros((2 * n, 3))
     raw[0::2, 0] = 1.0
@@ -111,11 +132,13 @@ def rigid_basis(mesh, M=None):
     raw[:, 2] = rot.reshape(-1)
 
     # Z = raw L^-T with raw' M raw = L L' (Cholesky): mass-orthonormal, same span
-    L = np.linalg.cholesky(raw.T @ (M @ raw))
+    Mraw = mass_action(mesh, raw)
+    L = np.linalg.cholesky(raw.T @ Mraw)
     Z = np.linalg.solve(L, raw.T).T
+    MZ = np.linalg.solve(L, Mraw.T).T
     Zeu, _ = np.linalg.qr(Z)
     fields = [DisplacementField(mesh, Z[:, k].reshape(n, 2)) for k in range(3)]
-    return RigidBasis(mesh, fields, Z, Zeu)
+    return RigidBasis(mesh, fields, Z, Zeu, MZ)
 
 
 def assemble_stiffness(mesh, density):
@@ -245,6 +268,7 @@ class _VCycle:
             AT = A @ T
             AT.data *= np.repeat(omega * inv_diag, np.diff(AT.indptr))
             P = (T - AT).tocsr()
+            del T, AT
             R = P.T.tocsr()
             self.levels.append((A, omega * inv_diag, P, R))
             A = R @ (A @ P)
@@ -266,15 +290,16 @@ class _VCycle:
 class Operators:
     """Linear-elastic operators of one (mesh, density), built once by ``operators``.
 
-    ``K`` stiffness, ``M`` mass matrix, ``Z`` and ``Zeu`` the mass- and
-    Euclidean-orthonormal rigid bases of ``rigid_basis`` and ``vcycle``
-    the smoothed-aggregation V-cycle preconditioning K^+.  Nothing in it
+    ``K`` stiffness, ``Z`` and ``Zeu`` the mass- and Euclidean-orthonormal
+    rigid bases of ``rigid_basis``, ``MZ = M Z`` (the only use of the
+    mass matrix, so M itself is never assembled) and ``vcycle`` the
+    smoothed-aggregation V-cycle preconditioning K^+.  Nothing in it
     refers to the mesh, so the bundle cached on the mesh forms no
     reference cycle.
     """
 
     K: object
-    M: object
+    MZ: np.ndarray
     Z: np.ndarray
     Zeu: np.ndarray
     vcycle: _VCycle
@@ -285,9 +310,8 @@ def operators(mesh, density):
     ops = mesh.operator_cache.get(density)
     if ops is None:
         K = assemble_stiffness(mesh, density)
-        M = mass_matrix(mesh)
-        rb = rigid_basis(mesh, M)
-        ops = Operators(K, M, rb.matrix, rb.euclid, _VCycle(K, rb.matrix))
+        rb = rigid_basis(mesh)
+        ops = Operators(K, rb.mass, rb.matrix, rb.euclid, _VCycle(K, rb.matrix))
         mesh.operator_cache[density] = ops
     return ops
 
@@ -373,7 +397,7 @@ def solve_linear(mesh, density, assembly, tol=1e-10, equilibrium_tol=1e-9):
     b = b_raw - Zeu @ (Zeu.T @ b_raw)
 
     x, it, rel = _projected_pcg(K, b, Zeu, tol, ops.vcycle)
-    x -= Z @ (Z.T @ (ops.M @ x))
+    x -= Z @ (ops.MZ.T @ x)
     energy = 0.5 * float(x @ (K @ x)) - float(x @ b_raw)
     sol = DisplacementField(mesh, x.reshape(-1, 2))
     return LinearSolution(sol, energy, it, rel)

@@ -17,6 +17,7 @@ Built-in scenarios, one per landmark load case:
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field, replace
 
 from .loads import BodyForce, LoadSpec, TractionRule
@@ -61,6 +62,14 @@ class Scenario:
     grad_tol: float = 1e-8
     divergence_threshold: float | None = None
     shift_ts: tuple = ()
+
+    def __post_init__(self):
+        # every route to a Scenario (config file, built-in, --tol override) passes here
+        for key in ("tol", "cg_tol", "grad_tol"):
+            value = getattr(self, key)
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"must be finite and positive, got {value!r}",
+                                  "experiment", key)
 
     def load_spec(self):
         return LoadSpec(dict(self.tractions), self.body)

@@ -9,7 +9,8 @@ from tractionlab.algebra import Density, J2
 from tractionlab.fem import (DisplacementField, NotEquilibratedError,
                              assemble_stiffness, elastic_energy,
                              element_gradients, element_strains, linear_field,
-                             mass_matrix, rigid_basis, solve_linear)
+                             mass_action, mass_matrix, operators, rigid_basis,
+                             solve_linear)
 from tractionlab.loads import LoadSpec, assemble_loads, constant_traction
 from tractionlab.mesh import rect_mesh
 from tractionlab.nonlinear import eval_rescaled, rescaled_gradient
@@ -54,6 +55,24 @@ class TestRigidBasis:
         M = mass_matrix(mesh)
         gram = rb.matrix.T @ (M @ rb.matrix)
         assert np.allclose(gram, np.eye(3), atol=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda: rect_mesh(7, 5, (-0.3, 0.7), (0.1, 0.9)),
+        lambda: jittered_mesh(6, 5, np.random.default_rng(31)),
+    ], ids=["rect", "jittered"])
+    def test_mass_action_matches_assembled_matrix(self, make):
+        m = make()
+        M = mass_matrix(m)
+        X = np.random.default_rng(32).standard_normal((2 * m.n_nodes, 4))
+        for x in (X, X[:, 0]):
+            ref = M @ x
+            assert np.max(np.abs(mass_action(m, x) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_bundle_keeps_the_mass_image_of_the_basis(self, density):
+        m = jittered_mesh(6, 5, np.random.default_rng(33))
+        ops = operators(m, density)
+        ref = mass_matrix(m) @ ops.Z
+        assert np.max(np.abs(ops.MZ - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestStrain:
@@ -146,7 +165,7 @@ class TestSolve:
         asm = assemble_loads(mesh, pressure_spec(16.0))
         sol = solve_linear(mesh, density, asm)
         M = mass_matrix(mesh)
-        rb = rigid_basis(mesh, M)
+        rb = rigid_basis(mesh)
         coeffs = rb.matrix.T @ (M @ sol.field.values.reshape(-1))
         assert np.max(np.abs(coeffs)) <= 1e-10
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from conftest import jittered_mesh
 from tractionlab.mesh import (Mesh, MeshFormatError, MeshOrientationError,
                               MeshTopologyError, read_mesh, rect_mesh, refine,
                               write_mesh)
@@ -91,6 +93,22 @@ class TestGeometry:
     def test_areas_positive(self):
         m = rect_mesh(3, 3)
         assert np.all(m.areas > 0.0)
+
+    @pytest.mark.parametrize("mesh", [
+        rect_mesh(5, 3, (-0.3, 1.1), (0.2, 0.9)),
+        jittered_mesh(6, 4, np.random.default_rng(22)),
+        refine(rect_mesh(3, 4)),
+    ], ids=["rect", "jittered", "refined"])
+    def test_gradient_operator_matches_index_construction(self, mesh):
+        # the same G from explicit index arrays, one per axis of (m, 2, 2, 3)
+        g = mesh.grads
+        e, i, j, k = np.indices((len(g), 2, 2, 3))
+        cols = (2 * mesh.elements[e, k] + i).ravel()
+        ref = sp.csr_matrix((g[e, k, j].ravel(), cols, np.arange(0, cols.size + 1, 3)),
+                            shape=(4 * len(g), 2 * mesh.n_nodes))
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(mesh.G, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestTextFormat:

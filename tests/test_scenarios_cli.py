@@ -109,6 +109,13 @@ class TestParsing:
         negative = SMALL_TENSION.replace("h_list = 0.2 0.1", "refinements = -1")
         with pytest.raises(ConfigError, match=r"\[experiment\] refinements"):
             parse_scenario(negative)
+        for key, raw in (("tol", "-1"), ("tol", "nan"), ("tol", "0"), ("cg_tol", "-1"),
+                         ("cg_tol", "inf"), ("grad_tol", "-1")):
+            bad_tol = SMALL_TENSION.replace("h_list = 0.2 0.1", f"h_list = 0.2 0.1\n{key} = {raw}")
+            with pytest.raises(ConfigError, match=rf"\[experiment\] {key}: must be finite"):
+                parse_scenario(bad_tol)
+        tiny = SMALL_TENSION.replace("h_list = 0.2 0.1", "h_list = 0.2 0.1\ngrad_tol = 1e-30")
+        assert parse_scenario(tiny).grad_tol == 1e-30
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match="unknown section"):
@@ -210,6 +217,12 @@ class TestCli:
         for c in checks:
             assert abs(c["F_delta"]["value"]) <= c["F_delta"]["tol"]
             assert c["E_delta_positive"] is True
+
+    def test_bad_tol_flag_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", "tension", "--mesh-n", "8", "--tol", "-1", "--out", str(out)]) == 1
+        assert "[experiment] tol: must be finite and positive" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_sweep_abort_reported(self, tmp_path):
         # grad_tol below floating-point resolution: the minimizer stalls
@@ -359,6 +372,15 @@ class TestOperatorBundle:
         monkeypatch.setattr(tractionlab.fem, "assemble_stiffness", counting)
         assert main(["run", "tension", "--out", str(tmp_path)]) == 0
         assert len(calls) == 1
+
+    def test_solves_never_assemble_the_mass_matrix(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mass_matrix called on the solve path")
+
+        monkeypatch.setattr(tractionlab.fem, "mass_matrix", refuse)
+        assert main(["run", "tension", "--out", str(tmp_path / "a")]) == 0
+        assert main(["solve-limit", "tension", "--mesh-n", "64",
+                     "--out", str(tmp_path / "b")]) == 0
 
     def test_no_scipy_solver_import(self, tmp_path):
         # importing scipy.sparse.linalg (and with it scipy.linalg) costs
