@@ -153,8 +153,7 @@ class _Run:
             return
         try:
             result = h_sweep(self.mesh, self.density, self.assembly, self.classification,
-                             self.limit, h_list, grad_tol=sc.grad_tol,
-                             divergence_threshold=sc.divergence_threshold)
+                             self.limit, h_list, grad_tol=sc.grad_tol)
         except SweepRefusedError as exc:
             self.stages["sweep"] = REFUSED
             self.report["nonlinear"] = {"refused": str(exc)}

@@ -26,6 +26,9 @@ does not see them, so on the rigid span the initial matrix keeps the
 scalar L-BFGS scaling and the curvature pairs supply the rest.  A run
 whose accepted steps stop lowering Fh (a gradient tolerance below
 round-off) ends as stalled instead of running to its iteration limit.
+At fixed h > 0, Fh is bounded below unless the loads are incompatible
+(the density grows quartically and vanishes only on rotations); that one
+unbounded regime is certified by the rotation-path probe, not minimized.
 
 Independent sweep points must not be parallelized: each h is
 warm-started from the minimizer of the previous one.
@@ -59,6 +62,8 @@ _H0_CG_TOL = 1e-8
 # minimization stops as stalled: Fh is flat to round-off there, and a
 # grad_tol below what round-off allows is never reached
 _STALL_STEPS = 10
+_MEMORY = 10        # L-BFGS curvature pairs kept
+_MAX_ITER = 2000    # iteration limit of one minimization
 
 
 class InadmissibleStateError(ValueError):
@@ -158,16 +163,13 @@ class DivergenceCertificate:
     ``direction`` is the explicit zero-stored-energy rotation field at
     theta = pi/3 scaled by 1/h; ``thetas``/``trace`` record Fh along the
     whole rotation path; ``witness_work`` is L(z_W) > 0 for the unit
-    witness skew direction.  When divergence came from the generic
-    threshold rule instead of the rotation probe, ``direction`` is the
-    last iterate, ``trace`` the accepted-energy history and
-    ``witness_work`` None.
+    witness skew direction.
     """
 
     direction: DisplacementField
     thetas: np.ndarray
     trace: np.ndarray
-    witness_work: float | None
+    witness_work: float
 
 
 @dataclass
@@ -204,13 +206,6 @@ def _instability_probe(mesh, density, assembly, h, classification, n_theta=64):
         fld = rotation_path_field(mesh, classification.witness, th, h)
         trace[i] = eval_rescaled(mesh, density, assembly, fld, h)
     k = int(np.argmin(trace))
-    direction = rotation_path_field(mesh, classification.witness, np.pi / 3.0, h)
-    cert = DivergenceCertificate(
-        direction=direction,
-        thetas=thetas,
-        trace=trace,
-        witness_work=classification.witness_work,
-    )
     worst = rotation_path_field(mesh, classification.witness, thetas[k], h)
     grad = rescaled_gradient(mesh, density, assembly, worst, h)
     return NonlinearResult(
@@ -222,7 +217,12 @@ def _instability_probe(mesh, density, assembly, h, classification, n_theta=64):
         barrier_hits=0,
         energy_floor=float(trace[k]),
         energy_trace=[float(v) for v in trace],
-        certificate=cert,
+        certificate=DivergenceCertificate(
+            direction=rotation_path_field(mesh, classification.witness, np.pi / 3.0, h),
+            thetas=thetas,
+            trace=trace,
+            witness_work=classification.witness_work,
+        ),
     )
 
 
@@ -267,38 +267,31 @@ def _two_loop(grad, s_list, y_list, rho_list, h0):
     return q
 
 
-def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
-                      max_iter=1000, divergence_threshold=None, memory=10,
-                      probe_instability=True):
+def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8):
     """Quasi-Newton minimization of the rescaled energy at fixed h.
 
-    L-BFGS (memory 10) with a backtracking line search from the unit step
-    that first halves the step until every element satisfies
-    det(I + h grad v) >= 1e-8 and then enforces the Armijo decrease.  The
-    two-loop recursion starts from the stiffness inverse K^+ on the
-    rigid-mode complement and from the scalar sy/yy on the rigid span, so
-    the iteration count does not grow with the mesh.  Converged means
-    |grad| <= grad_tol * (1 + |Fh|).  Stalled means that 10 accepted
-    steps in a row did not lower Fh (grad_tol is below what round-off in
-    Fh allows).  Diverged is declared when the energy falls below
-    -divergence_threshold (default 1e6 * (1 + |l|)), or immediately via
-    the rotation-orbit certificate when the loads are classified
-    incompatible (legitimate unbounded-descent regime).  The solver
-    reports gradient-norm stationarity only; it never claims global
-    optimality.
+    L-BFGS (memory 10, at most 2000 iterations) with a backtracking line
+    search from the unit step that first halves the step until every
+    element satisfies det(I + h grad v) >= 1e-8 and then enforces the
+    Armijo decrease.  The two-loop recursion starts from the stiffness
+    inverse K^+ on the rigid-mode complement and from the scalar sy/yy on
+    the rigid span, so the iteration count does not grow with the mesh.
+    Converged means |grad| <= grad_tol * (1 + |Fh|).  Stalled means that
+    10 accepted steps in a row did not lower Fh (grad_tol is below what
+    round-off in Fh allows).  Diverged is declared only for loads
+    classified incompatible, the one regime where Fh is unbounded below:
+    the result is then the rotation-orbit certificate, with no
+    minimization.  The solver reports gradient-norm stationarity only; it
+    never claims global optimality.
 
     ``energy_floor`` records the lowest finite energy seen across all
     accepted and trial states.
     """
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h}")
-    if divergence_threshold is None:
-        divergence_threshold = 1e6 * (1.0 + float(np.linalg.norm(assembly.load_vector)))
-
-    if probe_instability:
-        classification = classify_compatibility(assembly)
-        if classification.compat_class == INCOMPATIBLE:
-            return _instability_probe(mesh, density, assembly, h, classification)
+    classification = classify_compatibility(assembly)
+    if classification.compat_class == INCOMPATIBLE:
+        return _instability_probe(mesh, density, assembly, h, classification)
 
     h0 = _stiffness_h0(mesh, density)
     x = np.zeros((mesh.n_nodes, 2)) if init is None else np.asarray(init.values, dtype=float)
@@ -317,15 +310,12 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
     status = ITER_LIMIT
     it = 0
     flat_steps = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= grad_tol * (1.0 + abs(f)) \
                 and np.all(_element_dets(mesh, xf, h) >= _BARRIER_DELTA):
             status = CONVERGED
             it -= 1
-            break
-        if f < -divergence_threshold:
-            status = DIVERGED
             break
 
         d = -_two_loop(g, s_list, y_list, rho_list, h0)
@@ -367,7 +357,7 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
             s_list.append(s)
             y_list.append(y)
             rho_list.append(1.0 / sy)
-            if len(s_list) > memory:
+            if len(s_list) > _MEMORY:
                 s_list.pop(0)
                 y_list.pop(0)
                 rho_list.pop(0)
@@ -378,25 +368,15 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
             status = STALLED
             break
 
-    field = DisplacementField(mesh, xf.reshape(-1, 2))
-    certificate = None
-    if status == DIVERGED:
-        certificate = DivergenceCertificate(
-            direction=field,
-            thetas=np.array([]),
-            trace=np.asarray(energy_trace),
-            witness_work=None,
-        )
     return NonlinearResult(
         status=status,
-        field=field,
+        field=DisplacementField(mesh, xf.reshape(-1, 2)),
         value=f,
         grad_norm=float(np.linalg.norm(g)),
         iterations=it,
         barrier_hits=barrier_hits,
         energy_floor=floor,
         energy_trace=energy_trace,
-        certificate=certificate,
     )
 
 
@@ -456,8 +436,7 @@ class SweepAbortedError(RuntimeError):
         )
 
 
-def h_sweep(mesh, density, assembly, classification, limit, h_list, grad_tol=1e-8,
-            divergence_threshold=None, max_iter=2000):
+def h_sweep(mesh, density, assembly, classification, limit, h_list, grad_tol=1e-8):
     """Minimize Fh along a descending h list and compare with the limit.
 
     ``assembly`` holds the loads assembled on ``mesh``, ``classification``
@@ -493,11 +472,7 @@ def h_sweep(mesh, density, assembly, classification, limit, h_list, grad_tol=1e-
     records = []
     floor = np.inf
     for h in hs:
-        res = minimize_rescaled(
-            mesh, density, assembly, h, init=warm, grad_tol=grad_tol,
-            divergence_threshold=divergence_threshold, max_iter=max_iter,
-            probe_instability=False,
-        )
+        res = minimize_rescaled(mesh, density, assembly, h, init=warm, grad_tol=grad_tol)
         floor = min(floor, res.energy_floor)
         moments = strain_moments(mesh, res.field)
         rec = SweepRecord(

@@ -39,6 +39,16 @@ class ConfigError(ValueError):
 
 DEFAULT_H_LIST = (0.2, 0.1, 0.05, 0.025)
 
+# the keys each config section accepts; every [loads.<tag>] but body is a traction
+_KEYS = {
+    "scenario": {"name"},
+    "mesh": {"kind", "path", "nx", "ny", "x_min", "x_max", "y_min", "y_max"},
+    "density": {"mu", "lambda"},
+    "loads.body": {"kind", "value", "matrix"},
+    "experiment": {"h_list", "refinements", "tol", "cg_tol", "grad_tol", "shift_ts"},
+}
+_TRACTION_KEYS = {"constant", "pressure", "tangential"}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -60,7 +70,6 @@ class Scenario:
     tol: float = 1e-9
     cg_tol: float = 1e-10
     grad_tol: float = 1e-8
-    divergence_threshold: float | None = None
     shift_ts: tuple = ()
 
     def __post_init__(self):
@@ -70,6 +79,13 @@ class Scenario:
             if not 0.0 < value < math.inf:
                 raise ConfigError(f"must be finite and positive, got {value!r}",
                                   "experiment", key)
+        hs = self.h_list
+        if not all(0.0 < h < math.inf for h in hs) or any(b >= a for a, b in zip(hs, hs[1:])):
+            raise ConfigError(f"must be finite, positive and strictly decreasing, got {list(hs)}",
+                              "experiment", "h_list")
+        if not all(0.0 <= t < math.inf for t in self.shift_ts):
+            raise ConfigError(f"must be finite and nonnegative, got {list(self.shift_ts)}",
+                              "experiment", "shift_ts")
 
     def load_spec(self):
         return LoadSpec(dict(self.tractions), self.body)
@@ -116,8 +132,6 @@ class Scenario:
         out.write(f"tol = {self.tol!r}\n")
         out.write(f"cg_tol = {self.cg_tol!r}\n")
         out.write(f"grad_tol = {self.grad_tol!r}\n")
-        dt = "auto" if self.divergence_threshold is None else repr(self.divergence_threshold)
-        out.write(f"divergence_threshold = {dt}\n")
         out.write("shift_ts = " + " ".join(repr(t) for t in self.shift_ts) + "\n")
         return out.getvalue()
 
@@ -160,10 +174,15 @@ def parse_scenario(text, name=None):
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
 
-    known = {"scenario", "mesh", "density", "experiment"}
+    if parser.defaults():
+        raise ConfigError("unknown section", parser.default_section)
     for section in parser.sections():
-        if section not in known and not section.startswith("loads."):
+        allowed = _KEYS.get(section, _TRACTION_KEYS if section.startswith("loads.") else None)
+        if allowed is None:
             raise ConfigError("unknown section", section)
+        for key in parser.options(section):
+            if key not in allowed:
+                raise ConfigError("unknown key", section, key)
 
     sc_name = name or (parser.get("scenario", "name", fallback="unnamed"))
 
@@ -203,7 +222,7 @@ def parse_scenario(text, name=None):
             except ValueError as exc:
                 raise ConfigError(str(exc), section) from None
             continue
-        keys = [k for k in ("constant", "pressure", "tangential") if parser.has_option(section, k)]
+        keys = [k for k in sorted(_TRACTION_KEYS) if parser.has_option(section, k)]
         if len(keys) != 1:
             raise ConfigError(
                 "need exactly one of constant / pressure / tangential", section)
@@ -216,15 +235,6 @@ def parse_scenario(text, name=None):
 
     h_list = _floats(parser.get("experiment", "h_list", fallback=""), "experiment", "h_list")
     shift_ts = _floats(parser.get("experiment", "shift_ts", fallback=""), "experiment", "shift_ts")
-    dt_raw = parser.get("experiment", "divergence_threshold", fallback="auto")
-    if dt_raw.strip().lower() == "auto":
-        divergence_threshold = None
-    else:
-        try:
-            divergence_threshold = float(dt_raw)
-        except ValueError:
-            raise ConfigError(f"bad number {dt_raw!r}", "experiment",
-                              "divergence_threshold") from None
 
     refinements = _int(parser, "experiment", "refinements", 0)
     if refinements < 0:
@@ -248,7 +258,6 @@ def parse_scenario(text, name=None):
         tol=_float(parser, "experiment", "tol", 1e-9),
         cg_tol=_float(parser, "experiment", "cg_tol", 1e-10),
         grad_tol=_float(parser, "experiment", "grad_tol", 1e-8),
-        divergence_threshold=divergence_threshold,
         shift_ts=shift_ts,
     )
 

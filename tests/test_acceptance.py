@@ -235,8 +235,9 @@ def test_criterion_8_qualitative_lower_bound(sweep_ctx):
     result = sweep_ctx["result"]
     floor = result.energy_floor
     assert np.isfinite(floor)
-    default_threshold = 1e6
-    assert floor > -default_threshold
+    # strict loads: Fh is bounded below, so the floor stays finite and modest
+    floor_bound = 1e6
+    assert floor > -floor_bound
     for r in result.records:
         assert r.Fh >= floor - 1e-12
     ok(8, f"finite recorded floor {floor:.6f}; no evaluation fell below it")

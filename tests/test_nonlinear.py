@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (admissible_field, body_spec, infmany_spec, pressure_spec,
                       sweep_inputs, zero_spec)
+from tractionlab import nonlinear
 from tractionlab.algebra import Density, J2, rodrigues, skew2
 from tractionlab.fem import (DisplacementField, elastic_energy, linear_field,
                              rigid_basis, solve_linear)
@@ -14,8 +15,7 @@ from tractionlab.nonlinear import (_H0_CG_TOL, CONVERGED, DIVERGED,
                                    InadmissibleStateError, SweepRefusedError,
                                    _stiffness_h0, eval_rescaled, h_sweep,
                                    mean_skew_gradient, minimize_rescaled,
-                                   rescaled_gradient, rotation_path_field,
-                                   strain_moments)
+                                   rescaled_gradient, strain_moments)
 from tractionlab.scenarios import Scenario
 
 W_UNIT = skew2(1.0)
@@ -186,13 +186,6 @@ class TestMinimize:
         assert cert.trace[k] == pytest.approx(-10.0, rel=1e-9)
         assert cert.witness_work == pytest.approx(1.0, rel=1e-12)
 
-    def test_divergence_threshold_path(self, mesh, density, compression):
-        # skipping the probe, a tiny threshold triggers the generic rule
-        init = rotation_path_field(mesh, W_UNIT, np.pi / 2, 0.1)
-        res = minimize_rescaled(mesh, density, compression, 0.1, init=init,
-                                divergence_threshold=5.0, probe_instability=False)
-        assert res.status == DIVERGED
-
     def test_descent_monotonicity(self, mesh, density, tension):
         init = solve_linear(mesh, density, tension).field
         res = minimize_rescaled(mesh, density, tension, 0.1, init=init)
@@ -263,11 +256,19 @@ class TestSweep:
     def test_given_limit_minimizer_is_the_warm_start(self, mesh, density):
         asm, cls, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
         sw = h_sweep(mesh, density, asm, cls, lim, (0.2, 0.1))
-        first = minimize_rescaled(mesh, density, asm, 0.2, init=lim.field, max_iter=2000,
-                                  probe_instability=False)
+        first = minimize_rescaled(mesh, density, asm, 0.2, init=lim.field)
         assert (sw.records[0].Fh, sw.records[0].iters) == (first.value, first.iterations)
         assert np.array_equal(sw.records[0].moments, strain_moments(mesh, first.field))
         assert sw.limit_value == lim.F_value
+
+    def test_strict_sweep_never_probes(self, mesh, density, monkeypatch):
+        # strict loads have Tr S > 0, so no sweep point classifies them incompatible
+        calls = []
+        monkeypatch.setattr(nonlinear, "_instability_probe",
+                            lambda *args, **kw: calls.append(args))
+        sw = sweep(mesh, density, pressure_spec(16.0), (0.2, 0.1))
+        assert [r.status for r in sw.records] == [CONVERGED] * 2
+        assert len(calls) == 0
 
     def test_given_classification_decides(self, mesh, density):
         # infmany plus a 1e-6 pressure: strict at the default tol, weak at 1e-3
@@ -340,8 +341,7 @@ class TestPreconditionedSolver:
         linear = solve_linear(mesh, density, asm).field
         warm = linear
         for h, rec in zip(hs, sw.records):
-            res = minimize_rescaled(mesh, density, asm, h, init=warm, max_iter=2000,
-                                    probe_instability=False)
+            res = minimize_rescaled(mesh, density, asm, h, init=warm)
             assert res.value == rec.Fh
             g = rescaled_gradient(mesh, density, asm, res.field, h)
             assert np.linalg.norm(g) <= 1e-8 * (1.0 + abs(rec.Fh))

@@ -80,7 +80,6 @@ class TestParsing:
         assert sc.x_range == (-0.5, 0.5)
         assert sc.tol == 1e-9
         assert sc.cg_tol == 1e-10
-        assert sc.divergence_threshold is None
         assert sc.h_list == (0.2, 0.1)
         assert sc.body.kind == "zero"
 
@@ -94,7 +93,7 @@ class TestParsing:
         text = parse_scenario(SMALL_TENSION).effective_config()
         for key in ("nx", "ny", "x_min", "x_max", "y_min", "y_max", "mu",
                     "lambda", "h_list", "refinements", "tol", "cg_tol",
-                    "grad_tol", "divergence_threshold", "shift_ts"):
+                    "grad_tol", "shift_ts"):
             assert key in text
 
     def test_hash_stable(self):
@@ -120,6 +119,34 @@ class TestParsing:
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match="unknown section"):
             parse_scenario(SMALL_TENSION + "\n[plotting]\ncolor = red\n")
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\]: unknown section"):
+            parse_scenario("[DEFAULT]\nnx = 4\n\n" + SMALL_TENSION)
+
+    @pytest.mark.parametrize("section, key", [
+        ("scenario", "title"), ("mesh", "nz"), ("density", "nu"), ("loads.left", "presure"),
+        ("loads.body", "values"), ("experiment", "grad_tl"),
+        ("experiment", "divergence_threshold"),
+    ])
+    def test_unknown_key(self, section, key):
+        text = SMALL_TENSION + "\n[loads.body]\nkind = zero\n"
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = 7\n", 1)
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: unknown key$"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("key, raw", [
+        ("h_list", "-0.1"), ("h_list", "0.1 nan"), ("h_list", "inf 0.1"), ("h_list", "0.1 0.2"),
+        ("h_list", "0.1 0.1"), ("h_list", "0.1 0"), ("shift_ts", "-1"), ("shift_ts", "0.5 nan"),
+        ("shift_ts", "inf"),
+    ])
+    def test_bad_h_list_and_shift_ts(self, key, raw):
+        text = SMALL_TENSION.replace("h_list = 0.2 0.1", f"{key} = {raw}")
+        with pytest.raises(ConfigError, match=rf"^\[experiment\] {key}: must be finite"):
+            parse_scenario(text)
+
+    def test_good_h_list_and_shift_ts(self):
+        text = SMALL_TENSION.replace("h_list = 0.2 0.1", "h_list = 0.3 0.2\nshift_ts = 0 2.5")
+        sc = parse_scenario(text)
+        assert (sc.h_list, sc.shift_ts) == ((0.3, 0.2), (0.0, 2.5))
 
     def test_traction_needs_exactly_one_rule(self):
         bad = SMALL_TENSION.replace("[loads.left]\npressure = 16",
@@ -288,6 +315,14 @@ class TestCli:
         for dump in ("solution_linear.txt", "solution_limit.txt"):
             lines = (out / dump).read_text().splitlines()
             assert sum(line.startswith("v ") for line in lines) == 169
+
+    def test_increasing_h_list_writes_nothing(self, tmp_path, capsys):
+        sc_file = tmp_path / "sc.ini"
+        sc_file.write_text(SMALL_TENSION.replace("h_list = 0.2 0.1", "h_list = 0.1 0.2"))
+        out = tmp_path / "o"
+        assert main(["run", str(sc_file), "--out", str(out)]) == 1
+        assert "config error: [experiment] h_list" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_exit_1(self, tmp_path, capsys):
         assert main(["run", "definitely-missing", "--out", str(tmp_path / "o")]) == 1
