@@ -51,9 +51,6 @@ class SkewParam:
             return 2.0 * self.coeffs[0] ** 2
         return 2.0 * float(np.dot(self.coeffs, self.coeffs))
 
-    def is_zero(self, tol=0.0):
-        return self.norm_sq() <= tol
-
 
 def skew2(a):
     """2D skew parameter a*J."""

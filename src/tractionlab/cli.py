@@ -1,16 +1,19 @@
 """Command-line interface.
 
-Subcommands: analyze, solve-linear, solve-limit, sweep, run (all stages),
-scenarios.  A stage whose precondition fails for a reason the theory
-predicts (non-equilibrated loads, incompatible loads, non-strict sweep)
-is refused, not failed: the run reports the explanation and exits with
-code 2.  A sweep whose minimizer stops short of convergence is aborted:
+Subcommands analyze, solve-linear, solve-limit, sweep and run execute the
+first 1, 2, 3, 4 and 4 stages of one scenario; sweep falls back to
+DEFAULT_H_LIST when the config has no h_list, where run skips the sweep.
+scenarios lists the built-ins.  A stage whose precondition fails for a
+reason the theory predicts (non-equilibrated loads, incompatible loads,
+non-strict sweep) is refused, not failed: the run reports the
+explanation and exits with code 2.  A sweep whose minimizer stops short of convergence is aborted:
 the partial sweep and the reason go to sweep.csv and report.json, and
 the run exits with code 1.  Genuine errors (bad config, broken mesh)
 exit with code 1 without a report.
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -20,7 +23,7 @@ from .limit import IncompatibleLoadsError, minimize_limit, shifted_minimizer
 from .loads import WEAK, assemble_loads, classify_compatibility
 from .nonlinear import SweepAbortedError, SweepRefusedError, h_sweep
 from .report import (checked, classification_dict, provenance, report_json,
-                     solution_dump, sweep_csv)
+                     solution_dump, sweep_csv, sweep_rows)
 from .scenarios import (DEFAULT_H_LIST, ConfigError, builtin_scenarios,
                         load_scenario)
 
@@ -33,8 +36,9 @@ ABORTED = "aborted"
 class _Run:
     """Shared state while executing the stages of one scenario."""
 
-    def __init__(self, scenario, out_dir):
+    def __init__(self, scenario, out_dir, h_list):
         self.scenario = scenario
+        self.h_list = h_list
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self.density = Density(scenario.mu, scenario.lam)
@@ -137,10 +141,8 @@ class _Run:
         self.stages["solve_limit"] = OK
         print(f"min F = {lim.F_value!r}, |min F - min E| = {coincidence!r}")
 
-    def sweep_stage(self, force=False):
-        sc = self.scenario
-        h_list = sc.h_list or (DEFAULT_H_LIST if force else ())
-        if not h_list:
+    def sweep_stage(self):
+        if not self.h_list:
             self.stages["sweep"] = SKIPPED
             self.report["nonlinear"] = {"skipped": "no h_list configured"}
             return
@@ -153,7 +155,7 @@ class _Run:
             return
         try:
             result = h_sweep(self.mesh, self.density, self.assembly, self.classification,
-                             self.limit, h_list, grad_tol=sc.grad_tol)
+                             self.limit, self.h_list, grad_tol=self.scenario.grad_tol)
         except SweepRefusedError as exc:
             self.stages["sweep"] = REFUSED
             self.report["nonlinear"] = {"refused": str(exc)}
@@ -162,28 +164,20 @@ class _Run:
         except SweepAbortedError as exc:
             self.stages["sweep"] = ABORTED
             self.report["nonlinear"] = {"aborted": str(exc),
-                                        "sweep": self._sweep_rows(exc.records)}
+                                        "sweep": sweep_rows(exc.records)}
             self.write("sweep.csv", sweep_csv(exc.records))
             print(exc)
             return
         table = sweep_csv(result.records)
         self.write("sweep.csv", table)
         self.report["nonlinear"] = {
-            "sweep": self._sweep_rows(result.records),
-            "limit_value": result.limit_value,
-            "limit_W0_norm": checked(result.limit_W0_norm, 1e-6),
+            "sweep": sweep_rows(result.records),
+            "limit_value": self.limit.F_value,
+            "limit_W0_norm": checked(math.sqrt(self.limit.W0.norm_sq()), 1e-6),
             "energy_floor": result.energy_floor,
         }
         self.stages["sweep"] = OK
         print(table, end="")
-
-    @staticmethod
-    def _sweep_rows(records):
-        return [
-            {"h": r.h, "Fh": r.Fh, "W_proxy": checked(r.W_proxy, 1e-4),
-             "moment_dist": r.moment_dist, "iters": r.iters, "status": r.status}
-            for r in records
-        ]
 
     def exit_code(self):
         if ABORTED in self.stages.values():
@@ -195,47 +189,17 @@ class _Run:
         return self.exit_code()
 
 
-def _make_run(args):
+# subcommand -> how many of _Run's stages it runs, in order
+STAGE_COUNTS = {"analyze": 1, "solve-linear": 2, "solve-limit": 3, "sweep": 4, "run": 4}
+
+
+def cmd_stages(args):
     scenario = load_scenario(args.config, mesh_n=args.mesh_n, tol=args.tol)
-    return _Run(scenario, args.out)
-
-
-def cmd_analyze(args):
-    run = _make_run(args)
-    run.analyze()
-    return run.finish()
-
-
-def cmd_solve_linear(args):
-    run = _make_run(args)
-    run.analyze()
-    run.solve_linear_stage()
-    return run.finish()
-
-
-def cmd_solve_limit(args):
-    run = _make_run(args)
-    run.analyze()
-    run.solve_linear_stage()
-    run.solve_limit_stage()
-    return run.finish()
-
-
-def cmd_sweep(args):
-    run = _make_run(args)
-    run.analyze()
-    run.solve_linear_stage()
-    run.solve_limit_stage()
-    run.sweep_stage(force=True)
-    return run.finish()
-
-
-def cmd_run(args):
-    run = _make_run(args)
-    run.analyze()
-    run.solve_linear_stage()
-    run.solve_limit_stage()
-    run.sweep_stage()
+    h_list = scenario.h_list or (DEFAULT_H_LIST if args.command == "sweep" else ())
+    run = _Run(scenario, args.out, h_list)
+    stages = (run.analyze, run.solve_linear_stage, run.solve_limit_stage, run.sweep_stage)
+    for stage in stages[:STAGE_COUNTS[args.command]]:
+        stage()
     return run.finish()
 
 
@@ -254,25 +218,16 @@ def build_parser():
                     "linear and limit energy minimization, rescaled-energy sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, needs_config=True):
+    for name in STAGE_COUNTS:
         p = sub.add_parser(name)
-        if needs_config:
-            p.add_argument("config", help="built-in scenario name or config file path")
-            p.add_argument("--out", default="out", help="output directory (default: out)")
-            p.add_argument("--mesh-n", type=int, default=None,
-                           help="override rect mesh resolution (nx = ny = K)")
-            p.add_argument("--tol", type=float, default=None,
-                           help="override the classification tolerance")
-        p.set_defaults(fn=fn)
-        return p
-
-    add("analyze", cmd_analyze)
-    add("solve-linear", cmd_solve_linear)
-    add("solve-limit", cmd_solve_limit)
-    add("sweep", cmd_sweep)
-    add("run", cmd_run)
-    add("scenarios", cmd_scenarios, needs_config=False)
+        p.add_argument("config", help="built-in scenario name or config file path")
+        p.add_argument("--out", default="out", help="output directory (default: out)")
+        p.add_argument("--mesh-n", type=int, default=None,
+                       help="override rect mesh resolution (nx = ny = K)")
+        p.add_argument("--tol", type=float, default=None,
+                       help="override the classification tolerance")
+        p.set_defaults(fn=cmd_stages)
+    sub.add_parser("scenarios").set_defaults(fn=cmd_scenarios)
     return parser
 
 

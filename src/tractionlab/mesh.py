@@ -189,13 +189,12 @@ def _edge_codes(pairs, n):
     return np.minimum(pairs[:, 0], pairs[:, 1]) * n + np.maximum(pairs[:, 0], pairs[:, 1])
 
 
-def rect_mesh(nx, ny, x_range=(-0.5, 0.5), y_range=(-0.5, 0.5), tag_scheme="sides"):
+def rect_mesh(nx, ny, x_range=(-0.5, 0.5), y_range=(-0.5, 0.5)):
     """Structured triangulation of a rectangle.
 
     (nx+1)*(ny+1) nodes and 2*nx*ny triangles, every cell split on the
     fixed lower-left to upper-right diagonal.  Boundary edges are tagged
-    "left", "right", "top", "bottom" (tag_scheme="sides") or all
-    "boundary" (tag_scheme="uniform").
+    "left", "right", "top", "bottom".
     """
     if nx < 1 or ny < 1:
         raise ValueError("nx and ny must be at least 1")
@@ -203,8 +202,6 @@ def rect_mesh(nx, ny, x_range=(-0.5, 0.5), y_range=(-0.5, 0.5), tag_scheme="side
     y0, y1 = map(float, y_range)
     if not (x1 > x0 and y1 > y0):
         raise ValueError("degenerate coordinate range")
-    if tag_scheme not in ("sides", "uniform"):
-        raise ValueError(f"unknown tag_scheme {tag_scheme!r}")
 
     xs = x0 + (x1 - x0) * np.arange(nx + 1) / nx
     ys = y0 + (y1 - y0) * np.arange(ny + 1) / ny
@@ -221,10 +218,7 @@ def rect_mesh(nx, ny, x_range=(-0.5, 0.5), y_range=(-0.5, 0.5), tag_scheme="side
     left = np.column_stack([j, j + nx + 1])
     ends = np.concatenate([np.stack([bottom, bottom + ny * (nx + 1)], axis=1).reshape(-1, 2),
                            np.stack([left, left + nx], axis=1).reshape(-1, 2)])
-    if tag_scheme == "sides":
-        tags = ["bottom", "top"] * nx + ["left", "right"] * ny
-    else:
-        tags = ["boundary"] * (2 * (nx + ny))
+    tags = ["bottom", "top"] * nx + ["left", "right"] * ny
     return Mesh(nodes, elements, zip(ends[:, 0].tolist(), ends[:, 1].tolist(), tags))
 
 

@@ -26,9 +26,13 @@ does not see them, so on the rigid span the initial matrix keeps the
 scalar L-BFGS scaling and the curvature pairs supply the rest.  A run
 whose accepted steps stop lowering Fh (a gradient tolerance below
 round-off) ends as stalled instead of running to its iteration limit.
-At fixed h > 0, Fh is bounded below unless the loads are incompatible
-(the density grows quartically and vanishes only on rotations); that one
-unbounded regime is certified by the rotation-path probe, not minimized.
+At fixed h > 0, Fh is bounded below for every load: the density grows
+quartically in grad v and the load work is linear.  What incompatible
+loads make unbounded is the h-family.  Along the witness rotation path
+v = h^-1 (R_theta - I) x the stored energy vanishes and Fh = (1 - cos
+theta) tr S / h, which reaches 2 tr S / h at theta = pi and tends to -inf
+as h -> 0 when tr S < 0.  The rotation-path probe certifies that; Fh at
+the given h is then not minimized.
 
 Independent sweep points must not be parallelized: each h is
 warm-started from the minimizer of the previous one.
@@ -160,13 +164,10 @@ def rescaled_gradient(mesh, density, assembly, field, h):
 class DivergenceCertificate:
     """Witness of unbounded descent under incompatible loads.
 
-    ``direction`` is the explicit zero-stored-energy rotation field at
-    theta = pi/3 scaled by 1/h; ``thetas``/``trace`` record Fh along the
-    whole rotation path; ``witness_work`` is L(z_W) > 0 for the unit
-    witness skew direction.
+    ``thetas``/``trace`` record Fh along the whole rotation path;
+    ``witness_work`` is L(z_W) > 0 for the unit witness skew direction.
     """
 
-    direction: DisplacementField
     thetas: np.ndarray
     trace: np.ndarray
     witness_work: float
@@ -202,11 +203,12 @@ def _instability_probe(mesh, density, assembly, h, classification, n_theta=64):
     # pi/3 is the landmark angle where the path is an exact rotation field
     thetas = np.unique(np.concatenate([thetas, [np.pi / 3.0]]))
     trace = np.empty(len(thetas))
+    k = 0
     for i, th in enumerate(thetas):
         fld = rotation_path_field(mesh, classification.witness, th, h)
         trace[i] = eval_rescaled(mesh, density, assembly, fld, h)
-    k = int(np.argmin(trace))
-    worst = rotation_path_field(mesh, classification.witness, thetas[k], h)
+        if i == 0 or trace[i] < trace[k]:
+            k, worst = i, fld
     grad = rescaled_gradient(mesh, density, assembly, worst, h)
     return NonlinearResult(
         status=DIVERGED,
@@ -218,7 +220,6 @@ def _instability_probe(mesh, density, assembly, h, classification, n_theta=64):
         energy_floor=float(trace[k]),
         energy_trace=[float(v) for v in trace],
         certificate=DivergenceCertificate(
-            direction=rotation_path_field(mesh, classification.witness, np.pi / 3.0, h),
             thetas=thetas,
             trace=trace,
             witness_work=classification.witness_work,
@@ -279,10 +280,11 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8):
     Converged means |grad| <= grad_tol * (1 + |Fh|).  Stalled means that
     10 accepted steps in a row did not lower Fh (grad_tol is below what
     round-off in Fh allows).  Diverged is declared only for loads
-    classified incompatible, the one regime where Fh is unbounded below:
-    the result is then the rotation-orbit certificate, with no
-    minimization.  The solver reports gradient-norm stationarity only; it
-    never claims global optimality.
+    classified incompatible, the one class whose h-family is unbounded
+    below (Fh = 2 tr S / h on the rotation path at theta = pi); Fh at this
+    h is bounded below for every load.  The result is then the
+    rotation-orbit certificate, with no minimization.  The solver reports
+    gradient-norm stationarity only; it never claims global optimality.
 
     ``energy_floor`` records the lowest finite energy seen across all
     accepted and trial states.
@@ -407,21 +409,19 @@ def mean_skew_gradient(mesh, field):
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """One sweep point; its fields, in order, are the columns of sweep.csv."""
+
     h: float
     Fh: float
     W_proxy: float
     moment_dist: float
     iters: int
     status: str
-    moments: np.ndarray
 
 
 @dataclass
 class SweepResult:
     records: list
-    limit_value: float          # min of the limit energy
-    limit_W0_norm: float
-    limit_moments: np.ndarray
     energy_floor: float
 
 
@@ -448,7 +448,7 @@ def h_sweep(mesh, density, assembly, classification, limit, h_list, grad_tol=1e-
     minimizing branch.  Raises MeshMismatchError when ``assembly`` or
     ``limit`` lives on another mesh.  Returns records (h, min Fh, the proxy
     |sqrt(h) mean skew grad|, strain-moment distances to the limit
-    minimizer) plus the limit comparison values.
+    minimizer) plus the lowest energy seen over all points.
     """
     hs = [float(h) for h in h_list]
     if any(b >= a for a, b in zip(hs, hs[1:])):
@@ -466,32 +466,21 @@ def h_sweep(mesh, density, assembly, classification, limit, h_list, grad_tol=1e-
         raise MeshMismatchError("the sweep's loads and limit minimizer must live on its mesh")
 
     limit_moments = strain_moments(mesh, limit.field)
-    limit_W0_norm = math.sqrt(limit.W0.norm_sq())
-
     warm = limit.field
     records = []
     floor = np.inf
     for h in hs:
         res = minimize_rescaled(mesh, density, assembly, h, init=warm, grad_tol=grad_tol)
         floor = min(floor, res.energy_floor)
-        moments = strain_moments(mesh, res.field)
-        rec = SweepRecord(
+        records.append(SweepRecord(
             h=h,
-            Fh=res.value,
+            Fh=float(res.value),
             W_proxy=math.sqrt(h) * float(np.linalg.norm(mean_skew_gradient(mesh, res.field))),
-            moment_dist=float(np.linalg.norm(moments - limit_moments)),
+            moment_dist=float(np.linalg.norm(strain_moments(mesh, res.field) - limit_moments)),
             iters=res.iterations,
             status=res.status,
-            moments=moments,
-        )
-        records.append(rec)
+        ))
         if res.status != CONVERGED:
             raise SweepAbortedError(records, res)
         warm = res.field
-    return SweepResult(
-        records=records,
-        limit_value=limit.F_value,
-        limit_W0_norm=limit_W0_norm,
-        limit_moments=limit_moments,
-        energy_floor=float(floor),
-    )
+    return SweepResult(records=records, energy_floor=float(floor))

@@ -6,6 +6,7 @@ data, only the config hash and package version.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -14,8 +15,7 @@ import numpy as np
 
 from . import __version__
 from .mesh import write_mesh
-
-SWEEP_COLUMNS = ("h", "Fh", "W_proxy", "moment_dist", "iters", "status")
+from .nonlinear import SweepRecord
 
 
 def _plain(obj):
@@ -73,14 +73,17 @@ def skew_dict(w):
 
 
 def sweep_csv(records):
-    """CSV table with the fixed column set h, Fh, W_proxy, moment_dist, iters, status."""
+    """CSV table of SweepRecords: one column per field, floats in shortest round-trip repr."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for r in records:
-        writer.writerow([repr(float(r.h)), repr(float(r.Fh)), repr(float(r.W_proxy)),
-                         repr(float(r.moment_dist)), int(r.iters), r.status])
+    writer.writerow(f.name for f in dataclasses.fields(SweepRecord))
+    writer.writerows(dataclasses.astuple(r) for r in records)
     return out.getvalue()
+
+
+def sweep_rows(records):
+    """report.json rows of SweepRecords; W_proxy carries the tolerance it is read at."""
+    return [dict(dataclasses.asdict(r), W_proxy=checked(r.W_proxy, 1e-4)) for r in records]
 
 
 def provenance(scenario):

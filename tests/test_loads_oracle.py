@@ -78,8 +78,7 @@ def meshes(draw):
         return jittered_mesh(nx, ny, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     x0, y0 = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
     w, h = draw(st.floats(0.05, 4.0)), draw(st.floats(0.05, 4.0))
-    scheme = draw(st.sampled_from(["sides", "uniform"]))
-    mesh = rect_mesh(nx, ny, (x0, x0 + w), (y0, y0 + h), tag_scheme=scheme)
+    mesh = rect_mesh(nx, ny, (x0, x0 + w), (y0, y0 + h))
     if kind == "affine":
         # a rotation times an upper-triangular stretch: slanted edges, det > 0
         theta = draw(st.floats(0.0, 2.0 * np.pi))

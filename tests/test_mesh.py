@@ -67,10 +67,6 @@ class TestRectMesh:
         with pytest.raises(ValueError):
             rect_mesh(0, 2)
 
-    def test_uniform_tag_scheme(self):
-        m = rect_mesh(2, 2, tag_scheme="uniform")
-        assert m.tags() == ["boundary"]
-
 
 class TestGeometry:
     def test_divergence_identity_midpoint_rule(self):

@@ -126,8 +126,7 @@ def meshes(draw):
         return jittered_mesh(nx, ny, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     x0, y0 = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
     w, h = draw(st.floats(0.05, 4.0)), draw(st.floats(0.05, 4.0))
-    scheme = draw(st.sampled_from(["sides", "uniform"]))
-    return rect_mesh(nx, ny, (x0, x0 + w), (y0, y0 + h), tag_scheme=scheme)
+    return rect_mesh(nx, ny, (x0, x0 + w), (y0, y0 + h))
 
 
 CORRUPTIONS = ("drop", "reversed_duplicate", "interior_diagonal", "out_of_range", "non_edge")

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,7 +17,8 @@ from tractionlab.cli import main
 from tractionlab.fem import assemble_stiffness, solve_linear
 from tractionlab.loads import BodyForce
 from tractionlab.mesh import read_mesh, rect_mesh, write_mesh
-from tractionlab.scenarios import (ConfigError, Scenario, builtin_scenarios,
+from tractionlab.nonlinear import SweepRecord
+from tractionlab.scenarios import (DEFAULT_H_LIST, ConfigError, Scenario, builtin_scenarios,
                                    load_scenario, parse_scenario)
 
 SMALL_TENSION = """\
@@ -223,6 +226,42 @@ class TestCli:
         # solution dump parses back as mesh + nodal values
         mesh, sol = read_mesh((out / "solution_linear.txt").read_text())
         assert mesh.n_nodes == 49 and sol is not None
+
+    def test_one_row_definition(self, tmp_path):
+        out = tmp_path / "o"
+        sc_file = tmp_path / "sc.ini"
+        sc_file.write_text(SMALL_TENSION)
+        assert main(["sweep", str(sc_file), "--out", str(out)]) == 0
+        header, *rows = csv.reader((out / "sweep.csv").read_text().splitlines())
+        assert header == [f.name for f in dataclasses.fields(SweepRecord)]
+        report_rows = json.loads((out / "report.json").read_text())["nonlinear"]["sweep"]
+        assert len(rows) == len(report_rows) == 2
+        for row, rep in zip(rows, report_rows):
+            rep["W_proxy"] = rep["W_proxy"]["value"]
+            assert row == [str(rep[name]) for name in header]
+
+    @pytest.mark.parametrize("command, stages", [
+        ("analyze", {"analyze": "ok"}),
+        ("solve-linear", {"analyze": "ok", "solve_linear": "ok"}),
+        ("solve-limit", {"analyze": "ok", "solve_linear": "ok", "solve_limit": "ok"}),
+        ("sweep", {"analyze": "ok", "solve_linear": "ok", "solve_limit": "ok", "sweep": "ok"}),
+        ("run", {"analyze": "ok", "solve_linear": "ok", "solve_limit": "ok",
+                 "sweep": "skipped"}),
+    ], ids=["analyze", "solve-linear", "solve-limit", "sweep", "run"])
+    def test_subcommand_stages(self, tmp_path, command, stages):
+        # no h_list: sweep falls back to DEFAULT_H_LIST, run skips the sweep
+        sc_file = tmp_path / "sc.ini"
+        sc_file.write_text(SMALL_TENSION.replace("h_list = 0.2 0.1\n", ""))
+        out = tmp_path / "o"
+        assert main([command, str(sc_file), "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["stages"] == stages
+        if command == "sweep":
+            rows = rep["nonlinear"]["sweep"]
+            assert tuple(r["h"] for r in rows) == DEFAULT_H_LIST
+            assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 4
+        else:
+            assert not (out / "sweep.csv").exists()
 
     def test_run_compression_exit_2_with_witness(self, tmp_path):
         out = tmp_path / "o"
