@@ -6,10 +6,10 @@ DEFAULT_H_LIST when the config has no h_list, where run skips the sweep.
 scenarios lists the built-ins.  A stage whose precondition fails for a
 reason the theory predicts (non-equilibrated loads, incompatible loads,
 non-strict sweep) is refused, not failed: the run reports the
-explanation and exits with code 2.  A sweep whose minimizer stops short of convergence is aborted:
-the partial sweep and the reason go to sweep.csv and report.json, and
-the run exits with code 1.  Genuine errors (bad config, broken mesh)
-exit with code 1 without a report.
+explanation and exits with code 2.  A sweep whose minimizer stops short
+of convergence is aborted: the partial sweep and the reason go to
+sweep.csv and report.json, and the run exits with code 1.  Genuine
+errors (bad config, broken mesh) exit with code 1 without a report.
 """
 
 import argparse

@@ -57,6 +57,12 @@ def affine_mesh(mesh, A):
     return Mesh(mesh.nodes @ np.asarray(A).T, mesh.elements, edges)
 
 
+def one_tag_mesh(mesh):
+    """The mesh with every boundary edge tagged 'boundary': one rule, many normals."""
+    edges = [(i, j, "boundary") for i, j in mesh.edge_nodes.tolist()]
+    return Mesh(mesh.nodes, mesh.elements, edges)
+
+
 values = st.floats(-5.0, 5.0)
 rules = st.one_of(
     st.tuples(values, values).map(lambda v: TractionRule("constant", v)),
@@ -79,6 +85,8 @@ def meshes(draw):
     x0, y0 = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
     w, h = draw(st.floats(0.05, 4.0)), draw(st.floats(0.05, 4.0))
     mesh = rect_mesh(nx, ny, (x0, x0 + w), (y0, y0 + h))
+    if draw(st.booleans()):
+        mesh = one_tag_mesh(mesh)
     if kind == "affine":
         # a rotation times an upper-triangular stretch: slanted edges, det > 0
         theta = draw(st.floats(0.0, 2.0 * np.pi))
