@@ -13,7 +13,6 @@ errors (bad config, broken mesh) exit with code 1 without a report.
 """
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -97,8 +96,7 @@ class _Run:
             return
         try:
             self.limit = minimize_limit(self.mesh, self.density, self.assembly,
-                                        classification=self.classification,
-                                        linear=self.linear)
+                                        self.classification, self.linear)
         except IncompatibleLoadsError as exc:
             self.stages["solve_limit"] = REFUSED
             self.report["limit"] = {
@@ -117,16 +115,15 @@ class _Run:
         block = {
             "min_F": checked(lim.F_value, sc.cg_tol),
             "min_E": checked(lim.E_value, sc.cg_tol),
-            "W0_norm": checked(float(lim.W0.norm_sq()) ** 0.5, 1e-6),
+            "W0_norm": checked(float(lim.W_star.norm_sq()) ** 0.5, 1e-6),
             "coincidence_abs_diff": checked(coincidence, 1e-9 * (1 + abs(lim.E_value))),
         }
         if self.classification.compat_class == WEAK and sc.shift_ts:
             checks = []
             for t in sc.shift_ts:
                 _, rec = shifted_minimizer(
-                    self.mesh, self.density, self.assembly, lim.field,
-                    self.classification.kernel[0], t, lim.F_value, lim.E_value,
-                    self.classification,
+                    self.mesh, self.density, self.assembly, lim,
+                    self.classification.kernel[0], t, self.classification,
                 )
                 checks.append({
                     "t": rec.t,
@@ -136,7 +133,7 @@ class _Run:
                 })
             block["shift_checks"] = checks
         self.report["limit"] = block
-        # minimize_limit(linear=...) returns the linear field itself
+        # the limit minimizer is the linear field itself
         self.write("solution_limit.txt", self.linear_dump)
         self.stages["solve_limit"] = OK
         print(f"min F = {lim.F_value!r}, |min F - min E| = {coincidence!r}")
@@ -172,8 +169,6 @@ class _Run:
         self.write("sweep.csv", table)
         self.report["nonlinear"] = {
             "sweep": sweep_rows(result.records),
-            "limit_value": self.limit.F_value,
-            "limit_W0_norm": checked(math.sqrt(self.limit.W0.norm_sq()), 1e-6),
             "energy_floor": result.energy_floor,
         }
         self.stages["sweep"] = OK

@@ -14,7 +14,7 @@ problem to one scalar with the closed form
 minimizer is a closed-form multiple of the top eigenvector of sym E.  The
 inner minimizer is unique up to sign; the canonical representative has
 a* >= 0 (2D) or first nonzero axis component positive (3D).  The outer 2D
-minimization is one linear solve (``minimize_limit``).
+minimizer is the linear-elastic one, which ``minimize_limit`` evaluates.
 """
 
 import math
@@ -23,17 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SkewParam, skew2, skew3, skew_square
-from .fem import (DisplacementField, element_strains, elastic_energy,
-                  linear_field, solve_linear)
-from .loads import (INCOMPATIBLE, WEAK, _canonical_axis, classify_compatibility,
-                    load_work)
+from .fem import DisplacementField, elastic_energy, linear_field
+from .loads import INCOMPATIBLE, WEAK, _canonical_axis, load_work
 
 # dead band for the negative-part trigger, relative to the integral mass.
 # Under weakly compatible loads int quadratic_gradient(I) : E(v_lin) is zero
 # up to CG noise: 1.4e-11 for the 128x128 tangential pattern of amplitude 2
 # at cg_tol 1e-10.  Taken as a negative part, that noise would give
-# |W0| = sqrt(2 * 1.4e-11 / 16) = 1.3e-6, above the 1e-6 tolerance the
-# report checks W0 against.
+# |W_star| = sqrt(2 * 1.4e-11 / 16) = 1.3e-6, above the 1e-6 tolerance the
+# report checks W0_norm against.
 _NEGATIVE_PART_SNAP = 1e-10
 
 
@@ -54,6 +52,7 @@ class IncompatibleLoadsError(RuntimeError):
 class LimitReport:
     """Limit and classical energies of one displacement field."""
 
+    field: DisplacementField
     F_value: float
     E_value: float
     gap: float
@@ -62,35 +61,33 @@ class LimitReport:
     gap_formula: float      # E - F (2D) in closed form from a_star_sq
 
 
-def inner_skew_minimum(mesh, density, strains):
-    """2D inner minimization over skew offsets, by exact quadrature.
+def inner_skew_minimum(mesh, density, field):
+    """2D inner minimization over skew offsets of the strain E(v), by exact quadrature.
 
-    Parameters
-    ----------
-    strains : (m, 2, 2) per-element symmetric strain values.
+    Reads the gradient columns a, b, c, d of ``mesh.G @ v``, so E(v) =
+    [[a, (b + c)/2], [(b + c)/2, d]] per element.
 
     Returns
     -------
     (W_star, offset_energy, a_star_sq) with offset_energy =
     int quadratic(E + (a*^2/2) I) dx and canonical a* >= 0.
     """
-    dq_eye = density.quadratic_gradient(np.eye(2))         # constant matrix
-    per_elem = np.einsum("ij,mij->m", dq_eye, strains)
+    a, b, c, d = (mesh.G @ field.values.reshape(-1)).reshape(-1, 4).T
+    q = density.quadratic_gradient(np.eye(2))[0, 0]      # quadratic_gradient(I) = q I
+    per_elem = q * a + q * d
     num = float(np.sum(mesh.areas * per_elem))
     den = mesh.area * density.quadratic(np.eye(2))
     snap = _NEGATIVE_PART_SNAP * (1.0 + float(np.sum(mesh.areas * np.abs(per_elem))))
     a2 = (-num / den) if num < -snap else 0.0
     shift = 0.5 * a2
-    energy = float(mesh.areas @ density.quadratic_sym2(
-        strains[:, 0, 0] + shift, strains[:, 0, 1], strains[:, 1, 1] + shift))
+    energy = float(mesh.areas @ density.quadratic_sym2(a + shift, 0.5 * (b + c), d + shift))
     return skew2(math.sqrt(a2)), energy, a2
 
 
-def inner_skew_minimum_3d(density, strain, volume=1.0):
+def inner_skew_minimum_3d(density, strain):
     """3D inner minimization for a constant strain (analysis path), in closed form.
 
-    With W = sqrt(r) [q]x and |q| = 1 the objective volume *
-    quadratic(E - W^2/2) equals, up to the factor volume,
+    With W = sqrt(r) [q]x and |q| = 1 the objective quadratic(E - W^2/2) is
 
         4 mu (|E|^2 + r (tr E - q'Eq) + r^2/2) + 2 lam (tr E + r)^2,
 
@@ -108,7 +105,7 @@ def inner_skew_minimum_3d(density, strain, volume=1.0):
     mu, lam = density.mu, density.lam
     r = max(0.0, -(mu * (tr - vals[-1]) + lam * tr) / (mu + lam))
     W_star = skew3(_canonical_axis(math.sqrt(r) * Q[:, -1]))
-    return W_star, volume * density.quadratic(E - 0.5 * skew_square(W_star))
+    return W_star, density.quadratic(E - 0.5 * skew_square(W_star))
 
 
 def limit_report(mesh, density, assembly, field):
@@ -119,12 +116,12 @@ def limit_report(mesh, density, assembly, field):
     (1/4) (int quadratic(I))^-1 [ (int quadratic_gradient(I):E)^- ]^2
     only for the right a*^2.
     """
-    strains = element_strains(mesh, field)
-    W_star, offset_energy, a2 = inner_skew_minimum(mesh, density, strains)
+    W_star, offset_energy, a2 = inner_skew_minimum(mesh, density, field)
     work = load_work(assembly, field)
     F_value = offset_energy - work
     E_value = elastic_energy(mesh, density, assembly, field)
     return LimitReport(
+        field=field,
         F_value=F_value,
         E_value=E_value,
         gap=E_value - F_value,
@@ -134,37 +131,24 @@ def limit_report(mesh, density, assembly, field):
     )
 
 
-@dataclass
-class LimitMinimum:
-    field: DisplacementField
-    W0: SkewParam
-    F_value: float
-    E_value: float
-
-
-def minimize_limit(mesh, density, assembly, classification=None, linear=None):
+def minimize_limit(mesh, density, assembly, classification, linear):
     """Minimize the limit energy: the minimizer is the linear-elastic one.
 
     Substituting v = w - (a^2/2) x turns the limit energy at the skew
     offset aJ into E(w) + (a^2/2) Tr S with S the load moment matrix, and
-    Tr S >= 0 for compatible loads.  So (v_lin, W0 = 0) is a minimizer:
+    Tr S >= 0 for compatible loads.  So (v_lin, W = 0) is a minimizer:
     the only one up to rigid motions for strict loads, one of the ray
-    v_lin - t x for weak loads.  ``linear`` is a LinearSolution already
-    computed for these loads; without it ``solve_linear`` runs once.
+    v_lin - t x for weak loads.  ``classification`` is that of
+    ``assembly`` and ``linear`` its LinearSolution; nothing is solved here.
 
-    F_value and W0 come from the inner minimization of ``limit_report`` on
-    the returned strains and E_value from the classical energy, so
+    Returns ``limit_report`` of ``linear.field``: F_value and W_star come
+    from the inner minimization and E_value from the classical energy, so
     |F_value - E_value| remains an independent check of the coincidence of
     minima.  Refuses incompatible loads (the infimum is -infinity).
     """
-    if classification is None:
-        classification = classify_compatibility(assembly)
     if classification.compat_class == INCOMPATIBLE:
         raise IncompatibleLoadsError(classification.witness, classification.witness_work)
-    if linear is None:
-        linear = solve_linear(mesh, density, assembly)
-    rep = limit_report(mesh, density, assembly, linear.field)
-    return LimitMinimum(linear.field, rep.W_star, rep.F_value, rep.E_value)
+    return limit_report(mesh, density, assembly, linear.field)
 
 
 @dataclass(frozen=True)
@@ -177,13 +161,14 @@ class ShiftRecord:
     kernel_work: float          # L(U^2 x), must vanish for a kernel direction
 
 
-def shifted_minimizer(mesh, density, assembly, v_star, direction, t,
-                      min_F, min_E, classification):
+def shifted_minimizer(mesh, density, assembly, limit, direction, t, classification):
     """Shift a minimizer along a kernel direction: v = v_star + t * U^2 x.
 
-    For the canonical 2D kernel direction (|U|^2 = 2, U^2 = -I) this is
-    exactly v_star - t * x.  ``classification`` is that of ``assembly``;
-    it must be weak, and L(U^2 x) must vanish within its tolerance.
+    ``limit`` is the LimitReport of the minimizer v_star, as
+    ``minimize_limit`` returns it.  For the canonical 2D kernel direction
+    (|U|^2 = 2, U^2 = -I) v is exactly v_star - t * x.  ``classification``
+    is that of ``assembly``; it must be weak, and L(U^2 x) must vanish
+    within its tolerance.
 
     Returns (field, ShiftRecord).
     """
@@ -201,12 +186,12 @@ def shifted_minimizer(mesh, density, assembly, v_star, direction, t,
             f"direction is not in the load kernel: L(U^2 x) = {kernel_work:.3e}"
         )
     shift = linear_field(mesh, t * U2)
-    field = DisplacementField(mesh, v_star.values + shift.values)
+    field = DisplacementField(mesh, limit.field.values + shift.values)
     rep = limit_report(mesh, density, assembly, field)
     record = ShiftRecord(
         t=float(t),
-        F_delta=rep.F_value - min_F,
-        E_delta=rep.E_value - min_E,
+        F_delta=rep.F_value - limit.F_value,
+        E_delta=rep.E_value - limit.E_value,
         kernel_work=kernel_work,
     )
     return field, record

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import (DisplacementField, _projected_pcg, element_gradients,
-                  element_strains, integral_mean, linear_field, operators)
+from .fem import (DisplacementField, _projected_pcg, integral_mean, linear_field,
+                  operators)
 from .limit import IncompatibleLoadsError
 from .loads import (INCOMPATIBLE, STRICT, MeshMismatchError, classify_compatibility,
                     load_work)
@@ -394,7 +394,8 @@ _PANEL_CONST = (
 def strain_moments(mesh, field):
     """Strain moments int E(v) : T_k dx for the fixed 9-tensor panel."""
     panel = np.stack([T.ravel() for T in _PANEL_CONST], axis=1)
-    base = element_strains(mesh, field).reshape(-1, 4) @ panel          # (m, 3)
+    # the panel tensors are symmetric, so E(v) : T = grad v : T
+    base = (mesh.G @ field.values.reshape(-1)).reshape(-1, 4) @ panel      # (m, 3)
     # int 1, int x1 and int x2 over each element
     weights = mesh.areas[:, None] * np.column_stack([np.ones(mesh.n_elements), mesh.centroids])
     return (base.T @ weights).reshape(-1)
@@ -402,8 +403,8 @@ def strain_moments(mesh, field):
 
 def mean_skew_gradient(mesh, field):
     """Area-averaged skew part of grad v, a 2x2 skew matrix."""
-    G = element_gradients(mesh, field.values)
-    Gm = np.einsum("m,mij->ij", mesh.areas, G) / mesh.area
+    cols = (mesh.G @ field.values.reshape(-1)).reshape(-1, 4)
+    Gm = (np.einsum("m,mk->k", mesh.areas, cols) / mesh.area).reshape(2, 2)
     return 0.5 * (Gm - Gm.T)
 
 
@@ -440,9 +441,10 @@ def h_sweep(mesh, density, assembly, classification, limit, h_list, grad_tol=1e-
     """Minimize Fh along a descending h list and compare with the limit.
 
     ``assembly`` holds the loads assembled on ``mesh``, ``classification``
-    their compatibility class and ``limit`` their LimitMinimum on the same
-    mesh.  Only strictly compatible loads are accepted; incompatible loads
-    have no limit minimizer, so ``limit`` is not looked at for them.  Each
+    their compatibility class and ``limit`` the LimitReport that
+    ``minimize_limit`` returns for them on the same mesh.  Only strictly
+    compatible loads are accepted; incompatible loads have no limit
+    minimizer, so ``limit`` is not looked at for them.  Each
     h is warm-started from the previous minimizer, the first from the limit
     minimizer (for strict loads it is the linear-elastic one), tracking the
     minimizing branch.  Raises MeshMismatchError when ``assembly`` or

@@ -73,12 +73,26 @@ class Scenario:
     shift_ts: tuple = ()
 
     def __post_init__(self):
-        # every route to a Scenario (config file, built-in, --tol override) passes here
-        for key in ("tol", "cg_tol", "grad_tol"):
-            value = getattr(self, key)
+        # every route to a Scenario (config file, built-in, --mesh-n and --tol
+        # overrides) passes here
+        positive = {("density", "mu"): self.mu, ("experiment", "tol"): self.tol,
+                    ("experiment", "cg_tol"): self.cg_tol,
+                    ("experiment", "grad_tol"): self.grad_tol}
+        if self.mesh_kind == "rect":
+            positive.update({("mesh", "nx"): self.nx, ("mesh", "ny"): self.ny})
+            for axis, (lo, hi) in (("x", self.x_range), ("y", self.y_range)):
+                if not -math.inf < lo < hi < math.inf:
+                    key = f"{axis}_max" if math.isfinite(lo) else f"{axis}_min"
+                    raise ConfigError(f"needs finite {axis}_min < {axis}_max, got {lo!r}, {hi!r}",
+                                      "mesh", key)
+        for (section, key), value in positive.items():
             if not 0.0 < value < math.inf:
-                raise ConfigError(f"must be finite and positive, got {value!r}",
-                                  "experiment", key)
+                raise ConfigError(f"must be finite and positive, got {value!r}", section, key)
+        nonnegative = {("density", "lambda"): self.lam,
+                       ("experiment", "refinements"): self.refinements}
+        for (section, key), value in nonnegative.items():
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"must be finite and nonnegative, got {value!r}", section, key)
         hs = self.h_list
         if not all(0.0 < h < math.inf for h in hs) or any(b >= a for a, b in zip(hs, hs[1:])):
             raise ConfigError(f"must be finite, positive and strictly decreasing, got {list(hs)}",
@@ -146,24 +160,16 @@ def _floats(raw, section, key):
         raise ConfigError(f"bad number list {raw!r} ({exc})", section, key) from None
 
 
-def _float(parser, section, key, default):
+def _number(parser, section, key, default):
+    """The option parsed as the type of ``default`` (int or float); ``default`` when absent."""
     if not parser.has_option(section, key):
         return default
     raw = parser.get(section, key)
     try:
-        return float(raw)
+        return type(default)(raw)
     except ValueError:
-        raise ConfigError(f"bad number {raw!r}", section, key) from None
-
-
-def _int(parser, section, key, default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"bad integer {raw!r}", section, key) from None
+        kind = "integer" if isinstance(default, int) else "number"
+        raise ConfigError(f"bad {kind} {raw!r}", section, key) from None
 
 
 def parse_scenario(text, name=None):
@@ -192,13 +198,13 @@ def parse_scenario(text, name=None):
     mesh_path = parser.get("mesh", "path", fallback="")
     if mesh_kind == "file" and not mesh_path:
         raise ConfigError("mesh kind 'file' needs a path", "mesh", "path")
-    nx = _int(parser, "mesh", "nx", 16)
-    ny = _int(parser, "mesh", "ny", 16)
-    x_range = (_float(parser, "mesh", "x_min", -0.5), _float(parser, "mesh", "x_max", 0.5))
-    y_range = (_float(parser, "mesh", "y_min", -0.5), _float(parser, "mesh", "y_max", 0.5))
+    nx = _number(parser, "mesh", "nx", 16)
+    ny = _number(parser, "mesh", "ny", 16)
+    x_range = (_number(parser, "mesh", "x_min", -0.5), _number(parser, "mesh", "x_max", 0.5))
+    y_range = (_number(parser, "mesh", "y_min", -0.5), _number(parser, "mesh", "y_max", 0.5))
 
-    mu = _float(parser, "density", "mu", 1.0)
-    lam = _float(parser, "density", "lambda", 1.0)
+    mu = _number(parser, "density", "mu", 1.0)
+    lam = _number(parser, "density", "lambda", 1.0)
 
     tractions = {}
     body = BodyForce()
@@ -236,11 +242,6 @@ def parse_scenario(text, name=None):
     h_list = _floats(parser.get("experiment", "h_list", fallback=""), "experiment", "h_list")
     shift_ts = _floats(parser.get("experiment", "shift_ts", fallback=""), "experiment", "shift_ts")
 
-    refinements = _int(parser, "experiment", "refinements", 0)
-    if refinements < 0:
-        raise ConfigError(f"must be nonnegative, got {refinements}", "experiment",
-                          "refinements")
-
     return Scenario(
         name=sc_name,
         mesh_kind=mesh_kind,
@@ -254,10 +255,10 @@ def parse_scenario(text, name=None):
         tractions=tractions,
         body=body,
         h_list=h_list,
-        refinements=refinements,
-        tol=_float(parser, "experiment", "tol", 1e-9),
-        cg_tol=_float(parser, "experiment", "cg_tol", 1e-10),
-        grad_tol=_float(parser, "experiment", "grad_tol", 1e-8),
+        refinements=_number(parser, "experiment", "refinements", 0),
+        tol=_number(parser, "experiment", "tol", 1e-9),
+        cg_tol=_number(parser, "experiment", "cg_tol", 1e-10),
+        grad_tol=_number(parser, "experiment", "grad_tol", 1e-8),
         shift_ts=shift_ts,
     )
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tractionlab import Density, LoadSpec, Mesh, assemble_loads, pressure, rect_mesh
+from tractionlab import (Density, LoadSpec, Mesh, assemble_loads, pressure, rect_mesh,
+                         solve_linear)
 from tractionlab.limit import minimize_limit
 from tractionlab.loads import (DEFAULT_TOL, INCOMPATIBLE, BodyForce, TractionRule,
                                classify_compatibility)
@@ -35,14 +36,16 @@ def zero_spec():
 def sweep_inputs(mesh, density, spec, tol=DEFAULT_TOL):
     """(assembly, classification, limit) of spec on mesh, as h_sweep takes them.
 
-    The loads are classified at tol; limit is None for incompatible loads,
-    which have no limit minimizer.
+    The loads are classified at tol; limit is the LimitReport of their
+    linear solution, None for incompatible loads, which have no limit
+    minimizer.
     """
     assembly = assemble_loads(mesh, spec)
     classification = classify_compatibility(assembly, tol)
     limit = None
     if classification.compat_class != INCOMPATIBLE:
-        limit = minimize_limit(mesh, density, assembly, classification=classification)
+        linear = solve_linear(mesh, density, assembly)
+        limit = minimize_limit(mesh, density, assembly, classification, linear)
     return assembly, classification, limit
 
 

@@ -40,7 +40,8 @@ def tension_ctx(density):
     assembly = assemble_loads(mesh, sc.load_spec())
     t0 = time.perf_counter()
     linear = solve_linear(mesh, density, assembly)
-    limit = minimize_limit(mesh, density, assembly)
+    limit = minimize_limit(mesh, density, assembly,
+                           classify_compatibility(assembly, sc.tol), linear)
     elapsed = time.perf_counter() - t0
     return {"scenario": sc, "mesh": mesh, "assembly": assembly,
             "linear": linear, "limit": limit, "seconds": elapsed}
@@ -61,23 +62,21 @@ def sweep_ctx(density):
 def infmany_ctx(density):
     sc = builtin_scenarios()["infmany"]
     mesh = sc.build_mesh()
-    assembly = assemble_loads(mesh, sc.load_spec())
-    limit = minimize_limit(mesh, density, assembly)
-    cls = classify_compatibility(assembly, sc.tol)
+    assembly, cls, limit = sweep_inputs(mesh, density, sc.load_spec(), sc.tol)
     return {"mesh": mesh, "assembly": assembly, "limit": limit,
             "classification": cls, "kernel": cls.kernel[0], "scenario": sc}
 
 
 def test_criterion_1_minimum_coincidence(tension_ctx):
-    # tension, 32x32: min F = min E = -16 with W0 = 0, within 5 s
+    # tension, 32x32: min F = min E = -16 with W_star = 0, within 5 s
     lim = tension_ctx["limit"]
     lin = tension_ctx["linear"]
     assert lin.energy == pytest.approx(-16.0, abs=1e-9)
-    assert np.sqrt(lim.W0.norm_sq()) <= 1e-6
+    assert np.sqrt(lim.W_star.norm_sq()) <= 1e-6
     assert abs(lim.F_value - lim.E_value) <= 1e-9 * (1.0 + abs(lim.E_value))
     assert lim.F_value == pytest.approx(-16.0, abs=1e-9)
     assert tension_ctx["seconds"] <= 5.0
-    ok(1, f"min F = {lim.F_value!r}, |W0| = {np.sqrt(lim.W0.norm_sq()):.1e}, "
+    ok(1, f"min F = {lim.F_value!r}, |W_star| = {np.sqrt(lim.W_star.norm_sq()):.1e}, "
           f"{tension_ctx['seconds']:.2f} s")
 
 
@@ -153,8 +152,7 @@ def test_criterion_6_extra_minimizers(infmany_ctx, density):
     for t in (0.5, 1.0, 2.0):
         _, rec = shifted_minimizer(
             infmany_ctx["mesh"], density, infmany_ctx["assembly"],
-            lim.field, infmany_ctx["kernel"], t, lim.F_value, lim.E_value,
-            infmany_ctx["classification"],
+            lim, infmany_ctx["kernel"], t, infmany_ctx["classification"],
         )
         assert rec.F_delta <= 1e-8 * (1.0 + abs(lim.F_value))
         assert rec.E_delta > 0.0

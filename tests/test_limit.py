@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
-from conftest import body_spec, infmany_spec, pressure_spec, zero_spec
+from conftest import body_spec, infmany_spec, pressure_spec, sweep_inputs, zero_spec
 import tractionlab.limit as limit_module
 from tractionlab.algebra import Density, skew2, skew_square
 from tractionlab.fem import (DisplacementField, elastic_energy, element_strains,
@@ -13,7 +13,7 @@ from tractionlab.fem import (DisplacementField, elastic_energy, element_strains,
 from tractionlab.limit import (IncompatibleLoadsError, inner_skew_minimum,
                                inner_skew_minimum_3d, limit_report,
                                minimize_limit, shifted_minimizer)
-from tractionlab.loads import assemble_loads, classify_compatibility
+from tractionlab.loads import assemble_loads, classify_compatibility, load_work
 from tractionlab.mesh import rect_mesh
 
 
@@ -39,28 +39,27 @@ def constant_strain_field(mesh, E):
 class TestInnerMinimum:
     def test_uniform_contraction_fully_relaxed(self, mesh, density):
         # int div v = -2 gives a*^2 = 2 and the offset strain vanishes
-        strains = element_strains(mesh, constant_strain_field(mesh, -np.eye(2)))
-        W, energy, a2 = inner_skew_minimum(mesh, density, strains)
+        W, energy, a2 = inner_skew_minimum(mesh, density,
+                                           constant_strain_field(mesh, -np.eye(2)))
         assert a2 == pytest.approx(2.0, rel=1e-13)
         assert energy == pytest.approx(0.0, abs=1e-12)
         assert W.coeffs[0] == pytest.approx(np.sqrt(2.0), rel=1e-13)
 
     def test_uniform_expansion_keeps_zero_skew(self, mesh, density):
-        strains = element_strains(mesh, constant_strain_field(mesh, np.eye(2)))
-        W, energy, a2 = inner_skew_minimum(mesh, density, strains)
+        W, energy, a2 = inner_skew_minimum(mesh, density, constant_strain_field(mesh, np.eye(2)))
         assert a2 == 0.0
         assert energy == pytest.approx(16.0, rel=1e-13)
 
     def test_zero_strain(self, mesh, density):
-        strains = element_strains(mesh, DisplacementField(mesh, np.zeros((mesh.n_nodes, 2))))
-        W, energy, a2 = inner_skew_minimum(mesh, density, strains)
+        zero = DisplacementField(mesh, np.zeros((mesh.n_nodes, 2)))
+        W, energy, a2 = inner_skew_minimum(mesh, density, zero)
         assert a2 == 0.0 and energy == 0.0
 
     def test_canonical_sign_nonnegative(self, mesh, density):
         rng = np.random.default_rng(51)
         for _ in range(20):
             f = DisplacementField(mesh, rng.standard_normal((mesh.n_nodes, 2)))
-            W, _, _ = inner_skew_minimum(mesh, density, element_strains(mesh, f))
+            W, _, _ = inner_skew_minimum(mesh, density, f)
             assert W.coeffs[0] >= 0.0
 
     def test_matches_scalar_scan_oracle(self, mesh, density):
@@ -69,7 +68,7 @@ class TestInnerMinimum:
         for _ in range(10):
             f = DisplacementField(mesh, rng.standard_normal((mesh.n_nodes, 2)))
             strains = element_strains(mesh, f)
-            _, energy, a2 = inner_skew_minimum(mesh, density, strains)
+            _, energy, a2 = inner_skew_minimum(mesh, density, f)
 
             def phi(a):
                 off = strains + 0.5 * a * a * np.eye(2)
@@ -129,7 +128,7 @@ class TestLimitReport:
         rng = np.random.default_rng(55)
         f = DisplacementField(mesh, rng.standard_normal((mesh.n_nodes, 2)))
         strains = element_strains(mesh, f)
-        W, energy, a2 = inner_skew_minimum(mesh, density, strains)
+        W, energy, a2 = inner_skew_minimum(mesh, density, f)
 
         def offset_energy(Wp):
             off = strains - 0.5 * skew_square(Wp)
@@ -155,29 +154,27 @@ class TestLimitReport:
 
 class TestMinimize:
     def test_tension_coincides_with_linear(self, mesh, density):
-        asm = assemble_loads(mesh, pressure_spec(16.0))
-        lim = minimize_limit(mesh, density, asm)
-        assert np.sqrt(lim.W0.norm_sq()) <= 1e-6
+        _, _, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
+        assert np.sqrt(lim.W_star.norm_sq()) <= 1e-6
         assert lim.F_value == pytest.approx(-16.0, abs=1e-9)
         assert abs(lim.F_value - lim.E_value) <= 1e-9 * (1.0 + abs(lim.E_value))
 
     def test_compression_refused_with_witness(self, mesh, density):
         asm = assemble_loads(mesh, pressure_spec(-1.0))
         with pytest.raises(IncompatibleLoadsError) as err:
-            minimize_limit(mesh, density, asm)
+            minimize_limit(mesh, density, asm, classify_compatibility(asm),
+                           solve_linear(mesh, density, asm))
         assert err.value.witness is not None
         assert err.value.witness_work == pytest.approx(1.0, rel=1e-12)
         assert "unbounded" in str(err.value) or "-infinity" in str(err.value)
 
     def test_infmany_equal_minima(self, mesh, density):
-        asm = assemble_loads(mesh, infmany_spec())
-        lim = minimize_limit(mesh, density, asm)
+        _, _, lim = sweep_inputs(mesh, density, infmany_spec())
         assert abs(lim.F_value - lim.E_value) <= 1e-9 * (1.0 + abs(lim.E_value))
-        assert np.sqrt(lim.W0.norm_sq()) <= 1e-6
+        assert np.sqrt(lim.W_star.norm_sq()) <= 1e-6
 
     def test_argmin_coincidence_strict(self, mesh, density):
-        asm = assemble_loads(mesh, pressure_spec(16.0))
-        lim = minimize_limit(mesh, density, asm)
+        asm, _, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
         lin = solve_linear(mesh, density, asm)
         M = mass_matrix(mesh)
         diff = (lim.field.values - lin.field.values).reshape(-1)
@@ -188,48 +185,38 @@ class TestMinimize:
 
 
 class TestOneSolve:
-    """The limit minimizer is the linear solution: one solve, or none if given."""
-
-    @pytest.fixture
-    def solve_calls(self, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(kwargs)
-            return solve_linear(*args, **kwargs)
-
-        monkeypatch.setattr(limit_module, "solve_linear", counting)
-        return calls
+    """The limit minimizer is the given linear solution; the limit layer solves nothing."""
 
     @pytest.mark.parametrize("spec", [pressure_spec(16.0), infmany_spec(),
                                       body_spec((1.3, 0.3, 0.3, 0.7))],
                              ids=["tension", "infmany", "anisotropic_body"])
-    def test_one_solve_returns_linear_field(self, mesh, density, spec, solve_calls):
+    def test_one_solve_returns_linear_field(self, mesh, density, spec):
         asm = assemble_loads(mesh, spec)
-        lim = minimize_limit(mesh, density, asm)
-        assert len(solve_calls) == 1
         lin = solve_linear(mesh, density, asm)
-        assert np.array_equal(lim.field.values, lin.field.values)
-        assert np.sqrt(lim.W0.norm_sq()) <= 1e-6
+        lim = minimize_limit(mesh, density, asm, classify_compatibility(asm), lin)
+        assert lim.field is lin.field
+        assert lim == limit_report(mesh, density, asm, lin.field)
+        assert np.sqrt(lim.W_star.norm_sq()) <= 1e-6
         assert abs(lim.F_value - lim.E_value) <= 1e-9 * (1.0 + abs(lim.E_value))
 
-    def test_given_linear_solution_is_reused(self, mesh, density, solve_calls):
+    def test_given_linear_solution_is_reused(self, mesh, density):
         asm = assemble_loads(mesh, infmany_spec())
         lin = solve_linear(mesh, density, asm)
-        lim = minimize_limit(mesh, density, asm, linear=lin)
-        assert solve_calls == []
+        lim = minimize_limit(mesh, density, asm, classify_compatibility(asm), lin)
         assert lim.field is lin.field
         # F comes from the inner minimization, E from the classical energy
-        rep = limit_report(mesh, density, asm, lin.field)
-        assert lim.F_value == rep.F_value
+        _, offset_energy, _ = inner_skew_minimum(mesh, density, lin.field)
+        assert lim.F_value == offset_energy - load_work(asm, lin.field)
         assert lim.E_value == elastic_energy(mesh, density, asm, lin.field)
+        # the module has no solver or classifier to fall back on
+        for name in ("solve_linear", "classify_compatibility", "element_strains",
+                     "element_gradients"):
+            assert not hasattr(limit_module, name)
 
 
 @pytest.fixture(scope="module")
 def setup(mesh, density):
-    asm = assemble_loads(mesh, infmany_spec())
-    lim = minimize_limit(mesh, density, asm)
-    cls = classify_compatibility(asm)
+    asm, cls, lim = sweep_inputs(mesh, density, infmany_spec())
     return mesh, density, asm, lim, cls
 
 
@@ -238,8 +225,7 @@ class TestShiftedMinimizers:
     def test_zero_shift_is_identity(self, setup):
         mesh, density, asm, lim, cls = setup
         U = cls.kernel[0]
-        field, rec = shifted_minimizer(mesh, density, asm, lim.field, U, 0.0,
-                                       lim.F_value, lim.E_value, cls)
+        field, rec = shifted_minimizer(mesh, density, asm, lim, U, 0.0, cls)
         assert np.array_equal(field.values, lim.field.values)
         assert abs(rec.F_delta) <= 1e-10
         assert abs(rec.E_delta) <= 1e-10
@@ -248,8 +234,7 @@ class TestShiftedMinimizers:
     def test_shifts_stay_minimal_for_limit_energy(self, setup, t):
         mesh, density, asm, lim, cls = setup
         U = cls.kernel[0]
-        field, rec = shifted_minimizer(mesh, density, asm, lim.field, U, t,
-                                       lim.F_value, lim.E_value, cls)
+        field, rec = shifted_minimizer(mesh, density, asm, lim, U, t, cls)
         assert rec.F_delta <= 1e-8 * (1.0 + abs(lim.F_value))
         assert rec.E_delta > 0.0
         # the shift field is exactly -t x in 2D
@@ -258,28 +243,22 @@ class TestShiftedMinimizers:
     def test_classical_energy_grows_quadratically(self, setup):
         mesh, density, asm, lim, cls = setup
         U = cls.kernel[0]
-        _, rec1 = shifted_minimizer(mesh, density, asm, lim.field, U, 1.0,
-                                    lim.F_value, lim.E_value, cls)
-        _, rec2 = shifted_minimizer(mesh, density, asm, lim.field, U, 2.0,
-                                    lim.F_value, lim.E_value, cls)
+        _, rec1 = shifted_minimizer(mesh, density, asm, lim, U, 1.0, cls)
+        _, rec2 = shifted_minimizer(mesh, density, asm, lim, U, 2.0, cls)
         # E(v* - t x) - min E = 16 t^2 on the unit square
         assert rec1.E_delta == pytest.approx(16.0, rel=1e-9)
         assert rec2.E_delta == pytest.approx(64.0, rel=1e-9)
 
     def test_strict_load_refused(self, mesh, density):
-        asm = assemble_loads(mesh, pressure_spec(16.0))
-        lim = minimize_limit(mesh, density, asm)
-        cls = classify_compatibility(asm)
+        asm, cls, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
         with pytest.raises(ValueError, match="weak"):
-            shifted_minimizer(mesh, density, asm, lim.field, skew2(1.0), 1.0,
-                              lim.F_value, lim.E_value, cls)
+            shifted_minimizer(mesh, density, asm, lim, skew2(1.0), 1.0, cls)
 
     def test_negative_t_rejected(self, setup):
         mesh, density, asm, lim, cls = setup
         U = cls.kernel[0]
         with pytest.raises(ValueError):
-            shifted_minimizer(mesh, density, asm, lim.field, U, -0.5,
-                              lim.F_value, lim.E_value, cls)
+            shifted_minimizer(mesh, density, asm, lim, U, -0.5, cls)
 
 
 class TestInner3D:

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import (admissible_field, body_spec, infmany_spec, pressure_spec,
-                      sweep_inputs, zero_spec)
+from conftest import (admissible_field, body_spec, infmany_spec, jittered_mesh,
+                      pressure_spec, sweep_inputs, zero_spec)
 from tractionlab import nonlinear
 from tractionlab.algebra import Density, J2, rodrigues, skew2
-from tractionlab.fem import (DisplacementField, elastic_energy, linear_field,
-                             rigid_basis, solve_linear)
-from tractionlab.limit import IncompatibleLoadsError, minimize_limit
+from tractionlab.fem import (DisplacementField, elastic_energy, element_gradients,
+                             element_strains, linear_field, rigid_basis, solve_linear)
+from tractionlab.limit import IncompatibleLoadsError
 from tractionlab.loads import (LoadSpec, MeshMismatchError, TractionRule,
                                assemble_loads, classify_compatibility)
 from tractionlab.mesh import rect_mesh, refine
@@ -222,7 +222,7 @@ class TestSweep:
         assert np.isfinite(sw.energy_floor)
         assert all(r.Fh >= sw.energy_floor - 1e-12 for r in sw.records)
         assert lim.F_value == pytest.approx(-16.0, abs=1e-9)
-        assert lim.W0.norm_sq() <= 1e-12
+        assert lim.W_star.norm_sq() <= 1e-12
 
     def test_upper_bound_by_oracle(self, mesh, density):
         sw = sweep(mesh, density, pressure_spec(16.0), (0.2, 0.1))
@@ -323,9 +323,9 @@ class TestPreconditionedSolver:
     @pytest.mark.parametrize("spec", [pressure_spec(16.0), body_spec((1.0, 0.0, 0.0, 1.0))],
                              ids=["tension", "bodyforce"])
     def test_sweep_warm_start_is_linear_minimizer(self, mesh, density, spec):
-        asm = assemble_loads(mesh, spec)
+        asm, _, lim = sweep_inputs(mesh, density, spec)
         linear = solve_linear(mesh, density, asm).field.values
-        warm = minimize_limit(mesh, density, asm).field.values
+        warm = lim.field.values
         assert np.max(np.abs(warm - linear)) <= 1e-12 * (1.0 + np.max(np.abs(linear)))
 
     def test_anisotropic_body_force(self, density):
@@ -362,3 +362,21 @@ class TestMoments:
         v = linear_field(mesh, 0.3 * J2)
         skew = mean_skew_gradient(mesh, v)
         assert np.allclose(skew, 0.3 * J2, atol=1e-13)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_fields_match_element_references(self, seed):
+        # references built from the (m, 2, 2) strain and gradient blocks
+        rng = np.random.default_rng(seed)
+        mesh = jittered_mesh(*rng.integers(1, 8, 2), rng)
+        field = DisplacementField(mesh, rng.standard_normal((mesh.n_nodes, 2)))
+        E = element_strains(mesh, field)
+        x1, x2 = mesh.centroids.T
+        panel = (np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        ref = np.array([np.sum(mesh.areas * w * np.einsum("mij,ij->m", E, T))
+                        for T in panel for w in (1.0, x1, x2)])
+        moments = strain_moments(mesh, field)
+        assert np.max(np.abs(moments - ref)) <= 1e-13 * np.max(np.abs(ref))
+        G = np.sum(mesh.areas[:, None, None] * element_gradients(mesh, field.values), axis=0)
+        ref_skew = 0.5 * (G - G.T) / mesh.area
+        skew = mean_skew_gradient(mesh, field)
+        assert np.max(np.abs(skew - ref_skew)) <= 1e-13 * np.max(np.abs(ref_skew))

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,6 @@ import pytest
 import tractionlab
 import tractionlab.cli
 import tractionlab.fem
-import tractionlab.limit
 from tractionlab.cli import main
 from tractionlab.fem import assemble_stiffness, solve_linear
 from tractionlab.loads import BodyForce
@@ -146,6 +146,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match=rf"^\[experiment\] {key}: must be finite"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("section, key, raw", [
+        ("mesh", "nx", "0"), ("mesh", "ny", "-2"), ("mesh", "x_max", "inf"),
+        ("mesh", "x_max", "-0.5"), ("mesh", "x_min", "nan"), ("mesh", "y_min", "-inf"),
+        ("mesh", "y_max", "-1"), ("density", "mu", "-1"), ("density", "mu", "0"),
+        ("density", "mu", "inf"), ("density", "lambda", "-1"), ("density", "lambda", "nan"),
+    ])
+    def test_bad_mesh_and_density(self, section, key, raw):
+        text = re.sub(rf"^{key} = .*\n", "", SMALL_TENSION, flags=re.M)
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {raw}\n", 1)
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: (must be|needs) finite"):
+            parse_scenario(text)
+
     def test_good_h_list_and_shift_ts(self):
         text = SMALL_TENSION.replace("h_list = 0.2 0.1", "h_list = 0.3 0.2\nshift_ts = 0 2.5")
         sc = parse_scenario(text)
@@ -234,11 +246,14 @@ class TestCli:
         assert main(["sweep", str(sc_file), "--out", str(out)]) == 0
         header, *rows = csv.reader((out / "sweep.csv").read_text().splitlines())
         assert header == [f.name for f in dataclasses.fields(SweepRecord)]
-        report_rows = json.loads((out / "report.json").read_text())["nonlinear"]["sweep"]
+        nonlinear = json.loads((out / "report.json").read_text())["nonlinear"]
+        report_rows = nonlinear["sweep"]
         assert len(rows) == len(report_rows) == 2
         for row, rep in zip(rows, report_rows):
             rep["W_proxy"] = rep["W_proxy"]["value"]
             assert row == [str(rep[name]) for name in header]
+        # the limit minimizer is stated once, in the limit block
+        assert set(nonlinear) == {"sweep", "energy_floor"}
 
     @pytest.mark.parametrize("command, stages", [
         ("analyze", {"analyze": "ok"}),
@@ -363,6 +378,16 @@ class TestCli:
         assert "config error: [experiment] h_list" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_mesh_values_write_nothing(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", "tension", "--mesh-n", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: [mesh] nx: ")
+        sc_file = tmp_path / "sc.ini"
+        sc_file.write_text(SMALL_TENSION.replace("ny = 6\n", "ny = 6\nx_max = inf\n"))
+        assert main(["run", str(sc_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: [mesh] x_max: ")
+        assert not out.exists()
+
     def test_bad_config_exit_1(self, tmp_path, capsys):
         assert main(["run", "definitely-missing", "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
@@ -418,7 +443,6 @@ class TestSolveCount:
             return solve_linear(mesh, *args, **kwargs)
 
         monkeypatch.setattr(tractionlab.cli, "solve_linear", counting)
-        monkeypatch.setattr(tractionlab.limit, "solve_linear", counting)
         return sizes
 
     def test_run_tension_solves_once(self, tmp_path, solved_sizes):
