@@ -324,15 +324,17 @@ class LinearSolution:
     residual: float
 
 
-def _projected_pcg(K, b, Zeu, tol, precondition):
+def _projected_pcg(K, b, Zeu, tol, precondition, ref=None):
     """Preconditioned CG for K x = b on the complement of span(Zeu).
 
     ``b`` must be Euclidean-orthogonal to the columns of ``Zeu``; the
     residual is re-projected every iteration, and so is the output of
     ``precondition`` (symmetric and positive definite on the complement).
     Stops when the Jacobi-norm residual sqrt(r' D^-1 r) relative to that
-    of ``b`` is at most ``tol``.  Returns ``(x, iterations, relative
-    residual)``; ``x`` is not projected.
+    of ``ref`` (default ``b``; ``b`` again when ``ref`` is zero) is at
+    most ``tol``, so a ``b`` already below ``tol`` of ``ref`` costs no
+    iteration.  Returns ``(x, iterations, relative residual)``; ``x`` is
+    not projected.
 
     Raises NoConvergenceError after 20 * len(b) iterations.
     """
@@ -342,6 +344,8 @@ def _projected_pcg(K, b, Zeu, tol, precondition):
     denom = np.sqrt(b @ (inv_diag * b))
     if denom == 0.0:
         return x, 0, 0.0
+    if ref is not None:
+        denom = np.sqrt(ref @ (inv_diag * ref)) or denom
 
     def project(z):
         return z - Zeu @ (Zeu.T @ z)

@@ -319,6 +319,8 @@ def load_scenario(source, mesh_n=None, tol=None):
             ) from None
         sc = parse_scenario(text)
     if mesh_n is not None:
+        if sc.mesh_kind != "rect":
+            raise ConfigError("--mesh-n applies only to rect meshes", "mesh", "kind")
         sc = replace(sc, nx=int(mesh_n), ny=int(mesh_n))
     if tol is not None:
         sc = replace(sc, tol=float(tol))

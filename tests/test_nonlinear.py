@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (admissible_field, body_spec, infmany_spec, jittered_mesh,
                       pressure_spec, sweep_inputs, zero_spec)
@@ -9,14 +11,14 @@ from tractionlab.fem import (DisplacementField, elastic_energy, element_gradient
                              element_strains, linear_field, rigid_basis, solve_linear)
 from tractionlab.limit import IncompatibleLoadsError
 from tractionlab.loads import (LoadSpec, MeshMismatchError, TractionRule,
-                               assemble_loads, classify_compatibility)
+                               assemble_loads, classify_compatibility, pressure)
 from tractionlab.mesh import rect_mesh, refine
 from tractionlab.nonlinear import (_H0_CG_TOL, CONVERGED, DIVERGED,
                                    InadmissibleStateError, SweepRefusedError,
-                                   _stiffness_h0, eval_rescaled, h_sweep,
+                                   _StiffnessH0, eval_rescaled, h_sweep,
                                    mean_skew_gradient, minimize_rescaled,
                                    rescaled_gradient, strain_moments)
-from tractionlab.scenarios import Scenario
+from tractionlab.scenarios import DEFAULT_H_LIST, Scenario
 
 W_UNIT = skew2(1.0)
 
@@ -285,6 +287,21 @@ class TestSweep:
         sw = h_sweep(mesh, density, asm, strict, lim, (0.1,))
         assert [r.status for r in sw.records] == [CONVERGED]
 
+    def test_loads_classified_once(self, mesh, density, monkeypatch):
+        # h_sweep hands its classification to every point; a bare call classifies
+        asm, cls, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return classify_compatibility(*args, **kw)
+        monkeypatch.setattr(nonlinear, "classify_compatibility", counted)
+        sw = h_sweep(mesh, density, asm, cls, lim, (0.2, 0.1))
+        assert [r.status for r in sw.records] == [CONVERGED] * 2
+        assert calls == []
+        minimize_rescaled(mesh, density, asm, 0.2, init=lim.field)
+        assert len(calls) == 1
+
     def test_inputs_on_another_mesh_rejected(self, mesh, density):
         spec = pressure_spec(16.0)
         asm, cls, lim = sweep_inputs(mesh, density, spec)
@@ -297,7 +314,7 @@ class TestSweep:
 
 class TestPreconditionedSolver:
     def test_h0_symmetric_positive_definite(self, mesh, density):
-        h0 = _stiffness_h0(mesh, density)
+        h0 = _StiffnessH0(mesh, density)
         rng = np.random.default_rng(64)
         U = rng.standard_normal((6, 2 * mesh.n_nodes))
         for gamma in (1.0, 1e-3):
@@ -309,10 +326,48 @@ class TestPreconditionedSolver:
             assert np.max(np.abs(G - G.T) / scale) <= 10.0 * _H0_CG_TOL
 
     def test_h0_scales_rigid_span_by_gamma(self, mesh, density):
-        h0 = _stiffness_h0(mesh, density)
+        h0 = _StiffnessH0(mesh, density)
         Z = rigid_basis(mesh).euclid
         for k in range(3):
             assert np.allclose(h0(Z[:, k], 0.25), 0.25 * Z[:, k], atol=1e-14)
+
+    def test_h0_residual_relative_to_projected_gradient(self, density, monkeypatch):
+        # each K^+ application stops at 1e-8 of the Jacobi norm of P g, so
+        # once the first loop has shrunk the two-loop vector the solve is short
+        mesh = rect_mesh(16, 16)
+        asm, cls, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
+        Zeu = rigid_basis(mesh).euclid
+        two_loop, pcg, minimize = (nonlinear._two_loop, nonlinear._projected_pcg,
+                                   nonlinear.minimize_rescaled)
+        points, grads = [], []
+
+        def new_point(*args, **kw):
+            points.append([])
+            return minimize(*args, **kw)
+
+        def record_gradient(grad, *args):
+            grads.append(grad)
+            return two_loop(grad, *args)
+
+        def record_solve(K, b, *args):
+            x, it, rel = pcg(K, b, *args)
+            inv_diag = 1.0 / K.diagonal()
+            r = b - K @ x
+            r -= Zeu @ (Zeu.T @ r)
+            pg = grads[-1] - Zeu @ (Zeu.T @ grads[-1])
+            points[-1].append((it, np.sqrt(r @ (inv_diag * r) / (pg @ (inv_diag * pg)))))
+            return x, it, rel
+        monkeypatch.setattr(nonlinear, "minimize_rescaled", new_point)
+        monkeypatch.setattr(nonlinear, "_two_loop", record_gradient)
+        monkeypatch.setattr(nonlinear, "_projected_pcg", record_solve)
+        sw = h_sweep(mesh, density, asm, cls, lim, (0.2, 0.1, 0.05, 0.025))
+        assert [r.status for r in sw.records] == [CONVERGED] * 4
+        assert [len(p) for p in points] == [r.iters for r in sw.records]
+        assert [sum(it for it, _ in p) for p in points] == [r.cg_iters for r in sw.records]
+        for p in points:
+            assert all(res <= _H0_CG_TOL for _, res in p)
+            first, *later = [it for it, _ in p]
+            assert later and max(later) < first
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_sweep_iterations_mesh_independent(self, density, n):
@@ -380,3 +435,52 @@ class TestMoments:
         ref_skew = 0.5 * (G - G.T) / mesh.area
         skew = mean_skew_gradient(mesh, field)
         assert np.max(np.abs(skew - ref_skew)) <= 1e-13 * np.max(np.abs(ref_skew))
+
+
+def two_side_pressures(p_x, p_y):
+    """Pressure p_x on the left and right sides, p_y on the top and bottom."""
+    return LoadSpec({"left": pressure(p_x), "right": pressure(p_x),
+                     "top": pressure(p_y), "bottom": pressure(p_y)})
+
+
+def spd_body_spec(theta, e1, e2):
+    """Body force g = A x with A = R_theta diag(e1, e2) R_theta'."""
+    c, s = np.cos(theta), np.sin(theta)
+    R = np.array([[c, -s], [s, c]])
+    return body_spec(tuple((R @ np.diag([e1, e2]) @ R.T).ravel()))
+
+
+_MAGNITUDES = st.floats(1.0, 30.0)
+_STRICT_LOADS = st.one_of(
+    st.builds(pressure_spec, _MAGNITUDES),
+    st.builds(spd_body_spec, st.floats(0.0, np.pi), _MAGNITUDES, _MAGNITUDES),
+    st.builds(two_side_pressures, _MAGNITUDES, _MAGNITUDES),
+)
+
+
+class TestFlatEnergy:
+    """Trial steps on energy that is flat to round-off are judged by their slope."""
+
+    @pytest.mark.parametrize("n, lam, p, h", [(8, 1.0, 28.0, 0.8), (16, 5.0, 24.0, 0.8),
+                                              (32, 1.0, 16.0, 1.0)])
+    def test_converges_from_linear_minimizer(self, n, lam, p, h):
+        # the last steps change Fh by less than its round-off, so Armijo alone
+        # can reject every trial and end the run at iter_limit
+        mesh = rect_mesh(n, n)
+        density = Density(1.0, lam)
+        asm = assemble_loads(mesh, pressure_spec(p))
+        res = minimize_rescaled(mesh, density, asm, h, init=solve_linear(mesh, density, asm).field)
+        assert res.status == CONVERGED
+        g = rescaled_gradient(mesh, density, asm, res.field, h)
+        assert np.linalg.norm(g) <= 1e-8 * (1.0 + abs(res.value))
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(8, 16), jitter=st.booleans(), lam=st.sampled_from([0.0, 1.0, 5.0]),
+           spec=_STRICT_LOADS, seed=st.integers(0, 2**32 - 1))
+    def test_random_strict_sweeps_converge(self, n, jitter, lam, spec, seed):
+        mesh = jittered_mesh(n, n, np.random.default_rng(seed)) if jitter else rect_mesh(n, n)
+        density = Density(1.0, lam)
+        asm, cls, lim = sweep_inputs(mesh, density, spec)
+        assert cls.compat_class == "strict"
+        sw = h_sweep(mesh, density, asm, cls, lim, DEFAULT_H_LIST)
+        assert [r.status for r in sw.records] == [CONVERGED] * len(DEFAULT_H_LIST)

@@ -233,7 +233,7 @@ class TestCli:
         assert rep["linear"]["min_E"]["value"] == pytest.approx(-16.0, abs=1e-9)
         assert rep["limit"]["min_F"]["value"] == pytest.approx(-16.0, abs=1e-9)
         csv_text = (out / "sweep.csv").read_text()
-        assert csv_text.splitlines()[0] == "h,Fh,W_proxy,moment_dist,iters,status"
+        assert csv_text.splitlines()[0] == "h,Fh,W_proxy,moment_dist,iters,cg_iters,status"
         assert len(csv_text.splitlines()) == 3
         # solution dump parses back as mesh + nodal values
         mesh, sol = read_mesh((out / "solution_linear.txt").read_text())
@@ -406,6 +406,17 @@ class TestCli:
         assert main(["analyze", str(sc_file), "--out", str(out)]) == 0
         data = json.loads((out / "classification.json").read_text())
         assert data["class"] == "strict"
+
+    def test_mesh_n_on_file_mesh_is_config_error(self, tmp_path, capsys):
+        mesh_file = tmp_path / "grid.mesh"
+        mesh_file.write_text(write_mesh(rect_mesh(4, 4)))
+        sc_file = tmp_path / "sc.ini"
+        sc_file.write_text(SMALL_TENSION.replace(
+            "kind = rect\nnx = 6\nny = 6", f"kind = file\npath = {mesh_file}"))
+        out = tmp_path / "o"
+        assert main(["analyze", str(sc_file), "--mesh-n", "64", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: [mesh] kind: --mesh-n ")
+        assert not out.exists()
 
     def test_determinism_byte_identical(self, tmp_path):
         sc_file = tmp_path / "sc.ini"
