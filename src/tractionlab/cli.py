@@ -39,11 +39,11 @@ class _Run:
         self.scenario = scenario
         self.h_list = h_list
         self.out = Path(out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
         self.density = Density(scenario.mu, scenario.lam)
         self.mesh = scenario.build_mesh()
         self.assembly = assemble_loads(self.mesh, scenario.load_spec())
         self.classification = classify_compatibility(self.assembly, scenario.tol)
+        self.out.mkdir(parents=True, exist_ok=True)
         self.stages = {}
         self.report = {
             "scenario": {"name": scenario.name, "config": scenario.effective_config()},

@@ -53,6 +53,8 @@ class TractionRule:
             raise ValueError("constant traction needs a 2-vector")
         if self.kind in ("pressure", "tangential") and len(self.value) != 1:
             raise ValueError(f"{self.kind} traction needs a scalar")
+        if not np.isfinite(self.value).all():
+            raise ValueError(f"{self.kind} traction must be finite, got {list(self.value)}")
 
     def evaluate(self, normal):
         """Traction for one outward normal (2,) or a stack of them (k, 2)."""
@@ -92,6 +94,8 @@ class BodyForce:
             raise ValueError("constant body force needs a 2-vector")
         if self.kind == "linear" and len(flat) != 4:
             raise ValueError("linear body force needs a 2x2 matrix")
+        if not np.isfinite(flat).all():
+            raise ValueError(f"{self.kind} body force must be finite, got {list(flat)}")
 
     def evaluate(self, points):
         """Body force values at an array of points, same leading shape."""

@@ -1,7 +1,10 @@
 """Scenario configuration: parsing, defaults, and the built-in library.
 
 Configs are INI-style text with sections [scenario], [mesh], [density],
-[loads.<tag>], [loads.body] and [experiment].  Every effective parameter
+[loads.<tag>], [loads.body] and [experiment].  The tables ``_FIELDS`` (scalar
+and list keys) and ``_BODY_KEYS`` (the body force) are the schema: parsing,
+the key check, the error locations and the echo all read them, and every
+default is a ``Scenario`` field default.  Every effective parameter
 (defaults included) is echoed back by ``effective_config`` so a run is
 reproducible from its own report.
 
@@ -16,7 +19,6 @@ Built-in scenarios, one per landmark load case:
 
 import configparser
 import hashlib
-import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -39,15 +41,43 @@ class ConfigError(ValueError):
 
 DEFAULT_H_LIST = (0.2, 0.1, 0.05, 0.025)
 
-# the keys each config section accepts; every [loads.<tag>] but body is a traction
-_KEYS = {
-    "scenario": {"name"},
-    "mesh": {"kind", "path", "nx", "ny", "x_min", "x_max", "y_min", "y_max"},
-    "density": {"mu", "lambda"},
-    "loads.body": {"kind", "value", "matrix"},
-    "experiment": {"h_list", "refinements", "tol", "cg_tol", "grad_tol", "shift_ts"},
+# Scenario field -> (section, key), in echo order; a range field has a
+# (min, max) key pair.  The [loads.*] sections are echoed before [experiment].
+_FIELDS = {
+    "name": ("scenario", "name"),
+    "mesh_kind": ("mesh", "kind"),
+    "nx": ("mesh", "nx"),
+    "ny": ("mesh", "ny"),
+    "x_range": ("mesh", "x_min", "x_max"),
+    "y_range": ("mesh", "y_min", "y_max"),
+    "mesh_path": ("mesh", "path"),
+    "mu": ("density", "mu"),
+    "lam": ("density", "lambda"),
+    "h_list": ("experiment", "h_list"),
+    "refinements": ("experiment", "refinements"),
+    "tol": ("experiment", "tol"),
+    "cg_tol": ("experiment", "cg_tol"),
+    "grad_tol": ("experiment", "grad_tol"),
+    "shift_ts": ("experiment", "shift_ts"),
 }
+# fields that only one mesh kind reads, and so only its echo restates
+_MESH_KIND_OF = {"nx": "rect", "ny": "rect", "x_range": "rect", "y_range": "rect",
+                 "mesh_path": "file"}
+# the body force's section and kind key, and kind -> the one value key it reads
+_BODY = ("loads.body", "kind")
+_BODY_KEYS = {"zero": None, "constant": "value", "linear": "matrix"}
+# every [loads.<tag>] but body is a traction with exactly one of these keys
 _TRACTION_KEYS = {"constant", "pressure", "tangential"}
+
+# the keys each config section accepts
+_KEYS = {_BODY[0]: {_BODY[1], *filter(None, _BODY_KEYS.values())}}
+for _section, *_keys in _FIELDS.values():
+    _KEYS.setdefault(_section, set()).update(_keys)
+
+
+def _split(keys, value):
+    """A field's value as (key, value) pairs: a range spans its key pair."""
+    return zip(keys, value if len(keys) > 1 else (value,))
 
 
 @dataclass(frozen=True)
@@ -75,31 +105,35 @@ class Scenario:
     def __post_init__(self):
         # every route to a Scenario (config file, built-in, --mesh-n and --tol
         # overrides) passes here
-        positive = {("density", "mu"): self.mu, ("experiment", "tol"): self.tol,
-                    ("experiment", "cg_tol"): self.cg_tol,
-                    ("experiment", "grad_tol"): self.grad_tol}
-        if self.mesh_kind == "rect":
-            positive.update({("mesh", "nx"): self.nx, ("mesh", "ny"): self.ny})
-            for axis, (lo, hi) in (("x", self.x_range), ("y", self.y_range)):
-                if not -math.inf < lo < hi < math.inf:
-                    key = f"{axis}_max" if math.isfinite(lo) else f"{axis}_min"
-                    raise ConfigError(f"needs finite {axis}_min < {axis}_max, got {lo!r}, {hi!r}",
-                                      "mesh", key)
-        for (section, key), value in positive.items():
-            if not 0.0 < value < math.inf:
-                raise ConfigError(f"must be finite and positive, got {value!r}", section, key)
-        nonnegative = {("density", "lambda"): self.lam,
-                       ("experiment", "refinements"): self.refinements}
-        for (section, key), value in nonnegative.items():
-            if not 0.0 <= value < math.inf:
-                raise ConfigError(f"must be finite and nonnegative, got {value!r}", section, key)
+        if self.mesh_kind not in ("rect", "file"):
+            raise ConfigError(f"unknown mesh kind {self.mesh_kind!r}", *_FIELDS["mesh_kind"])
+        if self.mesh_kind == "file" and not self.mesh_path:
+            raise ConfigError("mesh kind 'file' needs a path", *_FIELDS["mesh_path"])
+        for fld in filter(self._reads, ("x_range", "y_range")):
+            section, key_min, key_max = _FIELDS[fld]
+            lo, hi = getattr(self, fld)
+            if not -math.inf < lo < hi < math.inf:
+                raise ConfigError(f"needs finite {key_min} < {key_max}, got {lo!r}, {hi!r}",
+                                  section, key_max if math.isfinite(lo) else key_min)
+        for fld in filter(self._reads, ("mu", "tol", "cg_tol", "grad_tol", "nx", "ny")):
+            if not 0.0 < getattr(self, fld) < math.inf:
+                raise ConfigError(f"must be finite and positive, got {getattr(self, fld)!r}",
+                                  *_FIELDS[fld])
+        for fld in ("lam", "refinements"):
+            if not 0.0 <= getattr(self, fld) < math.inf:
+                raise ConfigError(f"must be finite and nonnegative, got {getattr(self, fld)!r}",
+                                  *_FIELDS[fld])
         hs = self.h_list
         if not all(0.0 < h < math.inf for h in hs) or any(b >= a for a, b in zip(hs, hs[1:])):
             raise ConfigError(f"must be finite, positive and strictly decreasing, got {list(hs)}",
-                              "experiment", "h_list")
+                              *_FIELDS["h_list"])
         if not all(0.0 <= t < math.inf for t in self.shift_ts):
             raise ConfigError(f"must be finite and nonnegative, got {list(self.shift_ts)}",
-                              "experiment", "shift_ts")
+                              *_FIELDS["shift_ts"])
+
+    def _reads(self, fld):
+        """Whether this scenario's mesh kind reads the field."""
+        return _MESH_KIND_OF.get(fld, self.mesh_kind) == self.mesh_kind
 
     def load_spec(self):
         return LoadSpec(dict(self.tractions), self.body)
@@ -109,70 +143,72 @@ class Scenario:
         if self.mesh_kind == "rect":
             mesh = rect_mesh(self.nx, self.ny, self.x_range, self.y_range)
         else:
-            with open(self.mesh_path, encoding="utf-8") as fh:
-                mesh, _ = read_mesh(fh.read())
+            try:
+                with open(self.mesh_path, encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"unreadable mesh file ({exc})", *_FIELDS["mesh_path"]) from None
+            mesh, _ = read_mesh(text)
         for _ in range(self.refinements):
             mesh = refine(mesh)
         return mesh
 
     def effective_config(self):
         """Canonical config text restating every effective parameter."""
-        out = io.StringIO()
-        out.write(f"[scenario]\nname = {self.name}\n\n")
-        out.write("[mesh]\n")
-        out.write(f"kind = {self.mesh_kind}\n")
-        if self.mesh_kind == "rect":
-            out.write(f"nx = {self.nx}\nny = {self.ny}\n")
-            out.write(f"x_min = {self.x_range[0]!r}\nx_max = {self.x_range[1]!r}\n")
-            out.write(f"y_min = {self.y_range[0]!r}\ny_max = {self.y_range[1]!r}\n")
-        else:
-            out.write(f"path = {self.mesh_path}\n")
-        out.write("\n[density]\n")
-        out.write(f"mu = {self.mu!r}\nlambda = {self.lam!r}\n")
+        sections = {}
+        for fld, (section, *keys) in _FIELDS.items():
+            if self._reads(fld):
+                sections.setdefault(section, {}).update(_split(keys, getattr(self, fld)))
+        experiment = sections.pop("experiment")
         for tag in sorted(self.tractions):
             rule = self.tractions[tag]
-            out.write(f"\n[loads.{tag}]\n")
-            vals = " ".join(repr(v) for v in rule.value)
-            out.write(f"{rule.kind} = {vals}\n")
-        out.write("\n[loads.body]\n")
-        out.write(f"kind = {self.body.kind}\n")
-        if self.body.kind == "constant":
-            out.write(f"value = {self.body.value[0]!r} {self.body.value[1]!r}\n")
-        elif self.body.kind == "linear":
-            out.write("matrix = " + " ".join(repr(v) for v in self.body.value) + "\n")
-        out.write("\n[experiment]\n")
-        out.write("h_list = " + " ".join(repr(h) for h in self.h_list) + "\n")
-        out.write(f"refinements = {self.refinements}\n")
-        out.write(f"tol = {self.tol!r}\n")
-        out.write(f"cg_tol = {self.cg_tol!r}\n")
-        out.write(f"grad_tol = {self.grad_tol!r}\n")
-        out.write("shift_ts = " + " ".join(repr(t) for t in self.shift_ts) + "\n")
-        return out.getvalue()
+            sections[f"loads.{tag}"] = {rule.kind: rule.value}
+        section, kind_key = _BODY
+        sections[section] = {kind_key: self.body.kind}
+        if _BODY_KEYS[self.body.kind]:
+            sections[section][_BODY_KEYS[self.body.kind]] = self.body.value
+        sections["experiment"] = experiment
+        return "\n".join(f"[{section}]\n" + "".join(f"{key} = {_text(value)}\n"
+                                                     for key, value in items.items())
+                         for section, items in sections.items())
 
     def config_hash(self):
         return hashlib.sha256(self.effective_config().encode()).hexdigest()
 
 
-def _floats(raw, section, key):
-    try:
-        return tuple(float(tok) for tok in raw.split())
-    except ValueError as exc:
-        raise ConfigError(f"bad number list {raw!r} ({exc})", section, key) from None
+def _text(value):
+    """A value as the echo writes it; floats by repr, so they parse back exactly."""
+    if isinstance(value, (tuple, list)):
+        return " ".join(repr(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
-def _number(parser, section, key, default):
-    """The option parsed as the type of ``default`` (int or float); ``default`` when absent."""
+def _parse(parser, section, key, default):
+    """The option read as the type of ``default`` (str, int, float or a tuple of
+    floats); ``default`` when absent."""
     if not parser.has_option(section, key):
         return default
     raw = parser.get(section, key)
     try:
-        return type(default)(raw)
-    except ValueError:
+        return tuple(map(float, raw.split())) if isinstance(default, tuple) else type(default)(raw)
+    except ValueError as exc:
+        if isinstance(default, tuple):
+            raise ConfigError(f"bad number list {raw!r} ({exc})", section, key) from None
         kind = "integer" if isinstance(default, int) else "number"
         raise ConfigError(f"bad {kind} {raw!r}", section, key) from None
 
 
-def parse_scenario(text, name=None):
+def _rule(cls, kind, parser, section, key):
+    """``cls(kind, value)``, the value read from ``key`` (none without a key) and
+    its errors located there."""
+    value = _parse(parser, section, key, ()) if key else ()
+    try:
+        return cls(kind, value)
+    except ValueError as exc:
+        raise ConfigError(str(exc), section, key) from None
+
+
+def parse_scenario(text):
     """Parse a scenario config; unknown sections and keys are errors."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -190,77 +226,34 @@ def parse_scenario(text, name=None):
             if key not in allowed:
                 raise ConfigError("unknown key", section, key)
 
-    sc_name = name or (parser.get("scenario", "name", fallback="unnamed"))
-
-    mesh_kind = parser.get("mesh", "kind", fallback="rect")
-    if mesh_kind not in ("rect", "file"):
-        raise ConfigError(f"unknown mesh kind {mesh_kind!r}", "mesh", "kind")
-    mesh_path = parser.get("mesh", "path", fallback="")
-    if mesh_kind == "file" and not mesh_path:
-        raise ConfigError("mesh kind 'file' needs a path", "mesh", "path")
-    nx = _number(parser, "mesh", "nx", 16)
-    ny = _number(parser, "mesh", "ny", 16)
-    x_range = (_number(parser, "mesh", "x_min", -0.5), _number(parser, "mesh", "x_max", 0.5))
-    y_range = (_number(parser, "mesh", "y_min", -0.5), _number(parser, "mesh", "y_max", 0.5))
-
-    mu = _number(parser, "density", "mu", 1.0)
-    lam = _number(parser, "density", "lambda", 1.0)
+    defaults = Scenario()
+    fields = {}
+    for fld, (section, *keys) in _FIELDS.items():
+        values = tuple(_parse(parser, section, key, default)
+                       for key, default in _split(keys, getattr(defaults, fld)))
+        fields[fld] = values if len(keys) > 1 else values[0]
 
     tractions = {}
-    body = BodyForce()
     for section in parser.sections():
-        if not section.startswith("loads."):
-            continue
-        tag = section[len("loads."):]
-        if tag == "body":
-            kind = parser.get(section, "kind", fallback="zero")
-            try:
-                if kind == "zero":
-                    body = BodyForce()
-                elif kind == "constant":
-                    body = BodyForce("constant", _floats(
-                        parser.get(section, "value", fallback=""), section, "value"))
-                elif kind == "linear":
-                    body = BodyForce("linear", _floats(
-                        parser.get(section, "matrix", fallback=""), section, "matrix"))
-                else:
-                    raise ConfigError(f"unknown body force kind {kind!r}", section, "kind")
-            except ValueError as exc:
-                raise ConfigError(str(exc), section) from None
+        if not section.startswith("loads.") or section == _BODY[0]:
             continue
         keys = [k for k in sorted(_TRACTION_KEYS) if parser.has_option(section, k)]
         if len(keys) != 1:
             raise ConfigError(
                 "need exactly one of constant / pressure / tangential", section)
-        kind = keys[0]
-        vals = _floats(parser.get(section, kind), section, kind)
-        try:
-            tractions[tag] = TractionRule(kind, vals)
-        except ValueError as exc:
-            raise ConfigError(str(exc), section, kind) from None
+        tag = section[len("loads."):]
+        tractions[tag] = _rule(TractionRule, keys[0], parser, section, keys[0])
 
-    h_list = _floats(parser.get("experiment", "h_list", fallback=""), "experiment", "h_list")
-    shift_ts = _floats(parser.get("experiment", "shift_ts", fallback=""), "experiment", "shift_ts")
-
-    return Scenario(
-        name=sc_name,
-        mesh_kind=mesh_kind,
-        nx=nx,
-        ny=ny,
-        x_range=x_range,
-        y_range=y_range,
-        mesh_path=mesh_path,
-        mu=mu,
-        lam=lam,
-        tractions=tractions,
-        body=body,
-        h_list=h_list,
-        refinements=_number(parser, "experiment", "refinements", 0),
-        tol=_number(parser, "experiment", "tol", 1e-9),
-        cg_tol=_number(parser, "experiment", "cg_tol", 1e-10),
-        grad_tol=_number(parser, "experiment", "grad_tol", 1e-8),
-        shift_ts=shift_ts,
-    )
+    section, kind_key = _BODY
+    kind = _parse(parser, section, kind_key, defaults.body.kind)
+    if kind not in _BODY_KEYS:
+        raise ConfigError(f"unknown body force kind {kind!r}", section, kind_key)
+    key = _BODY_KEYS[kind]
+    for other in _BODY_KEYS.values():
+        if other not in (None, key) and parser.has_option(section, other):
+            raise ConfigError(f"not read by body force kind {kind!r}", section, other)
+    body = _rule(BodyForce, kind, parser, section, key)
+    return Scenario(tractions=tractions, body=body, **fields)
 
 
 def _all_sides(rule_factory):
@@ -320,7 +313,7 @@ def load_scenario(source, mesh_n=None, tol=None):
         sc = parse_scenario(text)
     if mesh_n is not None:
         if sc.mesh_kind != "rect":
-            raise ConfigError("--mesh-n applies only to rect meshes", "mesh", "kind")
+            raise ConfigError("--mesh-n applies only to rect meshes", *_FIELDS["mesh_kind"])
         sc = replace(sc, nx=int(mesh_n), ny=int(mesh_n))
     if tol is not None:
         sc = replace(sc, tol=float(tol))

@@ -47,6 +47,19 @@ class TestAssembly:
         with pytest.raises(MissingTractionRuleError):
             assemble_loads(mesh, LoadSpec({"left": TractionRule("pressure", (1.0,))}))
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: TractionRule("pressure", (np.nan,)),
+         r"pressure traction must be finite, got \[nan\]"),
+        (lambda: TractionRule("constant", (np.inf, 0.0)), "constant traction must be finite"),
+        (lambda: TractionRule("tangential", (-np.inf,)), "tangential traction must be finite"),
+        (lambda: BodyForce("constant", (np.inf, 0.0)),
+         r"constant body force must be finite, got \[inf, 0.0\]"),
+        (lambda: BodyForce("linear", (1.0, np.nan, 0.0, 1.0)), "linear body force must be finite"),
+    ])
+    def test_non_finite_rules_rejected(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            make()
+
     def test_tangential_rule_direction(self, mesh):
         # tangential traction on the right side (n = e1) points along +e2
         spec = LoadSpec({

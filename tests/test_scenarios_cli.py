@@ -9,13 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tractionlab
 import tractionlab.cli
 import tractionlab.fem
 from tractionlab.cli import main
 from tractionlab.fem import assemble_stiffness, solve_linear
-from tractionlab.loads import BodyForce
+from tractionlab.loads import BodyForce, TractionRule
 from tractionlab.mesh import read_mesh, rect_mesh, write_mesh
 from tractionlab.nonlinear import SweepRecord
 from tractionlab.scenarios import (DEFAULT_H_LIST, ConfigError, Scenario, builtin_scenarios,
@@ -75,6 +77,44 @@ h_list = 0.1 0.05
 """
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+_traction_rules = st.one_of(
+    st.tuples(_finite, _finite).map(lambda v: TractionRule("constant", v)),
+    st.tuples(st.sampled_from(["pressure", "tangential"]), _finite).map(
+        lambda kv: TractionRule(kv[0], (kv[1],))),
+)
+_body_forces = st.one_of(
+    st.just(BodyForce()),
+    st.tuples(_finite, _finite).map(lambda v: BodyForce("constant", v)),
+    st.tuples(_finite, _finite, _finite, _finite).map(lambda v: BodyForce("linear", v)),
+)
+_ranges = st.lists(_finite, min_size=2, max_size=2, unique=True).map(lambda r: tuple(sorted(r)))
+
+
+@st.composite
+def rect_scenarios(draw):
+    return Scenario(
+        name=draw(st.text("abcdefghijklmnopqrstuvwxyz0123456789-_", max_size=12)),
+        nx=draw(st.integers(1, 10**6)),
+        ny=draw(st.integers(1, 10**6)),
+        x_range=draw(_ranges),
+        y_range=draw(_ranges),
+        mu=draw(_positive),
+        lam=draw(_nonnegative),
+        tractions=draw(st.dictionaries(st.sampled_from(["left", "right", "top", "bottom", "hole"]),
+                                       _traction_rules, max_size=5)),
+        body=draw(_body_forces),
+        h_list=tuple(sorted(draw(st.lists(_positive, max_size=5, unique=True)), reverse=True)),
+        refinements=draw(st.integers(0, 6)),
+        tol=draw(_positive),
+        cg_tol=draw(_positive),
+        grad_tol=draw(_positive),
+        shift_ts=tuple(draw(st.lists(_nonnegative, max_size=4))),
+    )
+
+
 class TestParsing:
     def test_defaults_applied(self):
         sc = parse_scenario(SMALL_TENSION)
@@ -103,6 +143,22 @@ class TestParsing:
         a = parse_scenario(SMALL_TENSION).config_hash()
         b = parse_scenario(SMALL_TENSION).config_hash()
         assert a == b and len(a) == 64
+
+    def test_config_hashes_pinned(self):
+        # every report carries config_sha256; a change to the echo format changes it
+        scenarios = dict(builtin_scenarios(), small=parse_scenario(SMALL_TENSION))
+        assert {name: sc.config_hash() for name, sc in scenarios.items()} == {
+            "tension": "430c4373d6f22f194246f1ed20cba10dceb7b01b15b3f9c88a6290c89e5fe10d",
+            "compression": "b8826bf6dd865965dbe9f5465299236fad5cf8da6796eaef37072904eed10423",
+            "infmany": "3da71ef93e87f7584b23913558b4e3e585a4cf3643078b51c5399b2f4936252a",
+            "bodyforce": "fef361ce5577ad66574b9990cd424b9a1054dbcc020f638471472abb77a9b424",
+            "small": "ba3b92800f9575aae8501a3bbd6509ac88b9f11a065feae7a829d533d878465a",
+        }
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(sc=rect_scenarios())
+    def test_echo_round_trips_random_scenarios(self, sc):
+        assert parse_scenario(sc.effective_config()) == sc
 
     def test_bad_number_diagnostics(self):
         bad = SMALL_TENSION.replace("mu = 1.0", "mu = fast")
@@ -178,6 +234,43 @@ class TestParsing:
         text = SMALL_TENSION + "\n[loads.body]\nkind = linear\nmatrix = 1 0 0 1\n"
         sc = parse_scenario(text)
         assert sc.body == BodyForce("linear", (1.0, 0.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("body, message", [
+        ("kind = bogus", "[loads.body] kind: unknown body force kind 'bogus'"),
+        ("kind = linear\nmatrix = 1 x 0 1", "[loads.body] matrix: bad number list '1 x 0 1' "
+         "(could not convert string to float: 'x')"),
+        ("kind = linear\nmatrix = 1 0 1",
+         "[loads.body] matrix: linear body force needs a 2x2 matrix"),
+        ("kind = constant", "[loads.body] value: constant body force needs a 2-vector"),
+        ("kind = constant\nvalue = inf 0",
+         "[loads.body] value: constant body force must be finite, got [inf, 0.0]"),
+        ("kind = linear\nmatrix = 1 0 nan 1",
+         "[loads.body] matrix: linear body force must be finite, got [1.0, 0.0, nan, 1.0]"),
+        # a key the kind does not read
+        ("kind = zero\nvalue = 1 2", "[loads.body] value: not read by body force kind 'zero'"),
+        ("value = 1 2", "[loads.body] value: not read by body force kind 'zero'"),
+        ("kind = zero\nmatrix = 1 0 0 1",
+         "[loads.body] matrix: not read by body force kind 'zero'"),
+        ("kind = constant\nvalue = 1 2\nmatrix = 1 0 0 1",
+         "[loads.body] matrix: not read by body force kind 'constant'"),
+        ("kind = linear\nvalue = 1 2\nmatrix = 1 0 0 1",
+         "[loads.body] value: not read by body force kind 'linear'"),
+    ])
+    def test_body_force_errors(self, body, message):
+        with pytest.raises(ConfigError) as info:
+            parse_scenario(SMALL_TENSION + f"\n[loads.body]\n{body}\n")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("rule, message", [
+        ("pressure = nan", "pressure traction must be finite, got [nan]"),
+        ("constant = inf 0", "constant traction must be finite, got [inf, 0.0]"),
+        ("tangential = -inf", "tangential traction must be finite, got [-inf]"),
+    ])
+    def test_non_finite_traction(self, rule, message):
+        text = SMALL_TENSION.replace("[loads.left]\npressure = 16", f"[loads.left]\n{rule}")
+        with pytest.raises(ConfigError) as info:
+            parse_scenario(text)
+        assert str(info.value) == f"[loads.left] {rule.split()[0]}: {message}"
 
 
 class TestBuiltins:
@@ -387,6 +480,37 @@ class TestCli:
         assert main(["run", str(sc_file), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error: [mesh] x_max: ")
         assert not out.exists()
+
+    def test_non_finite_loads_write_nothing(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        sc_file = tmp_path / "sc.ini"
+        for old, new, location in (
+                ("pressure = 16", "pressure = nan", "[loads.left] pressure"),
+                ("[experiment]", "[loads.body]\nkind = constant\nvalue = inf 0\n[experiment]",
+                 "[loads.body] value")):
+            sc_file.write_text(SMALL_TENSION.replace(old, new, 1))
+            assert main(["run", str(sc_file), "--out", str(out)]) == 1
+            assert capsys.readouterr().err.startswith(f"config error: {location}: ")
+            assert not out.exists()
+
+    def test_bad_mesh_file_writes_nothing(self, tmp_path, capsys):
+        broken = tmp_path / "broken.mesh"
+        broken.write_text("garbage\n")
+        binary = tmp_path / "binary.mesh"
+        binary.write_bytes(b"\xff\xfe")
+        out = tmp_path / "o"
+        sc_file = tmp_path / "sc.ini"
+        missing = tmp_path / "missing.mesh"
+        for path, err in ((missing, "config error: [mesh] path: unreadable mesh file "
+                           f"([Errno 2] No such file or directory: '{missing}')"),
+                          (binary, "config error: [mesh] path: unreadable mesh file ('utf-8' "
+                           "codec can't decode byte 0xff in position 0: invalid start byte)"),
+                          (broken, "error: line 1: unknown record kind 'garbage'")):
+            sc_file.write_text(SMALL_TENSION.replace(
+                "kind = rect\nnx = 6\nny = 6", f"kind = file\npath = {path}"))
+            assert main(["analyze", str(sc_file), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == err + "\n"
+            assert not out.exists()
 
     def test_bad_config_exit_1(self, tmp_path, capsys):
         assert main(["run", "definitely-missing", "--out", str(tmp_path / "o")]) == 1
