@@ -103,8 +103,9 @@ class Density:
 
     The finite-strain density is mu*|C - I|^2 + (lam/2)*Tr(C - I)^2 with
     C = F^T F, quadratic in the nonlinear strain, so the rescaled density
-    is evaluated in closed form.  lam = 0 recovers the plain quadratic
-    |C - I|^2 density (with mu = 1).
+    h^-2 W(I + h B) is quadratic(Eh / h); the ``nonlinear`` kernels take it
+    and its stress from ``quadratic_sym2`` and ``quadratic_gradient_sym2``.
+    lam = 0 recovers the plain quadratic |C - I|^2 density (with mu = 1).
     """
 
     mu: float
@@ -139,22 +140,10 @@ class Density:
         B = np.asarray(B)
         return 8.0 * self.mu * B + 4.0 * self.lam * np.trace(B) * np.eye(B.shape[0])
 
-    def rescaled(self, h, B):
-        """Rescaled stored-energy density h^-2 W(I + h B).
-
-        Returns +inf when det(I + h B) <= 0 (orientation lost).  Otherwise
-        evaluates the closed form h^-2 quadratic(Eh) with the nonlinear
-        strain Eh = h sym(B) + (h^2/2) B^T B.  Converges to
-        quadratic(sym B) as h -> 0.
-        """
-        if not h > 0.0:
-            raise ValueError(f"h must be positive, got {h}")
-        B = np.asarray(B, dtype=float)
-        n = B.shape[0]
-        if np.linalg.det(np.eye(n) + h * B) <= 0.0:
-            return np.inf
-        Eh = 0.5 * h * (B + B.T) + 0.5 * h * h * (B.T @ B)
-        return self.quadratic(Eh) / (h * h)
+    def quadratic_gradient_sym2(self, e00, e01, e11):
+        """``quadratic_gradient`` of the ``quadratic_sym2`` matrices, as (S00, S01, S11)."""
+        mu8, lam4tr = 8.0 * self.mu, 4.0 * self.lam * (e00 + e11)
+        return mu8 * e00 + lam4tr, mu8 * e01, mu8 * e11 + lam4tr
 
 
 def sym_eigs(S):

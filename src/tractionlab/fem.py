@@ -55,14 +55,11 @@ class DisplacementField:
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=float).reshape(self.mesh.n_nodes, 2)
 
-    def copy(self):
-        return DisplacementField(self.mesh, self.values.copy())
 
-
-def linear_field(mesh, A, b=(0.0, 0.0)):
-    """Nodal interpolant of v(x) = A x + b (exact for P1)."""
+def linear_field(mesh, A):
+    """Nodal interpolant of v(x) = A x (exact for P1)."""
     A = np.asarray(A, dtype=float)
-    return DisplacementField(mesh, mesh.nodes @ A.T + np.asarray(b, dtype=float))
+    return DisplacementField(mesh, mesh.nodes @ A.T)
 
 
 def element_gradients(mesh, values):

@@ -186,7 +186,6 @@ class EquilibriumCheck:
     equilibrated: bool
     force_residual: float
     torque_residual: float
-    scale: float
 
 
 def check_equilibrated(assembly, tol=DEFAULT_TOL):
@@ -202,7 +201,7 @@ def check_equilibrated(assembly, tol=DEFAULT_TOL):
     torque_res = float(np.linalg.norm(skew))
     scale = 1.0 + float(np.linalg.norm(assembly.load_vector))
     ok = force_res <= tol * scale and torque_res <= tol * scale
-    return EquilibriumCheck(ok, force_res, torque_res, scale)
+    return EquilibriumCheck(ok, force_res, torque_res)
 
 
 @dataclass(frozen=True)

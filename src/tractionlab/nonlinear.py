@@ -9,8 +9,9 @@ The rescaled energy of a displacement v at parameter h > 0 is
 per-element gradient, so one-point quadrature is exact.  The element
 kernels work on the four gradient components of ``mesh.G @ v`` as flat
 arrays: F = I + h grad v, det F and the Green strain come from one
-helper, and the density and its derivative are written out component by
-component, for the L-BFGS steps and the rotation-path probe alike.
+helper, and the density and its stress from ``Density.quadratic_sym2``
+and ``Density.quadratic_gradient_sym2``, for the L-BFGS steps and the
+rotation-path probe alike.
 
 Minimization uses limited-memory BFGS with a backtracking line search
 that enforces both the Armijo decrease and the orientation barrier
@@ -26,7 +27,7 @@ a symmetry of Fh under loads and are deliberately not gauged out.  K
 does not see them, so on the rigid span the initial matrix keeps the
 scalar L-BFGS scaling and the curvature pairs supply the rest.  A run
 whose accepted steps stop lowering Fh (a gradient tolerance below
-round-off) ends as stalled instead of running to its iteration limit.
+round-off, or an infimum on the orientation barrier) ends as stalled.
 At fixed h > 0, Fh is bounded below for every load: the density grows
 quartically in grad v and the load work is linear.  What incompatible
 loads make unbounded is the h-family.  Along the witness rotation path
@@ -40,6 +41,7 @@ warm-started from the minimizer of the previous one.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +83,7 @@ _WOLFE_UPPER = 0.8
 _STALL_STEPS = 10
 _MEMORY = 10        # L-BFGS curvature pairs kept
 _MAX_ITER = 2000    # iteration limit of one minimization
+_PROBE_ANGLES = 64  # rotation-path angles pi k / 64 traced by the probe
 
 
 class InadmissibleStateError(ValueError):
@@ -89,11 +92,6 @@ class InadmissibleStateError(ValueError):
 
 class SweepRefusedError(RuntimeError):
     """Sweep preconditions not met (classification is not strict)."""
-
-    def __init__(self, compat_class, reason):
-        self.compat_class = compat_class
-        self.reason = reason
-        super().__init__(reason)
 
 
 def _deformation(mesh, values, h):
@@ -157,10 +155,7 @@ def rescaled_gradient(mesh, density, assembly, field, h):
             f"element {bad} has det(I + h grad v) = {det[bad]!r} <= 0"
         )
     # d/dG of h^-2 quadratic(Eh) is F S with S = quadratic_gradient(Eh / h)
-    mu8, lam4tr = 8.0 * density.mu, 4.0 * density.lam * (e00 + e11)
-    S00 = mu8 * e00 + lam4tr
-    S01 = mu8 * e01
-    S11 = mu8 * e11 + lam4tr
+    S00, S01, S11 = density.quadratic_gradient_sym2(e00, e01, e11)
     dPsi = np.empty((len(det), 4))
     dPsi[:, 0] = F00 * S00 + F01 * S01
     dPsi[:, 1] = F00 * S01 + F01 * S11
@@ -211,9 +206,9 @@ def rotation_path_field(mesh, witness, theta, h):
     return linear_field(mesh, A)
 
 
-def _instability_probe(mesh, density, assembly, h, classification, n_theta=64):
+def _instability_probe(mesh, density, assembly, h, classification):
     """Trace Fh along the witness rotation orbit; exact descent certificate."""
-    thetas = np.pi * np.arange(1, n_theta + 1) / n_theta
+    thetas = np.pi * np.arange(1, _PROBE_ANGLES + 1) / _PROBE_ANGLES
     # pi/3 is the landmark angle where the path is an exact rotation field
     thetas = np.unique(np.concatenate([thetas, [np.pi / 3.0]]))
     trace = np.empty(len(thetas))
@@ -247,43 +242,43 @@ class _StiffnessH0:
 
     K is the linear-elastic stiffness, Zeu the Euclidean-orthonormal rigid
     basis and P = I - Zeu Zeu^T, all taken from ``operators(mesh,
-    density)``.  Calling it on ``(q, gamma)`` applies K^+ by projected PCG
-    with the bundle's preconditioner to residual _H0_CG_TOL relative to
-    P q, so H0 is symmetric positive definite up to that tolerance; given
-    ``grad``, the residual is relative to P grad instead.  The PCG
-    iterations add up in ``cg_iterations``.
+    density)``.  Calling it on ``(q, gamma, grad)`` applies K^+ to P q by
+    projected PCG with the bundle's preconditioner, to residual
+    _H0_CG_TOL relative to P grad, so H0 is symmetric positive definite up
+    to that tolerance.  The PCG iterations add up in ``cg_iterations``.
     """
 
     def __init__(self, mesh, density):
         self.ops = operators(mesh, density)
         self.cg_iterations = 0
 
-    def __call__(self, q, gamma, grad=None):
+    def __call__(self, q, gamma, grad):
         K, Zeu = self.ops.K, self.ops.Zeu
         rigid = Zeu @ (Zeu.T @ q)
         b = q - rigid
         # second pass: b must be rigid-free relative to its own size, also
         # when q is nearly rigid, or CG meets an inconsistent system
         b -= Zeu @ (Zeu.T @ b)
-        ref = None if grad is None else grad - Zeu @ (Zeu.T @ grad)
+        ref = grad - Zeu @ (Zeu.T @ grad)
         x, it, _ = _projected_pcg(K, b, Zeu, _H0_CG_TOL, self.ops.vcycle, ref)
         self.cg_iterations += it
         return x - Zeu @ (Zeu.T @ x) + gamma * rigid
 
 
-def _two_loop(grad, s_list, y_list, rho_list, h0):
+def _two_loop(grad, pairs, h0):
+    """H grad for the L-BFGS inverse Hessian H of the (s, y, rho) ``pairs``, oldest first."""
     q = grad.copy()
     alphas = []
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+    for s, y, rho in reversed(pairs):
         a = rho * (s @ q)
         alphas.append(a)
         q -= a * y
     gamma = 1.0
-    if s_list:
-        s, y = s_list[-1], y_list[-1]
+    if pairs:
+        s, y, _ = pairs[-1]
         gamma = (s @ y) / (y @ y)
     q = h0(q, gamma, grad)
-    for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * (y @ q)
         q += (a - b) * s
     return q
@@ -307,13 +302,14 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
     those PCG iterations.  ``classification`` is that of ``assembly``;
     the loads are classified here when it is None.
     Converged means |grad| <= grad_tol * (1 + |Fh|).  Stalled means that
-    10 accepted steps in a row did not lower Fh (grad_tol is below what
-    round-off in Fh allows).  Diverged is declared only for loads
-    classified incompatible, the one class whose h-family is unbounded
-    below (Fh = 2 tr S / h on the rotation path at theta = pi); Fh at this
-    h is bounded below for every load.  The result is then the
-    rotation-orbit certificate, with no minimization.  The solver reports
-    gradient-norm stationarity only; it never claims global optimality.
+    10 accepted steps in a row did not lower Fh: grad_tol is below what
+    round-off in Fh allows, or (seen with lam = 0) the infimum lies on the
+    orientation barrier, where the gradient does not vanish.  Diverged is
+    declared only for loads classified incompatible, the one class whose
+    h-family is unbounded below (Fh = 2 tr S / h on the rotation path at
+    theta = pi); Fh at this h is bounded below for every load.  The result
+    is then the rotation-orbit certificate, with no minimization.  The
+    solver reports gradient-norm stationarity only, never global optimality.
 
     ``energy_floor`` records the lowest finite energy seen across all
     accepted and trial states.
@@ -335,7 +331,7 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
     g = rescaled_gradient(mesh, density, assembly, fld, h).reshape(-1)
     floor = f
     barrier_hits = 0
-    s_list, y_list, rho_list = [], [], []
+    pairs = deque(maxlen=_MEMORY)
     xf = x.reshape(-1)
     energy_trace = [f]
 
@@ -350,7 +346,7 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
             it -= 1
             break
 
-        d = -_two_loop(g, s_list, y_list, rho_list, h0)
+        d = -_two_loop(g, pairs, h0)
         if d @ g >= 0.0:
             d = -g
         t = 1.0
@@ -368,8 +364,7 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
             f_cand = eval_rescaled(
                 mesh, density, assembly, DisplacementField(mesh, cand), h
             )
-            if np.isfinite(f_cand):
-                floor = min(floor, f_cand)
+            floor = min(floor, f_cand)
             if f_cand <= f + _ARMIJO * t * gd:
                 accepted = True
                 break
@@ -395,13 +390,7 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
         y = g_new - g
         sy = s @ y
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-            s_list.append(s)
-            y_list.append(y)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > _MEMORY:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
+            pairs.append((s, y, 1.0 / sy))
         flat_steps = flat_steps + 1 if f_new >= f else 0
         xf, f, g = x_new, f_new, g_new
         energy_trace.append(f)
@@ -500,7 +489,6 @@ def h_sweep(mesh, density, assembly, classification, limit, h_list, grad_tol=1e-
         raise IncompatibleLoadsError(classification.witness, classification.witness_work)
     if classification.compat_class != STRICT:
         raise SweepRefusedError(
-            classification.compat_class,
             "sweep requires strictly compatible loads: under weak compatibility "
             "minimizing sequences may lose compactness (extra limit minimizers "
             "with unbounded skew gradients)",

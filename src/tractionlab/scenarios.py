@@ -60,7 +60,7 @@ _FIELDS = {
     "grad_tol": ("experiment", "grad_tol"),
     "shift_ts": ("experiment", "shift_ts"),
 }
-# fields that only one mesh kind reads, and so only its echo restates
+# fields that only one mesh kind reads, so only its configs set and its echo restates
 _MESH_KIND_OF = {"nx": "rect", "ny": "rect", "x_range": "rect", "y_range": "rect",
                  "mesh_path": "file"}
 # the body force's section and kind key, and kind -> the one value key it reads
@@ -209,7 +209,7 @@ def _rule(cls, kind, parser, section, key):
 
 
 def parse_scenario(text):
-    """Parse a scenario config; unknown sections and keys are errors."""
+    """Parse a scenario config; unknown sections and keys, and unread kind keys, are errors."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
@@ -253,7 +253,12 @@ def parse_scenario(text):
         if other not in (None, key) and parser.has_option(section, other):
             raise ConfigError(f"not read by body force kind {kind!r}", section, other)
     body = _rule(BodyForce, kind, parser, section, key)
-    return Scenario(tractions=tractions, body=body, **fields)
+    sc = Scenario(tractions=tractions, body=body, **fields)
+    for fld, (section, *keys) in _FIELDS.items():
+        for key in keys:
+            if not sc._reads(fld) and parser.has_option(section, key):
+                raise ConfigError(f"not read by mesh kind {sc.mesh_kind!r}", section, key)
+    return sc
 
 
 def _all_sides(rule_factory):

@@ -134,68 +134,23 @@ class TestDensity:
             rhs = d.quadratic(B) + float(np.sum(d.quadratic_gradient(B) * H)) + d.quadratic(H)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
+    def test_gradient_sym2_matches_matrix_gradient(self):
+        # the rescaled kernels' stress and the stiffness's C read one derivative
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            d = Density(rng.uniform(0.1, 5.0), rng.uniform(0.0, 5.0))
+            e00, e01, e11 = rng.standard_normal((3, 5))
+            S00, S01, S11 = d.quadratic_gradient_sym2(e00, e01, e11)
+            for k in range(5):
+                S = d.quadratic_gradient(np.array([[e00[k], e01[k]], [e01[k], e11[k]]]))
+                assert np.array_equal(S, [[S00[k], S01[k]], [S01[k], S11[k]]])
+
     def test_coercivity_exact(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
             d = Density(rng.uniform(0.1, 5.0), rng.uniform(0.0, 5.0))
             B = sym(rng.standard_normal((2, 2)))
             assert d.quadratic(B) >= 4.0 * d.mu * float(np.sum(B * B))
-
-
-class TestRescaled:
-    def test_identity_strain_near_limit(self):
-        d = Density(1.0, 1.0)
-        val = d.rescaled(1e-4, np.eye(2))
-        assert val == pytest.approx(16.0, rel=5e-4)
-
-    def test_skew_scaling_closed_form(self):
-        # sym B = 0, Eh = (h^(3/2)/2) J'J; value h^(2-4a) |W^2|^2 at a = 1/4
-        d = Density(1.0, 0.0)
-        h = 0.01
-        val = d.rescaled(h, h ** -0.25 * J2)
-        assert val == pytest.approx(0.02, rel=1e-12)
-
-    def test_orientation_loss_is_infinite(self):
-        d = Density(1.0, 1.0)
-        assert d.rescaled(1.0, np.diag([-2.0, 0.0])) == np.inf
-
-    def test_rejects_nonpositive_h(self):
-        with pytest.raises(ValueError):
-            Density(1.0, 0.0).rescaled(0.0, np.eye(2))
-        with pytest.raises(ValueError):
-            Density(1.0, 0.0).rescaled(-0.1, np.eye(2))
-
-    def test_pointwise_limit_rate(self):
-        # |rescaled(h, B) - quadratic(sym B)| <= C h with C fitted at the largest h
-        rng = np.random.default_rng(13)
-        d = Density(1.2, 0.8)
-        for _ in range(10):
-            B = rng.standard_normal((2, 2))
-            lim = d.quadratic(sym(B))
-            errs = {h: abs(d.rescaled(h, B) - lim) for h in (1e-2, 1e-3, 1e-4)}
-            C = 2.0 * errs[1e-2] / 1e-2 + 1e-12
-            for h, err in errs.items():
-                assert err <= C * h
-
-    def test_frame_indifference(self):
-        # energy computed from F and from R F agree to 1e-10 relative
-        rng = np.random.default_rng(14)
-        for dim in (2, 3):
-            d = Density(rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0))
-            for _ in range(25):
-                F = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim))
-                if np.linalg.det(F) <= 0.05:
-                    continue
-                theta = rng.uniform(0.0, 2 * np.pi)
-                if dim == 2:
-                    R = rodrigues(theta, skew2(1.0))
-                else:
-                    axis = rng.standard_normal(3)
-                    R = rodrigues(theta, skew3(axis / np.linalg.norm(axis)))
-                h = 0.5
-                a = d.rescaled(h, (F - np.eye(dim)) / h)
-                b = d.rescaled(h, (R @ F - np.eye(dim)) / h)
-                assert b == pytest.approx(a, rel=1e-10, abs=1e-12)
 
 
 class TestSymEigs:

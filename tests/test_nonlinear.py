@@ -318,7 +318,7 @@ class TestPreconditionedSolver:
         rng = np.random.default_rng(64)
         U = rng.standard_normal((6, 2 * mesh.n_nodes))
         for gamma in (1.0, 1e-3):
-            G = U @ np.array([h0(u, gamma) for u in U]).T
+            G = U @ np.array([h0(u, gamma, u) for u in U]).T
             assert np.all(np.diag(G) > 0.0)
             assert np.linalg.eigvalsh(0.5 * (G + G.T))[0] > 0.0
             # K^+ is applied by an inner solve, so symmetry holds to its tolerance
@@ -329,7 +329,7 @@ class TestPreconditionedSolver:
         h0 = _StiffnessH0(mesh, density)
         Z = rigid_basis(mesh).euclid
         for k in range(3):
-            assert np.allclose(h0(Z[:, k], 0.25), 0.25 * Z[:, k], atol=1e-14)
+            assert np.allclose(h0(Z[:, k], 0.25, Z[:, k]), 0.25 * Z[:, k], atol=1e-14)
 
     def test_h0_residual_relative_to_projected_gradient(self, density, monkeypatch):
         # each K^+ application stops at 1e-8 of the Jacobi norm of P g, so

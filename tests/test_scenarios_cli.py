@@ -94,13 +94,17 @@ _ranges = st.lists(_finite, min_size=2, max_size=2, unique=True).map(lambda r: t
 
 
 @st.composite
-def rect_scenarios(draw):
+def random_scenarios(draw):
+    """Rect-mesh scenarios, or file-mesh ones with the rect fields at their defaults."""
+    if draw(st.booleans()):
+        mesh = dict(mesh_kind="file", mesh_path=draw(
+            st.text("abcdefghijklmnopqrstuvwxyz0123456789-_./", min_size=1, max_size=20)))
+    else:
+        mesh = dict(nx=draw(st.integers(1, 10**6)), ny=draw(st.integers(1, 10**6)),
+                    x_range=draw(_ranges), y_range=draw(_ranges))
     return Scenario(
         name=draw(st.text("abcdefghijklmnopqrstuvwxyz0123456789-_", max_size=12)),
-        nx=draw(st.integers(1, 10**6)),
-        ny=draw(st.integers(1, 10**6)),
-        x_range=draw(_ranges),
-        y_range=draw(_ranges),
+        **mesh,
         mu=draw(_positive),
         lam=draw(_nonnegative),
         tractions=draw(st.dictionaries(st.sampled_from(["left", "right", "top", "bottom", "hole"]),
@@ -156,7 +160,7 @@ class TestParsing:
         }
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(sc=rect_scenarios())
+    @given(sc=random_scenarios())
     def test_echo_round_trips_random_scenarios(self, sc):
         assert parse_scenario(sc.effective_config()) == sc
 
@@ -229,6 +233,18 @@ class TestParsing:
         bad = SMALL_TENSION.replace("kind = rect", "kind = file")
         with pytest.raises(ConfigError, match="path"):
             parse_scenario(bad)
+
+    @pytest.mark.parametrize("mesh, message", [
+        ("kind = file\npath = grid.mesh\nnx = 4", "[mesh] nx: not read by mesh kind 'file'"),
+        ("kind = file\npath = grid.mesh\ny_max = 2", "[mesh] y_max: not read by mesh kind 'file'"),
+        ("kind = rect\nnx = 6\npath = grid.mesh", "[mesh] path: not read by mesh kind 'rect'"),
+        ("path = grid.mesh", "[mesh] path: not read by mesh kind 'rect'"),
+    ])
+    def test_mesh_keys_of_the_other_kind(self, mesh, message):
+        text = SMALL_TENSION.replace("kind = rect\nnx = 6\nny = 6", mesh)
+        with pytest.raises(ConfigError) as info:
+            parse_scenario(text)
+        assert str(info.value) == message
 
     def test_body_force_parsing(self):
         text = SMALL_TENSION + "\n[loads.body]\nkind = linear\nmatrix = 1 0 0 1\n"
@@ -491,6 +507,20 @@ class TestCli:
             sc_file.write_text(SMALL_TENSION.replace(old, new, 1))
             assert main(["run", str(sc_file), "--out", str(out)]) == 1
             assert capsys.readouterr().err.startswith(f"config error: {location}: ")
+            assert not out.exists()
+
+    def test_unread_mesh_key_writes_nothing(self, tmp_path, capsys):
+        mesh_file = tmp_path / "grid.mesh"
+        mesh_file.write_text(write_mesh(rect_mesh(4, 4)))
+        out = tmp_path / "o"
+        sc_file = tmp_path / "sc.ini"
+        for mesh, err in ((f"kind = file\npath = {mesh_file}\nnx = 4", "[mesh] nx: not read by "
+                           "mesh kind 'file'"),
+                          (f"kind = rect\npath = {mesh_file}", "[mesh] path: not read by mesh "
+                           "kind 'rect'")):
+            sc_file.write_text(SMALL_TENSION.replace("kind = rect\nnx = 6\nny = 6", mesh))
+            assert main(["run", str(sc_file), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"config error: {err}\n"
             assert not out.exists()
 
     def test_bad_mesh_file_writes_nothing(self, tmp_path, capsys):
