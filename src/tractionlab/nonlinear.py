@@ -64,11 +64,11 @@ _ARMIJO = 1e-4
 # solves for (the inexact-Newton test of Dembo, Eisenstat and Steihaug,
 # 1982).  After a point's first step the first loop has already cut q to
 # 1e-8 ... 1e-2 of g, and a residual relative to b would be resolved far
-# below anything the next step sees.  With the multigrid V-cycle each
-# factor of 100 costs only a few PCG iterations per application, and an H0
-# that close to K^+ saves outer L-BFGS iterations on the first h: the
-# tension sweep takes 5/4/3/3 at 32x32 and 128x128 against 11/4/3/3 and
-# 8/4/3/3 at 1e-6 of b
+# below anything the next step sees.  The tension sweep at 32x32 takes
+# 1/1/0/0 inner iterations per point, as the affine start of the solve
+# already meets the test, against 108/85/56/55 at 1e-8 of b; the body
+# force g = x takes 61/61/61/32 against 62/62/62/32, with the same
+# L-BFGS iterations in all four
 _H0_CG_TOL = 1e-8
 # a trial step that fails Armijo but raises Fh by at most this, relative
 # to 1 + |Fh|, is on energy that is flat to round-off; it is accepted on
@@ -243,9 +243,13 @@ class _StiffnessH0:
     K is the linear-elastic stiffness, Zeu the Euclidean-orthonormal rigid
     basis and P = I - Zeu Zeu^T, all taken from ``operators(mesh,
     density)``.  Calling it on ``(q, gamma, grad)`` applies K^+ to P q by
-    projected PCG with the bundle's preconditioner, to residual
-    _H0_CG_TOL relative to P grad, so H0 is symmetric positive definite up
-    to that tolerance.  The PCG iterations add up in ``cg_iterations``.
+    the projected PCG of ``solve_linear``, from the Galerkin solution on
+    the symmetric affine fields, to residual _H0_CG_TOL relative to P
+    grad, so H0 is symmetric positive definite up to that tolerance.
+    Where K^+ P q is affine, as on every point of the tension sweep, the
+    start meets that at once; the multigrid is built on the first
+    application that iterates.  The PCG iterations add up in
+    ``cg_iterations``.
     """
 
     def __init__(self, mesh, density):
@@ -253,14 +257,14 @@ class _StiffnessH0:
         self.cg_iterations = 0
 
     def __call__(self, q, gamma, grad):
-        K, Zeu = self.ops.K, self.ops.Zeu
+        Zeu = self.ops.Zeu
         rigid = Zeu @ (Zeu.T @ q)
         b = q - rigid
         # second pass: b must be rigid-free relative to its own size, also
         # when q is nearly rigid, or CG meets an inconsistent system
         b -= Zeu @ (Zeu.T @ b)
         ref = grad - Zeu @ (Zeu.T @ grad)
-        x, it, _ = _projected_pcg(K, b, Zeu, _H0_CG_TOL, self.ops.vcycle, ref)
+        x, it, _ = _projected_pcg(self.ops, b, _H0_CG_TOL, ref)
         self.cg_iterations += it
         return x - Zeu @ (Zeu.T @ x) + gamma * rigid
 
@@ -296,11 +300,12 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
     when its gradient passes the approximate Wolfe test 0.9 g'd <=
     g_cand'd <= -0.8 g'd (Hager and Zhang, 2005).  The two-loop recursion
     starts from the stiffness inverse K^+ on the rigid-mode complement,
-    applied by PCG to a residual of 1e-8 of the rigid-projected gradient,
-    and from the scalar sy/yy on the rigid span, so the iteration count
-    does not grow with the mesh.  ``cg_iterations`` of the result counts
-    those PCG iterations.  ``classification`` is that of ``assembly``;
-    the loads are classified here when it is None.
+    applied by PCG from the Galerkin affine start to a residual of 1e-8
+    of the rigid-projected gradient, and from the scalar sy/yy on the
+    rigid span, so the iteration count does not grow with the mesh.
+    ``cg_iterations`` of the result counts those PCG iterations.
+    ``classification`` is that of ``assembly``; the loads are classified
+    here when it is None.
     Converged means |grad| <= grad_tol * (1 + |Fh|).  Stalled means that
     10 accepted steps in a row did not lower Fh: grad_tol is below what
     round-off in Fh allows, or (seen with lam = 0) the infimum lies on the

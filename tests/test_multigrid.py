@@ -1,19 +1,22 @@
-"""The smoothed-aggregation multigrid that preconditions K^+."""
+"""The K^+ solve: its affine start and the smoothed-aggregation multigrid that preconditions it."""
 
 import gc
+import json
 import weakref
 
 import numpy as np
 import pytest
 
 import tractionlab.fem as fem
-from conftest import body_spec, infmany_spec, jittered_mesh, pressure_spec
+from conftest import SIDES, body_spec, infmany_spec, jittered_mesh, pressure_spec
 from tractionlab.algebra import Density
+from tractionlab.cli import main
 from tractionlab.fem import operators, solve_linear
-from tractionlab.loads import assemble_loads
+from tractionlab.loads import LoadSpec, TractionRule, assemble_loads
 from tractionlab.mesh import rect_mesh
 
 DENSITY = Density(1.0, 1.0)
+BODY = body_spec((1.3, 0.3, 0.3, 0.7))
 # a mesh with two coarsened levels below the fine one
 N_AMG = 64
 
@@ -64,20 +67,45 @@ def test_prolongators_keep_rigid_modes(ops):
         bs = 3
 
 
+def _jacobi_cg(ops, b, tol):
+    # zero-start CG on the rigid complement, preconditioned by the diagonal
+    # of K: a reference that shares neither the start nor the V-cycle
+    Z = ops.Zeu
+    inv_diag = 1.0 / ops.K.diagonal()
+
+    def precondition(r):
+        z = inv_diag * r
+        return z - Z @ (Z.T @ z)
+
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = precondition(r)
+    p, rho = z, r @ z
+    stop = tol * np.sqrt(b @ (inv_diag * b))
+    for _ in range(20 * b.size):
+        if np.sqrt(r @ (inv_diag * r)) <= stop:
+            return x
+        Kp = ops.K @ p
+        alpha = rho / (p @ Kp)
+        x += alpha * p
+        r -= alpha * Kp
+        r -= Z @ (Z.T @ r)
+        z = precondition(r)
+        rho, rho_old = r @ z, rho
+        p = z + (rho / rho_old) * p
+    raise AssertionError("Jacobi CG did not converge")
+
+
 def _solutions(ops, b, tol=1e-12):
-    # the multigrid solution and one preconditioned by the diagonal of K
+    # the solution from the affine start and the multigrid, and the
+    # zero-start Jacobi one
     Z = ops.Zeu
     b = b - Z @ (Z.T @ b)
-    inv_diag = 1.0 / ops.K.diagonal()
-    out = []
-    for precondition in (ops.vcycle, lambda r: inv_diag * r):
-        x, _, _ = fem._projected_pcg(ops.K, b, Z, tol, precondition)
-        out.append(x - Z @ (Z.T @ x))
-    return out
+    x, _, _ = fem._projected_pcg(ops, b, tol)
+    return [y - Z @ (Z.T @ y) for y in (x, _jacobi_cg(ops, b, tol))]
 
 
-@pytest.mark.parametrize("spec", [pressure_spec(16.0), infmany_spec(),
-                                  body_spec((1.3, 0.3, 0.3, 0.7))],
+@pytest.mark.parametrize("spec", [pressure_spec(16.0), infmany_spec(), BODY],
                          ids=["tension", "infmany", "bodyforce"])
 def test_amg_agrees_with_jacobi(mesh, ops, spec):
     amg, jacobi = _solutions(ops, assemble_loads(mesh, spec).load_vector.reshape(-1))
@@ -91,12 +119,87 @@ def test_amg_agrees_with_jacobi_random_rhs(ops):
 
 
 def test_iterations_do_not_grow_with_the_mesh():
+    # the pressure load has an affine solution, which the start gives; the
+    # body force's solution is not affine, so the multigrid iterates
     its = []
     for n in (N_AMG, 2 * N_AMG):
         m = rect_mesh(n, n)
-        its.append(solve_linear(m, DENSITY, assemble_loads(m, pressure_spec(16.0))).iterations)
+        assert solve_linear(m, DENSITY, assemble_loads(m, pressure_spec(16.0))).iterations == 0
+        its.append(solve_linear(m, DENSITY, assemble_loads(m, BODY)).iterations)
     assert max(its) <= 60
     assert max(its) <= 1.5 * min(its)
+
+
+def _relative_residual(ops, b, x):
+    # sqrt(r' D^-1 r) / sqrt(b' D^-1 b) of r = P(b - K x), with b made rigid-free
+    Z = ops.Zeu
+    b = b - Z @ (Z.T @ b)
+    r = b - ops.K @ x
+    r -= Z @ (Z.T @ r)
+    d = ops.K.diagonal()
+    return np.sqrt((r @ (r / d)) / (b @ (b / d)))
+
+
+def _stress_spec(S):
+    """Tractions S n on the four sides of a rectangle."""
+    normals = {"left": (-1.0, 0.0), "right": (1.0, 0.0), "top": (0.0, 1.0),
+               "bottom": (0.0, -1.0)}
+    return LoadSpec({tag: TractionRule("constant", S @ normals[tag]) for tag in SIDES})
+
+
+@pytest.mark.parametrize("load", ["tension", "infmany", "stress"])
+def test_homogeneous_loads_need_no_iteration(mesh, ops, load):
+    # a homogeneous load has an affine minimizer, so the affine start solves it
+    if load == "stress":
+        A = np.random.default_rng(66).standard_normal((2, 2))
+        spec = _stress_spec(A + A.T)
+    else:
+        spec = pressure_spec(16.0) if load == "tension" else infmany_spec()
+    asm = assemble_loads(mesh, spec)
+    tol = 1e-10
+    sol = solve_linear(mesh, DENSITY, asm, tol=tol)
+    assert sol.iterations == 0
+    assert _relative_residual(ops, asm.load_vector.reshape(-1),
+                              sol.field.values.reshape(-1)) <= tol
+
+
+def test_start_is_the_galerkin_projection():
+    # on a random right-hand side the start is the K-orthogonal projection
+    # of the exact solution onto the affine fields: its residual is
+    # orthogonal to them, and it is no farther from the solution than 0
+    m = jittered_mesh(8, 7, np.random.default_rng(67))
+    ops = operators(m, DENSITY)
+    Z = ops.Zeu
+    b = np.random.default_rng(68).standard_normal(ops.K.shape[0])
+    b -= Z @ (Z.T @ b)
+    K = ops.K.toarray()
+    exact = np.linalg.pinv(K, hermitian=True) @ b
+    x0, it, _ = fem._projected_pcg(ops, b, np.inf)
+    assert it == 0
+    gap = ops.X.T @ (b - K @ x0)
+    assert np.max(np.abs(gap)) <= 1e-12 * np.abs(ops.X).sum(axis=0).max() * np.abs(b).max()
+    err = exact - x0
+    assert err @ K @ err <= exact @ K @ exact
+    assert err @ K @ err > 0.0
+
+
+def test_multigrid_built_only_when_an_iteration_needs_it(tmp_path, monkeypatch):
+    built = []
+
+    class Counted(fem._VCycle):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(fem, "_VCycle", Counted)
+    m = rect_mesh(16, 16)
+    assert solve_linear(m, DENSITY, assemble_loads(m, pressure_spec(16.0))).iterations == 0
+    assert built == []
+    assert main(["run", "bodyforce", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["linear"]["cg_iterations"] > 0
+    assert all(p["cg_iters"] > 0 for p in report["nonlinear"]["sweep"])
+    assert built == [1]
 
 
 def test_bundle_is_memoized_per_density():
