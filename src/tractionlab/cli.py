@@ -51,7 +51,6 @@ class _Run:
             "stages": self.stages,
         }
         self.linear = None
-        self.linear_dump = None
         self.limit = None
 
     def write(self, name, text):
@@ -84,8 +83,7 @@ class _Run:
             "preconditioner": "sa-amg",
             "cg_residual": checked(self.linear.residual, sc.cg_tol),
         }
-        self.linear_dump = solution_dump(self.mesh, self.linear.field)
-        self.write("solution_linear.txt", self.linear_dump)
+        self.write("solution_linear.txt", solution_dump(self.mesh, self.linear.field))
         self.stages["solve_linear"] = OK
         print(f"min E = {self.linear.energy!r} ({self.linear.iterations} cg iterations)")
 
@@ -133,8 +131,6 @@ class _Run:
                 })
             block["shift_checks"] = checks
         self.report["limit"] = block
-        # the limit minimizer is the linear field itself
-        self.write("solution_limit.txt", self.linear_dump)
         self.stages["solve_limit"] = OK
         print(f"min F = {lim.F_value!r}, |min F - min E| = {coincidence!r}")
 

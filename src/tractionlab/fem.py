@@ -1,25 +1,34 @@
 """P1 vector finite elements for the pure-traction linear-elastic problem.
 
-The pure-Neumann stiffness operator is singular with kernel equal to the
-infinitesimal rigid displacements (dimension 3 in 2D).  Solves run
-preconditioned conjugate gradients on the rigid-mode complement:
-residuals are projected every iteration and the returned field carries
-the gauge P v = 0 in the L2 mass inner product.
-
+The pure-Neumann stiffness operator K is singular with kernel equal to
+the infinitesimal rigid displacements (dimension 3 in 2D).
 ``operators(mesh, density)`` builds the stiffness, the rigid basis with
 its mass image ``M Z`` and the Galerkin matrix of the symmetric affine
-fields once per (mesh, density) and keeps them on the mesh;
-``solve_linear`` and the rescaled-energy L-BFGS take them from there.
-The solve path never assembles the mass matrix: ``mass_action`` applies
-it element by element, and ``mass_matrix`` stays as the assembled
-reference.  Every solve starts from the Galerkin solution on the
-symmetric affine fields, which is exact for a homogeneous load, so such
-a solve takes no iteration.  The preconditioner of the remaining
-iterations is a symmetric smoothed-aggregation multigrid V-cycle with
-the rigid modes as its near-null space, built on the first iteration
-that needs it.  The iteration count hardly grows with the mesh: on the
-body force g = x, 48 iterations to 1e-10 at 128x128 and 63 at 256x256,
-against 700 and 1360 with Jacobi.
+fields once per (mesh, density) and keeps them on the mesh.  The solve
+path never assembles the mass matrix: ``mass_action`` applies it
+element by element, and ``mass_matrix`` stays as the assembled
+reference.
+
+Every K^+ is ``Operators.kplus(b, tol, ref)``, on the complement of the
+rigid displacements: ``solve_linear`` and the initial inverse Hessian of
+the rescaled-energy L-BFGS both call it.  It makes b Euclidean-
+orthogonal to the rigid modes in two passes, so that b is rigid-free
+relative to its own size also when it is nearly rigid.  Conjugate
+gradients then start from the Galerkin solution on the symmetric affine
+fields, x0 = X (X' K X)^-1 X' b: the K-orthogonal projection of K^+ b
+onto them, never farther from the solution in the energy norm than a
+zero start, and exact for a homogeneous load, which then takes no
+iteration.  The residual and the preconditioned residual are made
+rigid-free every iteration.  The solve stops when the Jacobi-norm
+residual sqrt(r' D^-1 r) of r = P(b - K x), relative to that of the
+rigid-free ``ref`` (default ``b``; ``b`` again when ``ref`` is rigid),
+is at most ``tol``.  The test comes before every preconditioner call,
+and the returned x is Euclidean-orthogonal to the rigid modes.  The
+preconditioner is a symmetric smoothed-aggregation multigrid V-cycle
+with the rigid modes as its near-null space, built on the first
+iteration that needs it.  The iteration count hardly grows with the
+mesh: on the body force g = x, 48 iterations to 1e-10 at 128x128 and 63
+at 256x256, against 700 and 1360 with Jacobi.
 """
 
 from dataclasses import dataclass
@@ -330,6 +339,50 @@ class Operators:
     def vcycle(self):
         return _VCycle(self.K, self.Z)
 
+    def rigid_part(self, v):
+        """Zeu Zeu' v, the Euclidean projection of v onto the rigid displacements."""
+        return self.Zeu @ (self.Zeu.T @ v)
+
+    def kplus(self, b, tol, ref=None):
+        """K^+ b on the rigid-mode complement: ``(x, iterations, relative residual)``.
+
+        The solve of the module docstring; ``ref`` (default ``b``) sets
+        the scale of the stopping rule.  Raises NoConvergenceError after
+        20 * len(b) iterations.
+        """
+        K, inv_diag, X = self.K, self.inv_diag, self.X
+        b = b - self.rigid_part(b)
+        b -= self.rigid_part(b)
+        denom = np.sqrt(b @ (inv_diag * b))
+        if denom == 0.0:
+            return np.zeros(b.size), 0, 0.0
+        if ref is not None:
+            ref = ref - self.rigid_part(ref)
+            denom = np.sqrt(ref @ (inv_diag * ref)) or denom
+
+        x = X @ np.linalg.solve(self.XKX, X.T @ b)
+        r = b - K @ x
+        r -= self.rigid_part(r)
+        rel = np.sqrt(r @ (inv_diag * r)) / denom
+        it = 0
+        while rel > tol:
+            if it >= 20 * b.size:
+                raise NoConvergenceError(it, float(rel))
+            z = self.vcycle(r)
+            z -= self.rigid_part(z)
+            rho_new = r @ z
+            p = z if it == 0 else z + (rho_new / rho) * p
+            rho = rho_new
+            Kp = K @ p
+            alpha = rho / (p @ Kp)
+            x += alpha * p
+            r -= alpha * Kp
+            r -= self.rigid_part(r)
+            rel = np.sqrt(r @ (inv_diag * r)) / denom
+            it += 1
+        x -= self.rigid_part(x)
+        return x, it, float(rel)
+
 
 def operators(mesh, density):
     """The Operators of ``mesh`` and ``density``, memoized on the mesh."""
@@ -357,68 +410,13 @@ class LinearSolution:
     residual: float
 
 
-def _projected_pcg(ops, b, tol, ref=None):
-    """Preconditioned CG for K x = b on the complement of span(Zeu), from the affine start.
-
-    ``ops`` is the ``Operators`` bundle of K.  ``b`` must be
-    Euclidean-orthogonal to the columns of ``Zeu``.  The iteration starts
-    from the Galerkin solution on the symmetric affine fields, x0 = X
-    (X' K X)^-1 X' b: the K-orthogonal projection of K^+ b onto them,
-    never farther from the solution in the energy norm than a zero start,
-    and exact when the solution is affine (a homogeneous load).  The
-    residual is re-projected every iteration, and so is the output of the
-    V-cycle (symmetric and positive definite on the complement).  Stops
-    when the Jacobi-norm residual sqrt(r' D^-1 r) relative to that of
-    ``ref`` (default ``b``; ``b`` again when ``ref`` is zero) is at most
-    ``tol``; the test comes before every V-cycle, so a start already
-    within ``tol`` costs no iteration and never builds the multigrid.
-    Returns ``(x, iterations, relative residual)``; ``x`` is not
-    projected.
-
-    Raises NoConvergenceError after 20 * len(b) iterations.
-    """
-    K, Zeu, inv_diag, X = ops.K, ops.Zeu, ops.inv_diag, ops.X
-    denom = np.sqrt(b @ (inv_diag * b))
-    if denom == 0.0:
-        return np.zeros(b.size), 0, 0.0
-    if ref is not None:
-        denom = np.sqrt(ref @ (inv_diag * ref)) or denom
-
-    def project(z):
-        return z - Zeu @ (Zeu.T @ z)
-
-    x = X @ np.linalg.solve(ops.XKX, X.T @ b)
-    r = project(b - K @ x)
-    rel = np.sqrt(r @ (inv_diag * r)) / denom
-    it = 0
-    while rel > tol:
-        if it >= 20 * b.size:
-            raise NoConvergenceError(it, float(rel))
-        z = project(ops.vcycle(r))
-        rho_new = r @ z
-        p = z if it == 0 else z + (rho_new / rho) * p
-        rho = rho_new
-        Kp = K @ p
-        alpha = rho / (p @ Kp)
-        x += alpha * p
-        r -= alpha * Kp
-        r = project(r)
-        rel = np.sqrt(r @ (inv_diag * r)) / denom
-        it += 1
-    return x, it, float(rel)
-
-
 def solve_linear(mesh, density, assembly, tol=1e-10, equilibrium_tol=1e-9):
     """Minimize int quadratic(E(v)) dx - L(v) over the rigid-mode complement.
 
-    Conjugate gradients on the singular SPD system from the Galerkin
-    solution on the symmetric affine fields, preconditioned by the
-    smoothed-aggregation V-cycle of ``operators(mesh, density)``.  A
-    homogeneous load (``tension``, ``infmany``, ``compression``) has an
-    affine minimizer, which that start gives: 0 iterations, and the
-    V-cycle is never built.  Rigid components of the residual are
-    projected out every iteration and the returned minimizer carries
-    the gauge P v = 0 (mass projection).
+    The minimizer is ``Operators.kplus`` of the load vector to ``tol``,
+    moved to the gauge P v = 0 (mass projection).  A homogeneous load
+    (``tension``, ``infmany``, ``compression``) has an affine minimizer:
+    0 iterations, and the V-cycle is never built.
 
     Raises
     ------
@@ -434,13 +432,9 @@ def solve_linear(mesh, density, assembly, tol=1e-10, equilibrium_tol=1e-9):
         raise NotEquilibratedError(eq.force_residual, eq.torque_residual)
 
     ops = operators(mesh, density)
-    Zeu = ops.Zeu
-
-    b_raw = assembly.load_vector.reshape(-1)
-    b = b_raw - Zeu @ (Zeu.T @ b_raw)
-
-    x, it, rel = _projected_pcg(ops, b, tol)
+    b = assembly.load_vector.reshape(-1)
+    x, it, rel = ops.kplus(b, tol)
     x -= ops.Z @ (ops.MZ.T @ x)
-    energy = 0.5 * float(x @ (ops.K @ x)) - float(x @ b_raw)
+    energy = 0.5 * float(x @ (ops.K @ x)) - float(x @ b)
     sol = DisplacementField(mesh, x.reshape(-1, 2))
     return LinearSolution(sol, energy, it, rel)

@@ -46,8 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import (DisplacementField, _projected_pcg, integral_mean, linear_field,
-                  operators)
+from .fem import DisplacementField, integral_mean, linear_field, operators
 from .limit import IncompatibleLoadsError
 from .loads import (INCOMPATIBLE, STRICT, MeshMismatchError, classify_compatibility,
                     load_work)
@@ -238,17 +237,14 @@ def _instability_probe(mesh, density, assembly, h, classification):
 
 
 class _StiffnessH0:
-    """Initial inverse Hessian H0 = P K^+ P + gamma Zeu Zeu^T of the two-loop recursion.
+    """Initial inverse Hessian H0 = P K^+ P + gamma (I - P) of the two-loop recursion.
 
-    K is the linear-elastic stiffness, Zeu the Euclidean-orthonormal rigid
-    basis and P = I - Zeu Zeu^T, all taken from ``operators(mesh,
-    density)``.  Calling it on ``(q, gamma, grad)`` applies K^+ to P q by
-    the projected PCG of ``solve_linear``, from the Galerkin solution on
-    the symmetric affine fields, to residual _H0_CG_TOL relative to P
-    grad, so H0 is symmetric positive definite up to that tolerance.
-    Where K^+ P q is affine, as on every point of the tension sweep, the
-    start meets that at once; the multigrid is built on the first
-    application that iterates.  The PCG iterations add up in
+    K is the linear-elastic stiffness and P the Euclidean projection onto
+    the complement of the rigid displacements, both from ``operators(mesh,
+    density)``.  Calling it on ``(q, gamma, grad)`` applies
+    ``Operators.kplus`` to q at tolerance _H0_CG_TOL relative to grad, so
+    H0 is symmetric positive definite up to that tolerance, and scales the
+    rigid part of q by gamma.  The PCG iterations add up in
     ``cg_iterations``.
     """
 
@@ -257,16 +253,9 @@ class _StiffnessH0:
         self.cg_iterations = 0
 
     def __call__(self, q, gamma, grad):
-        Zeu = self.ops.Zeu
-        rigid = Zeu @ (Zeu.T @ q)
-        b = q - rigid
-        # second pass: b must be rigid-free relative to its own size, also
-        # when q is nearly rigid, or CG meets an inconsistent system
-        b -= Zeu @ (Zeu.T @ b)
-        ref = grad - Zeu @ (Zeu.T @ grad)
-        x, it, _ = _projected_pcg(self.ops, b, _H0_CG_TOL, ref)
+        x, it, _ = self.ops.kplus(q, _H0_CG_TOL, grad)
         self.cg_iterations += it
-        return x - Zeu @ (Zeu.T @ x) + gamma * rigid
+        return x + gamma * self.ops.rigid_part(q)
 
 
 def _two_loop(grad, pairs, h0):
@@ -299,11 +288,11 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
     1e-13 (1 + |Fh|) lies where Fh is flat to round-off; it is accepted
     when its gradient passes the approximate Wolfe test 0.9 g'd <=
     g_cand'd <= -0.8 g'd (Hager and Zhang, 2005).  The two-loop recursion
-    starts from the stiffness inverse K^+ on the rigid-mode complement,
-    applied by PCG from the Galerkin affine start to a residual of 1e-8
-    of the rigid-projected gradient, and from the scalar sy/yy on the
-    rigid span, so the iteration count does not grow with the mesh.
-    ``cg_iterations`` of the result counts those PCG iterations.
+    starts from ``fem.Operators.kplus`` on the rigid-mode complement, to
+    a residual of 1e-8 of the rigid-free gradient, and from the scalar
+    sy/yy on the rigid span, so the iteration count does not grow with
+    the mesh.  ``cg_iterations`` of the result counts the PCG iterations
+    of those solves.
     ``classification`` is that of ``assembly``; the loads are classified
     here when it is None.
     Converged means |grad| <= grad_tol * (1 + |Fh|).  Stalled means that
@@ -462,14 +451,11 @@ class SweepResult:
 
 
 class SweepAbortedError(RuntimeError):
-    def __init__(self, records, result):
+    """A sweep point did not start or did not converge; ``records`` holds those computed."""
+
+    def __init__(self, records, h, reason):
         self.records = records
-        self.result = result
-        super().__init__(
-            f"sweep aborted at h = {records[-1].h if records else '?'}: "
-            f"minimizer status {result.status!r} (value {result.value:.6g}, "
-            f"grad norm {result.grad_norm:.3e})"
-        )
+        super().__init__(f"sweep aborted at h = {h!r}: {reason}")
 
 
 def h_sweep(mesh, density, assembly, classification, limit, h_list, grad_tol=1e-8):
@@ -483,7 +469,9 @@ def h_sweep(mesh, density, assembly, classification, limit, h_list, grad_tol=1e-
     h is warm-started from the previous minimizer, the first from the limit
     minimizer (for strict loads it is the linear-elastic one), tracking the
     minimizing branch.  Raises MeshMismatchError when ``assembly`` or
-    ``limit`` lives on another mesh.  Returns records (h, min Fh, the proxy
+    ``limit`` lives on another mesh, and SweepAbortedError, with the
+    points computed so far, when a point does not converge or its warm
+    start has lost orientation at its h.  Returns records (h, min Fh, the proxy
     |sqrt(h) mean skew grad|, strain-moment distances to the limit
     minimizer) plus the lowest energy seen over all points.
     """
@@ -506,8 +494,11 @@ def h_sweep(mesh, density, assembly, classification, limit, h_list, grad_tol=1e-
     records = []
     floor = np.inf
     for h in hs:
-        res = minimize_rescaled(mesh, density, assembly, h, init=warm, grad_tol=grad_tol,
-                                classification=classification)
+        try:
+            res = minimize_rescaled(mesh, density, assembly, h, init=warm, grad_tol=grad_tol,
+                                    classification=classification)
+        except InadmissibleStateError as exc:
+            raise SweepAbortedError(records, h, f"warm start is inadmissible: {exc}") from None
         floor = min(floor, res.energy_floor)
         records.append(SweepRecord(
             h=h,
@@ -519,6 +510,8 @@ def h_sweep(mesh, density, assembly, classification, limit, h_list, grad_tol=1e-
             status=res.status,
         ))
         if res.status != CONVERGED:
-            raise SweepAbortedError(records, res)
+            raise SweepAbortedError(records, h, (
+                f"minimizer status {res.status!r} (value {res.value:.6g}, "
+                f"grad norm {res.grad_norm:.3e})"))
         warm = res.field
     return SweepResult(records=records, energy_floor=float(floor))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import (admissible_field, body_spec, infmany_spec, jittered_mesh,
                       pressure_spec, sweep_inputs, zero_spec)
-from tractionlab import nonlinear
+from tractionlab import fem, nonlinear
 from tractionlab.algebra import Density, J2, rodrigues, skew2
 from tractionlab.fem import (DisplacementField, elastic_energy, element_gradients,
                              element_strains, linear_field, rigid_basis, solve_linear)
@@ -339,8 +339,8 @@ class TestPreconditionedSolver:
         mesh = rect_mesh(16, 16)
         asm, cls, lim = sweep_inputs(mesh, density, spec)
         Zeu = rigid_basis(mesh).euclid
-        two_loop, pcg, minimize = (nonlinear._two_loop, nonlinear._projected_pcg,
-                                   nonlinear.minimize_rescaled)
+        two_loop, kplus, minimize = (nonlinear._two_loop, fem.Operators.kplus,
+                                     nonlinear.minimize_rescaled)
         points, grads = [], []
 
         def new_point(*args, **kw):
@@ -352,7 +352,7 @@ class TestPreconditionedSolver:
             return two_loop(grad, *args)
 
         def record_solve(ops, b, *args):
-            x, it, rel = pcg(ops, b, *args)
+            x, it, rel = kplus(ops, b, *args)
             K = ops.K
             inv_diag = 1.0 / K.diagonal()
             r = b - K @ x
@@ -362,7 +362,7 @@ class TestPreconditionedSolver:
             return x, it, rel
         monkeypatch.setattr(nonlinear, "minimize_rescaled", new_point)
         monkeypatch.setattr(nonlinear, "_two_loop", record_gradient)
-        monkeypatch.setattr(nonlinear, "_projected_pcg", record_solve)
+        monkeypatch.setattr(fem.Operators, "kplus", record_solve)
         sw = h_sweep(mesh, density, asm, cls, lim, (0.2, 0.1, 0.05, 0.025))
         assert [r.status for r in sw.records] == [CONVERGED] * 4
         assert [len(p) for p in points] == [r.iters for r in sw.records]

@@ -430,6 +430,28 @@ class TestCli:
         csv_lines = (out / "sweep.csv").read_text().splitlines()
         assert len(csv_lines) == 2 and csv_lines[1].endswith(rows[0]["status"])
 
+    def test_inadmissible_warm_start_aborts(self, tmp_path):
+        # strict (tr S = 20), but at h = 0.4 the limit minimizer of this
+        # compressive load already inverts elements: the sweep aborts there
+        # with a report, not with a bare error
+        sc_file = tmp_path / "sc.ini"
+        sc_file.write_text(SMALL_TENSION.replace("nx = 6\nny = 6", "nx = 8\nny = 8")
+                           .replace("pressure = 16", "pressure = 40", 2)
+                           .replace("pressure = 16", "pressure = -30")
+                           .replace("h_list = 0.2 0.1", "h_list = 0.4 0.2 0.1"))
+        out = tmp_path / "o"
+        assert main(["run", str(sc_file), "--out", str(out)]) == 1
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["classification"]["class"] == "strict"
+        assert rep["stages"]["sweep"] == "aborted"
+        assert "sweep aborted at h = 0.4: " in rep["nonlinear"]["aborted"]
+        assert "lost orientation" in rep["nonlinear"]["aborted"]
+        assert rep["nonlinear"]["sweep"] == []
+        assert (out / "sweep.csv").read_text().splitlines() == [
+            ",".join(f.name for f in dataclasses.fields(SweepRecord))]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "classification.json", "report.json", "solution_linear.txt", "sweep.csv"]
+
     def test_sweep_on_weak_refused(self, tmp_path):
         out = tmp_path / "o"
         assert main(["sweep", "infmany", "--mesh-n", "8", "--out", str(out)]) == 2
@@ -475,9 +497,8 @@ class TestCli:
         rep = json.loads((out / "report.json").read_text())
         assert rep["stages"]["sweep"] == "ok"
         assert "refinements = 1" in rep["scenario"]["config"]
-        for dump in ("solution_linear.txt", "solution_limit.txt"):
-            lines = (out / dump).read_text().splitlines()
-            assert sum(line.startswith("v ") for line in lines) == 169
+        lines = (out / "solution_linear.txt").read_text().splitlines()
+        assert sum(line.startswith("v ") for line in lines) == 169
 
     def test_increasing_h_list_writes_nothing(self, tmp_path, capsys):
         sc_file = tmp_path / "sc.ini"
@@ -583,7 +604,7 @@ class TestCli:
                 "report": (out / "report.json").read_bytes(),
                 "sweep": (out / "sweep.csv").read_bytes(),
                 "classification": (out / "classification.json").read_bytes(),
-                "solution": (out / "solution_limit.txt").read_bytes(),
+                "solution": (out / "solution_linear.txt").read_bytes(),
             })
         assert outs[0] == outs[1]
 
