@@ -12,23 +12,21 @@ reference.
 Every K^+ is ``Operators.kplus(b, tol, ref)``, on the complement of the
 rigid displacements: ``solve_linear`` and the initial inverse Hessian of
 the rescaled-energy L-BFGS both call it.  It makes b Euclidean-
-orthogonal to the rigid modes in two passes, so that b is rigid-free
-relative to its own size also when it is nearly rigid.  Conjugate
-gradients then start from the Galerkin solution on the symmetric affine
-fields, x0 = X (X' K X)^-1 X' b: the K-orthogonal projection of K^+ b
-onto them, never farther from the solution in the energy norm than a
-zero start, and exact for a homogeneous load, which then takes no
-iteration.  The residual and the preconditioned residual are made
-rigid-free every iteration.  The solve stops when the Jacobi-norm
-residual sqrt(r' D^-1 r) of r = P(b - K x), relative to that of the
-rigid-free ``ref`` (default ``b``; ``b`` again when ``ref`` is rigid),
-is at most ``tol``.  The test comes before every preconditioner call,
-and the returned x is Euclidean-orthogonal to the rigid modes.  The
-preconditioner is a symmetric smoothed-aggregation multigrid V-cycle
-with the rigid modes as its near-null space, built on the first
-iteration that needs it.  The iteration count hardly grows with the
-mesh: on the body force g = x, 48 iterations to 1e-10 at 128x128 and 63
-at 256x256, against 700 and 1360 with Jacobi.
+orthogonal to the rigid modes.  Conjugate gradients then start from
+the Galerkin solution on the symmetric affine fields, x0 = X (X' K X)^-1
+X' b: the K-orthogonal projection of K^+ b onto them, never farther
+from the solution in the energy norm than a zero start, and exact for a
+homogeneous load, which then takes no iteration.  The residual and the
+preconditioned residual are made rigid-free every iteration.  The solve
+stops when the Jacobi-norm residual sqrt(r' D^-1 r) of r = P(b - K x),
+relative to that of the rigid-free ``ref`` (default ``b``; ``b`` again
+when ``ref`` is rigid), is at most ``tol``.  The test comes before every
+preconditioner call, and the returned x is Euclidean-orthogonal to the
+rigid modes.  The preconditioner is a symmetric smoothed-aggregation
+multigrid V-cycle with the rigid modes as its near-null space, built on
+the first iteration that needs it.  The iteration count hardly grows
+with the mesh: on the body force g = x, 48 iterations to 1e-10 at
+128x128 and 63 at 256x256, against 700 and 1360 with Jacobi.
 """
 
 from dataclasses import dataclass
@@ -352,7 +350,6 @@ class Operators:
         """
         K, inv_diag, X = self.K, self.inv_diag, self.X
         b = b - self.rigid_part(b)
-        b -= self.rigid_part(b)
         denom = np.sqrt(b @ (inv_diag * b))
         if denom == 0.0:
             return np.zeros(b.size), 0, 0.0

@@ -32,9 +32,10 @@ At fixed h > 0, Fh is bounded below for every load: the density grows
 quartically in grad v and the load work is linear.  What incompatible
 loads make unbounded is the h-family.  Along the witness rotation path
 v = h^-1 (R_theta - I) x the stored energy vanishes and Fh = (1 - cos
-theta) tr S / h, which reaches 2 tr S / h at theta = pi and tends to -inf
-as h -> 0 when tr S < 0.  The rotation-path probe certifies that; Fh at
-the given h is then not minimized.
+theta) tr S / h, least at theta = pi, where it is 2 tr S / h and tends to
+-inf as h -> 0 when tr S < 0.  The certificate is that one state: the
+discrete Fh and its gradient are evaluated once at theta = pi, and Fh at
+the given h is not minimized.
 
 Independent sweep points must not be parallelized: each h is
 warm-started from the minimizer of the previous one.
@@ -82,7 +83,6 @@ _WOLFE_UPPER = 0.8
 _STALL_STEPS = 10
 _MEMORY = 10        # L-BFGS curvature pairs kept
 _MAX_ITER = 2000    # iteration limit of one minimization
-_PROBE_ANGLES = 64  # rotation-path angles pi k / 64 traced by the probe
 
 
 class InadmissibleStateError(ValueError):
@@ -171,8 +171,9 @@ def rescaled_gradient(mesh, density, assembly, field, h):
 class DivergenceCertificate:
     """Witness of unbounded descent under incompatible loads.
 
-    ``thetas``/``trace`` record Fh along the whole rotation path;
-    ``witness_work`` is L(z_W) > 0 for the unit witness skew direction.
+    ``thetas``/``trace`` record Fh on the rotation path at its least
+    value, the single angle theta = pi; ``witness_work`` is L(z_W) > 0
+    for the unit witness skew direction.
     """
 
     thetas: np.ndarray
@@ -206,31 +207,29 @@ def rotation_path_field(mesh, witness, theta, h):
 
 
 def _instability_probe(mesh, density, assembly, h, classification):
-    """Trace Fh along the witness rotation orbit; exact descent certificate."""
-    thetas = np.pi * np.arange(1, _PROBE_ANGLES + 1) / _PROBE_ANGLES
-    # pi/3 is the landmark angle where the path is an exact rotation field
-    thetas = np.unique(np.concatenate([thetas, [np.pi / 3.0]]))
-    trace = np.empty(len(thetas))
-    k = 0
-    for i, th in enumerate(thetas):
-        fld = rotation_path_field(mesh, classification.witness, th, h)
-        trace[i] = eval_rescaled(mesh, density, assembly, fld, h)
-        if i == 0 or trace[i] < trace[k]:
-            k, worst = i, fld
-    grad = rescaled_gradient(mesh, density, assembly, worst, h)
+    """Fh at theta = pi on the witness rotation orbit; exact descent certificate.
+
+    There v = -2 h^-1 x, the stored energy vanishes and the load work is
+    exact on the affine field, so Fh = 2 tr S / h, the least value on the
+    orbit.  Fh is evaluated on the mesh, not taken from that closed form,
+    so the two check each other.
+    """
+    fld = rotation_path_field(mesh, classification.witness, np.pi, h)
+    value = float(eval_rescaled(mesh, density, assembly, fld, h))
+    grad = rescaled_gradient(mesh, density, assembly, fld, h)
     return NonlinearResult(
         status=DIVERGED,
-        field=worst,
-        value=float(trace[k]),
+        field=fld,
+        value=value,
         grad_norm=float(np.linalg.norm(grad)),
         iterations=0,
         cg_iterations=0,
         barrier_hits=0,
-        energy_floor=float(trace[k]),
-        energy_trace=[float(v) for v in trace],
+        energy_floor=value,
+        energy_trace=[value],
         certificate=DivergenceCertificate(
-            thetas=thetas,
-            trace=trace,
+            thetas=np.array([np.pi]),
+            trace=np.array([value]),
             witness_work=classification.witness_work,
         ),
     )

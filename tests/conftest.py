@@ -29,6 +29,13 @@ def body_spec(A):
     return LoadSpec({tag: zero for tag in SIDES}, BodyForce("linear", A))
 
 
+def stress_spec(S):
+    """Tractions S n on the four sides of a rectangle."""
+    normals = {"left": (-1.0, 0.0), "right": (1.0, 0.0), "top": (0.0, 1.0),
+               "bottom": (0.0, -1.0)}
+    return LoadSpec({tag: TractionRule("constant", S @ normals[tag]) for tag in SIDES})
+
+
 def zero_spec():
     return LoadSpec({tag: TractionRule("constant", (0.0, 0.0)) for tag in SIDES})
 

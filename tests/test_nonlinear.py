@@ -4,20 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (admissible_field, body_spec, infmany_spec, jittered_mesh,
-                      pressure_spec, sweep_inputs, zero_spec)
+                      pressure_spec, stress_spec, sweep_inputs, zero_spec)
 from tractionlab import fem, nonlinear
 from tractionlab.algebra import Density, J2, rodrigues, skew2
 from tractionlab.fem import (DisplacementField, elastic_energy, element_gradients,
                              element_strains, linear_field, rigid_basis, solve_linear)
 from tractionlab.limit import IncompatibleLoadsError
-from tractionlab.loads import (LoadSpec, MeshMismatchError, TractionRule,
+from tractionlab.loads import (INCOMPATIBLE, LoadSpec, MeshMismatchError, TractionRule,
                                assemble_loads, classify_compatibility, pressure)
 from tractionlab.mesh import rect_mesh, refine
 from tractionlab.nonlinear import (_H0_CG_TOL, CONVERGED, DIVERGED,
                                    InadmissibleStateError, SweepRefusedError,
                                    _StiffnessH0, eval_rescaled, h_sweep,
                                    mean_skew_gradient, minimize_rescaled,
-                                   rescaled_gradient, strain_moments)
+                                   rescaled_gradient, rotation_path_field, strain_moments)
 from tractionlab.scenarios import DEFAULT_H_LIST, Scenario
 
 W_UNIT = skew2(1.0)
@@ -180,12 +180,12 @@ class TestMinimize:
         assert res.status == DIVERGED
         cert = res.certificate
         assert cert is not None
-        # the trace crosses f |Omega| / h = -10 along the rotation direction
+        # the certificate lies below f |Omega| / h = -10, the value at theta = pi/3
         assert np.min(cert.trace) <= -10.0
         assert np.any(cert.trace <= -10.0 + 1e-9)
-        theta_third = np.pi / 3.0
-        k = int(np.argmin(np.abs(cert.thetas - theta_third)))
-        assert cert.trace[k] == pytest.approx(-10.0, rel=1e-9)
+        # at theta = pi, Fh = 2 tr S / h = 2 (-2) / 0.1 on the unit square
+        assert list(cert.thetas) == [np.pi]
+        assert cert.trace[0] == pytest.approx(-40.0, rel=1e-12)
         assert cert.witness_work == pytest.approx(1.0, rel=1e-12)
 
     def test_descent_monotonicity(self, mesh, density, tension):
@@ -473,6 +473,22 @@ _STRICT_LOADS = st.one_of(
 )
 
 
+def incompatible_spec(kind, a, b, c):
+    """Pressures a and c (b unused), tractions S n or the body force g = S x, S = [[a, b], [b, c]]."""
+    if kind == "pressures":
+        return two_side_pressures(a, c)
+    S = np.array([[a, b], [b, c]])
+    return stress_spec(S) if kind == "tractions" else body_spec(tuple(S.ravel()))
+
+
+_ENTRIES = st.floats(-30.0, 30.0)
+# tr S <= -0.5: incompatible at the default classification tolerance
+_INCOMPATIBLE_LOADS = st.builds(
+    incompatible_spec, st.sampled_from(["pressures", "tractions", "body"]),
+    _ENTRIES, _ENTRIES, _ENTRIES,
+).filter(lambda spec: np.trace(assemble_loads(rect_mesh(1, 1), spec).moment_matrix) <= -0.5)
+
+
 class TestFlatEnergy:
     """Trial steps on energy that is flat to round-off are judged by their slope."""
 
@@ -499,3 +515,40 @@ class TestFlatEnergy:
         assert cls.compat_class == "strict"
         sw = h_sweep(mesh, density, asm, cls, lim, DEFAULT_H_LIST)
         assert [r.status for r in sw.records] == [CONVERGED] * len(DEFAULT_H_LIST)
+
+
+class TestCertificate:
+    """Incompatible loads are certified by Fh = 2 tr S / h at theta = pi on the witness orbit."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 12), jitter=st.booleans(), lam=st.sampled_from([0.0, 1.0, 5.0]),
+           h=st.floats(0.01, 1.0), spec=_INCOMPATIBLE_LOADS, seed=st.integers(0, 2**32 - 1))
+    def test_least_value_on_the_rotation_orbit(self, n, jitter, lam, h, spec, seed):
+        mesh = jittered_mesh(n, n, np.random.default_rng(seed)) if jitter else rect_mesh(n, n)
+        density = Density(1.0, lam)
+        asm = assemble_loads(mesh, spec)
+        cls = classify_compatibility(asm)
+        assert cls.compat_class == INCOMPATIBLE
+        res = minimize_rescaled(mesh, density, asm, h, classification=cls)
+        assert res.status == DIVERGED
+        assert res.value == pytest.approx(2.0 * np.trace(asm.moment_matrix) / h, rel=1e-12)
+        assert list(res.certificate.thetas) == [np.pi]
+        assert list(res.certificate.trace) == [res.value]
+        # the body is turned over: F = I + h grad v = -I on every element
+        F = np.eye(2) + h * element_gradients(mesh, res.field.values)
+        assert np.max(np.abs(F + np.eye(2))) <= 1e-12
+        # no angle pi k / 64 of the orbit goes lower
+        for k in range(1, 65):
+            v = rotation_path_field(mesh, cls.witness, np.pi * k / 64, h)
+            assert eval_rescaled(mesh, density, asm, v, h) >= res.value - 1e-12 * abs(res.value)
+
+    def test_one_energy_and_one_gradient_evaluation(self, mesh, density, compression, monkeypatch):
+        calls = []
+        for name in ("eval_rescaled", "rescaled_gradient"):
+            f = getattr(nonlinear, name)
+            monkeypatch.setattr(nonlinear, name,
+                                lambda *args, f=f, name=name: calls.append(name) or f(*args))
+        for h in (0.2, 0.1):
+            calls.clear()
+            assert minimize_rescaled(mesh, density, compression, h).status == DIVERGED
+            assert sorted(calls) == ["eval_rescaled", "rescaled_gradient"]
