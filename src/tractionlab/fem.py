@@ -5,9 +5,9 @@ the infinitesimal rigid displacements (dimension 3 in 2D).
 ``operators(mesh, density)`` builds the stiffness, the rigid basis with
 its mass image ``M Z`` and the Galerkin matrix of the symmetric affine
 fields once per (mesh, density) and keeps them on the mesh.  The solve
-path never assembles the mass matrix: ``mass_action`` applies it
-element by element, and ``mass_matrix`` stays as the assembled
-reference.
+path never assembles the mass matrix: ``mesh.mass_action`` (also
+reachable here) applies it element by element, and ``mass_matrix``
+stays as the assembled reference.
 
 Every K^+ is ``Operators.kplus(b, tol, ref)``, on the complement of the
 rigid displacements: ``solve_linear`` and the initial inverse Hessian of
@@ -36,6 +36,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .algebra import J2
+from .loads import check_equilibrated
+from .mesh import _scalar_mass_action, mass_action
 
 
 class NotEquilibratedError(RuntimeError):
@@ -94,28 +96,6 @@ def mass_matrix(mesh):
     n = mesh.n_nodes
     scalar = sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
     return sp.kron(scalar, sp.eye(2), format="csr")
-
-
-def mass_action(mesh, x):
-    """M x for the consistent P1 vector mass matrix M, without assembling M.
-
-    ``x`` holds interleaved nodal dofs, shape (2n,) or (2n, k).  Per
-    scalar component, (M f)_a = sum over triangles T containing a of
-    |T| (f_a + sum_{b in T} f_b) / 12.
-    """
-    x = np.asarray(x, dtype=float)
-    return _scalar_mass_action(mesh, x.reshape(mesh.n_nodes, -1)).reshape(x.shape)
-
-
-def _scalar_mass_action(mesh, f):
-    """The scalar P1 mass matrix applied to each column of the nodal fields f, shape (n, k)."""
-    out = np.empty_like(f)
-    for c in range(f.shape[1]):
-        fe = f[mesh.elements, c]
-        fe += fe.sum(axis=1, keepdims=True)
-        fe *= mesh.areas[:, None] / 12.0
-        out[:, c] = np.bincount(mesh.elements.ravel(), fe.ravel(), minlength=mesh.n_nodes)
-    return out
 
 
 def integral_mean(mesh, values):
@@ -422,8 +402,6 @@ def solve_linear(mesh, density, assembly, tol=1e-10, equilibrium_tol=1e-9):
     NoConvergenceError
         when CG fails within 20 * ndof iterations.
     """
-    from .loads import check_equilibrated
-
     eq = check_equilibrated(assembly, equilibrium_tol)
     if not eq.equilibrated:
         raise NotEquilibratedError(eq.force_residual, eq.torque_residual)

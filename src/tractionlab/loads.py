@@ -9,6 +9,11 @@ the moment matrix
 whose trace (2D) or symmetric-part eigenstructure (3D) decides the
 strict / weak / incompatible trichotomy for the quadratic form
 Q(W) = L(W^2 x) over skew matrices W.
+
+Both are exact closed forms.  A traction rule depends only on the edge
+normal, so f = f_e is constant on edge e, whose endpoints take |e| f_e / 2
+and which adds |e| f_e (x) m_e to S (m_e its midpoint).  A zero, constant
+or linear body force g is its own P1 interpolant: l gains M g, S (M g)' x.
 """
 
 import math
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SkewParam, skew2, skew3, sym_eigs
-from .mesh import edge_gauss2, tri_midpoint3
+from .mesh import _scalar_mass_action
 
 STRICT = "strict"
 WEAK = "weak"
@@ -139,27 +144,15 @@ class LoadAssembly:
             on_tag = tags == tag
             f[on_tag] = spec.rule_for(tag).evaluate(mesh.edge_normals[on_tag])
 
-        # contributions w (1 - t) f to the first and w t f to the second endpoint
-        # of each edge at each Gauss point, shape (k, 2 points, 2 endpoints, 2)
-        pts, wts = edge_gauss2(mesh)
-        gauss_t = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
-        shares = wts[:, :, None] * np.stack([1.0 - gauss_t, gauss_t], axis=1)
+        lf = mesh.edge_lengths[:, None] * f
         ell = np.zeros((mesh.n_nodes, 2))
-        # np.add.at adds in index order: per node, the sum runs in edge order
-        np.add.at(ell, np.repeat(mesh.edge_nodes[:, None, :], 2, axis=1).reshape(-1),
-                  (shares[:, :, :, None] * f[:, None, None, :]).reshape(-1, 2))
-        # S = 0 + w f (x) x summed over Gauss points one by one in edge order, as
-        # accumulate does and the pairwise np.sum does not
-        terms = wts[:, :, None, None] * (f[:, None, :, None] * pts[:, :, None, :])
-        S = np.add.accumulate(np.concatenate([np.zeros((1, 2, 2)), terms.reshape(-1, 2, 2)]))[-1]
+        np.add.at(ell, mesh.edge_nodes, 0.5 * lf[:, None, :])
+        S = lf.T @ mesh.nodes[mesh.edge_nodes].mean(axis=1)
 
         if spec.body.kind != "zero":
-            qpts, qwts, hat = tri_midpoint3(mesh)
-            g = spec.body.evaluate(qpts)            # (m, 3, 2)
-            wg = qwts[:, :, None] * g
-            contrib = np.einsum("mqi,qk->mki", wg, hat)
-            np.add.at(ell, mesh.elements.reshape(-1), contrib.reshape(-1, 2))
-            S += np.einsum("mqi,mqj->ij", wg, qpts)
+            Mg = _scalar_mass_action(mesh, spec.body.evaluate(mesh.nodes))
+            ell += Mg
+            S += Mg.T @ mesh.nodes
 
         self.mesh = mesh
         self.spec = spec

@@ -2,13 +2,15 @@
 
 P1 (piecewise linear) triangles only; element geometry (areas, constant
 shape-function gradients, edge lengths and outward normals) and the
-sparse discrete-gradient operator G are precomputed at construction.  A
-line-oriented text format supports round-trip persistence:
+sparse discrete-gradient operator G are precomputed at construction;
+``mass_action`` applies the P1 mass matrix.  A line-oriented text format
+supports round-trip persistence:
 
     # comment
     v <x> <y>
     t <i> <j> <k>        (0-based node indices, counterclockwise)
     e <i> <j> <tag>      (boundary edge with tag)
+    u <i> <vx> <vy>      (nodal solution: none, or exactly one per node)
 
 A tag is one word: non-empty, without whitespace or '#', so that it
 reads back as written.
@@ -179,6 +181,28 @@ class Mesh:
         return sorted(set(self.edge_tags))
 
 
+def mass_action(mesh, x):
+    """M x for the consistent P1 vector mass matrix M, without assembling M.
+
+    ``x`` holds interleaved nodal dofs, shape (2n,) or (2n, k).  Per
+    scalar component, (M f)_a = sum over triangles T containing a of
+    |T| (f_a + sum_{b in T} f_b) / 12.
+    """
+    x = np.asarray(x, dtype=float)
+    return _scalar_mass_action(mesh, x.reshape(mesh.n_nodes, -1)).reshape(x.shape)
+
+
+def _scalar_mass_action(mesh, f):
+    """The scalar P1 mass matrix applied to each column of the nodal fields f, shape (n, k)."""
+    out = np.empty_like(f)
+    for c in range(f.shape[1]):
+        fe = f[mesh.elements, c]
+        fe += fe.sum(axis=1, keepdims=True)
+        fe *= mesh.areas[:, None] / 12.0
+        out[:, c] = np.bincount(mesh.elements.ravel(), fe.ravel(), minlength=mesh.n_nodes)
+    return out
+
+
 def _element_edges(elements):
     """(3m, 2) endpoints: row 3e + k joins local nodes k and k + 1 (mod 3) of element e."""
     return np.column_stack([elements.ravel(), np.roll(elements, -1, axis=1).ravel()])
@@ -276,9 +300,9 @@ def _interleave(*columns):
 def read_mesh(text):
     """Parse the mesh text format.
 
-    Returns (mesh, solution) where solution is an (n, 2) array when the
-    text carries ``u`` lines and None otherwise.  Orientation is never
-    repaired: a clockwise triangle is an error.
+    Returns (mesh, solution): solution is None, or the (n, 2) array of the
+    ``u`` lines, exactly one per node.  Orientation is never repaired: a
+    clockwise triangle is an error.
     """
     nodes = []
     elements = []
@@ -306,6 +330,8 @@ def read_mesh(text):
             elif kind == "u":
                 if len(args) != 3:
                     raise ValueError("expected: u <i> <vx> <vy>")
+                if int(args[0]) in solution:
+                    raise ValueError(f"second solution line for node {int(args[0])}")
                 solution[int(args[0])] = (float(args[1]), float(args[2]))
             else:
                 raise ValueError(f"unknown record kind {kind!r}")
@@ -316,42 +342,11 @@ def read_mesh(text):
     mesh = Mesh(np.asarray(nodes), np.asarray(elements, dtype=np.int64).reshape(-1, 3), edges)
     if not solution:
         return mesh, None
-    values = np.zeros((mesh.n_nodes, 2))
-    for i, v in solution.items():
+    for i in solution:
         if not 0 <= i < mesh.n_nodes:
             raise MeshFormatError(f"solution line references node {i} out of range")
-        values[i] = v
-    return mesh, values
+    for i in range(mesh.n_nodes):
+        if i not in solution:
+            raise MeshFormatError(f"node {i} has no solution line")
+    return mesh, np.array([solution[i] for i in range(mesh.n_nodes)])
 
-
-def edge_gauss2(mesh):
-    """Two-point Gauss points and weights on every boundary edge.
-
-    Returns (points, weights) with shapes (k, 2, 2) and (k, 2); exact for
-    cubic integrands along each edge.
-    """
-    pa = mesh.nodes[mesh.edge_nodes[:, 0]]
-    pb = mesh.nodes[mesh.edge_nodes[:, 1]]
-    s = 0.5 / np.sqrt(3.0)
-    t = np.array([0.5 - s, 0.5 + s])
-    pts = pa[:, None, :] + t[None, :, None] * (pb - pa)[:, None, :]
-    wts = np.repeat(0.5 * mesh.edge_lengths[:, None], 2, axis=1)
-    return pts, wts
-
-
-def tri_midpoint3(mesh):
-    """Edge-midpoint quadrature on every element, exact for quadratics.
-
-    Returns (points, weights) with shapes (m, 3, 2) and (m, 3), plus the
-    P1 hat-function values at those points, shape (3, 3) indexed as
-    [point, local node].
-    """
-    p = mesh.nodes[mesh.elements]   # (m, 3, 2)
-    pts = 0.5 * (p + np.roll(p, -1, axis=1))
-    wts = np.repeat(mesh.areas[:, None] / 3.0, 3, axis=1)
-    hat = np.array([
-        [0.5, 0.5, 0.0],
-        [0.0, 0.5, 0.5],
-        [0.5, 0.0, 0.5],
-    ])
-    return pts, wts, hat

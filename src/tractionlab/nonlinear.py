@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import rodrigues
 from .fem import DisplacementField, integral_mean, linear_field, operators
 from .limit import IncompatibleLoadsError
 from .loads import (INCOMPATIBLE, STRICT, MeshMismatchError, classify_compatibility,
@@ -200,10 +201,8 @@ def _gauge(mesh, values):
 
 
 def rotation_path_field(mesh, witness, theta, h):
-    """The rotation-path displacement v = h^-1 (sin(t) W + (1-cos(t)) W^2) x."""
-    W = witness.matrix()
-    A = (math.sin(theta) * W + (1.0 - math.cos(theta)) * (W @ W)) / h
-    return linear_field(mesh, A)
+    """The rotation-path displacement v = h^-1 (R_theta - I) x, R_theta = exp(theta W)."""
+    return linear_field(mesh, (rodrigues(theta, witness) - np.eye(2)) / h)
 
 
 def _instability_probe(mesh, density, assembly, h, classification):

@@ -139,7 +139,8 @@ class Scenario:
         return LoadSpec(dict(self.tractions), self.body)
 
     def build_mesh(self):
-        """The rect or file mesh, refined ``refinements`` times; every stage runs on it."""
+        """The rect or file mesh, refined ``refinements`` times, that every stage runs on;
+        a traction rule for a tag that no boundary edge carries is a ConfigError."""
         if self.mesh_kind == "rect":
             mesh = rect_mesh(self.nx, self.ny, self.x_range, self.y_range)
         else:
@@ -151,6 +152,8 @@ class Scenario:
             mesh, _ = read_mesh(text)
         for _ in range(self.refinements):
             mesh = refine(mesh)
+        for tag in sorted(set(self.tractions) - set(mesh.edge_tags)):
+            raise ConfigError("no boundary edge of the mesh has this tag", f"loads.{tag}")
         return mesh
 
     def effective_config(self):

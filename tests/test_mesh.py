@@ -131,6 +131,18 @@ class TestTextFormat:
         assert np.array_equal(values, sol)
         assert np.array_equal(m.nodes, m2.nodes)
 
+    def test_missing_solution_line_is_format_error(self):
+        text = write_mesh(rect_mesh(2, 2), solution=np.ones((9, 2)))
+        with pytest.raises(MeshFormatError, match="^node 4 has no solution line$"):
+            read_mesh(text.replace("u 4 1.0 1.0\n", ""))
+
+    def test_repeated_solution_line_is_format_error(self):
+        text = write_mesh(rect_mesh(2, 2), solution=np.ones((9, 2))) + "u 3 2.0 2.0\n"
+        lineno = text.count("\n")
+        with pytest.raises(MeshFormatError,
+                           match=f"^line {lineno}: second solution line for node 3$"):
+            read_mesh(text)
+
     def test_clockwise_triangle_is_orientation_error(self):
         text = UNIT_SQUARE_TEXT.replace("t 0 1 2", "t 0 2 1")
         with pytest.raises(MeshOrientationError, match="element 0"):

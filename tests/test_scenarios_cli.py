@@ -229,6 +229,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match="exactly one"):
             parse_scenario(bad)
 
+    def test_traction_for_a_tag_the_mesh_lacks(self):
+        sc = parse_scenario(SMALL_TENSION + "[loads.middle]\npressure = 5\n")
+        assert set(sc.tractions) == {"bottom", "left", "middle", "right", "top"}
+        with pytest.raises(ConfigError) as info:
+            sc.build_mesh()
+        assert str(info.value) == "[loads.middle]: no boundary edge of the mesh has this tag"
+
     def test_file_mesh_requires_path(self):
         bad = SMALL_TENSION.replace("kind = rect", "kind = file")
         with pytest.raises(ConfigError, match="path"):
@@ -543,6 +550,16 @@ class TestCli:
             assert main(["run", str(sc_file), "--out", str(out)]) == 1
             assert capsys.readouterr().err == f"config error: {err}\n"
             assert not out.exists()
+
+    def test_traction_for_a_missing_tag_writes_nothing(self, tmp_path, capsys):
+        sc_file = tmp_path / "sc.ini"
+        sc_file.write_text(SMALL_TENSION.replace("[experiment]", "[loads.middle]\npressure = 5\n"
+                                                 "[experiment]"))
+        out = tmp_path / "o"
+        assert main(["analyze", str(sc_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("config error: [loads.middle]: no boundary edge of "
+                                           "the mesh has this tag\n")
+        assert not out.exists()
 
     def test_bad_mesh_file_writes_nothing(self, tmp_path, capsys):
         broken = tmp_path / "broken.mesh"
