@@ -41,6 +41,8 @@ class _Run:
         self.out = Path(out_dir)
         self.density = Density(scenario.mu, scenario.lam)
         self.mesh = scenario.build_mesh()
+        for tag in sorted(set(self.mesh.edge_tags) - set(scenario.tractions)):
+            raise ConfigError("no traction rule for this boundary tag", f"loads.{tag}")
         self.assembly = assemble_loads(self.mesh, scenario.load_spec())
         self.classification = classify_compatibility(self.assembly, scenario.tol)
         self.out.mkdir(parents=True, exist_ok=True)

@@ -155,7 +155,6 @@ class LoadAssembly:
             S += Mg.T @ mesh.nodes
 
         self.mesh = mesh
-        self.spec = spec
         self.load_vector = ell
         self.resultant_force = ell.sum(axis=0)
         self.moment_matrix = S

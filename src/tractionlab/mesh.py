@@ -43,7 +43,6 @@ class Mesh:
     edge_tags : list of k tag strings (each one word without '#')
     edge_owner : (k,) int array, owning element of each boundary edge
     areas : (m,) element areas, all positive
-    grads : (m, 3, 2) constant shape-function gradients
     G : (4m, 2n) sparse CSR discrete gradient; maps interleaved nodal values
         (v[2a + i] = v_i at node a) to row-major element gradients
         ((G v)[4e + 2i + j] = dv_i/dx_j on element e)
@@ -88,7 +87,6 @@ class Mesh:
             pk = pts[(i + 2) % 3]
             g[:, i, 0] = (pj[:, 1] - pk[:, 1]) * inv2a
             g[:, i, 1] = (pk[:, 0] - pj[:, 0]) * inv2a
-        self.grads = g
 
         # row 4e + 2i + j holds the 3 entries g[e, k, j] at columns 2 elements[e, k] + i
         shape = (len(g), 2, 2, 3)

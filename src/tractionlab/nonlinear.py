@@ -14,8 +14,9 @@ and ``Density.quadratic_gradient_sym2``, for the L-BFGS steps and the
 rotation-path probe alike.
 
 Minimization uses limited-memory BFGS with a backtracking line search
-that enforces both the Armijo decrease and the orientation barrier
-det(I + h grad v) >= delta; where Fh is flat to round-off, a trial step
+that enforces the Armijo decrease; the orientation barrier is the
+domain of Fh itself, det(I + h grad v) > 0, so a trial where Fh is
++infinity halves the step.  Where Fh is flat to round-off, a trial step
 is judged by its slope instead (the approximate Wolfe test).  As h -> 0,
 h^-2 W(I + h B) tends to quadratic(sym B), so the Hessian of Fh at v = 0
 is the linear-elastic stiffness K for every h.  The two-loop recursion therefore starts from
@@ -58,7 +59,6 @@ DIVERGED = "diverged"
 ITER_LIMIT = "iter_limit"
 STALLED = "stalled"
 
-_BARRIER_DELTA = 1e-8
 _ARMIJO = 1e-4
 # residual of the inner K^+ solve, relative to the Jacobi norm of the
 # rigid-projected gradient P g, not of the two-loop vector b = P q it
@@ -116,26 +116,18 @@ def _deformation(mesh, values, h):
     return (F00, F01, F10, F11), det, (e00, e01, e11)
 
 
-def _element_dets(mesh, values, h):
-    return _deformation(mesh, values, h)[1]
+def eval_rescaled(mesh, density, assembly, field, h):
+    """Rescaled total energy Fh(v), +inf when some element has lost orientation.
 
-
-def stored_rescaled(mesh, density, values, h):
-    """Stored part of the rescaled energy; +inf when orientation is lost."""
+    ``assembly`` may be None for zero loads, which leaves the stored part.
+    """
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h}")
-    _, det, e = _deformation(mesh, values, h)
+    _, det, e = _deformation(mesh, field.values, h)
     if np.any(det <= 0.0):
         return np.inf
     # h^-2 quadratic(Eh) = quadratic(Eh / h)
-    return float(mesh.areas @ density.quadratic_sym2(*e))
-
-
-def eval_rescaled(mesh, density, assembly, field, h):
-    """Rescaled total energy Fh(v); assembly may be None for zero loads."""
-    stored = stored_rescaled(mesh, density, field.values, h)
-    if not np.isfinite(stored):
-        return np.inf
+    stored = float(mesh.areas @ density.quadratic_sym2(*e))
     if assembly is None:
         return stored
     return stored - load_work(assembly, field)
@@ -234,30 +226,22 @@ def _instability_probe(mesh, density, assembly, h, classification):
     )
 
 
-class _StiffnessH0:
-    """Initial inverse Hessian H0 = P K^+ P + gamma (I - P) of the two-loop recursion.
+def _h0(ops, q, gamma, grad):
+    """``(H0 q, PCG iterations)`` for the initial inverse Hessian H0 = P K^+ P + gamma (I - P).
 
     K is the linear-elastic stiffness and P the Euclidean projection onto
-    the complement of the rigid displacements, both from ``operators(mesh,
-    density)``.  Calling it on ``(q, gamma, grad)`` applies
-    ``Operators.kplus`` to q at tolerance _H0_CG_TOL relative to grad, so
-    H0 is symmetric positive definite up to that tolerance, and scales the
-    rigid part of q by gamma.  The PCG iterations add up in
-    ``cg_iterations``.
+    the complement of the rigid displacements, both of ``ops =
+    operators(mesh, density)``.  ``Operators.kplus`` applies K^+ to q at
+    tolerance _H0_CG_TOL relative to grad, so H0 is symmetric positive
+    definite up to that tolerance; the rigid part of q is scaled by gamma.
     """
-
-    def __init__(self, mesh, density):
-        self.ops = operators(mesh, density)
-        self.cg_iterations = 0
-
-    def __call__(self, q, gamma, grad):
-        x, it, _ = self.ops.kplus(q, _H0_CG_TOL, grad)
-        self.cg_iterations += it
-        return x + gamma * self.ops.rigid_part(q)
+    x, it, _ = ops.kplus(q, _H0_CG_TOL, grad)
+    return x + gamma * ops.rigid_part(q), it
 
 
-def _two_loop(grad, pairs, h0):
-    """H grad for the L-BFGS inverse Hessian H of the (s, y, rho) ``pairs``, oldest first."""
+def _two_loop(grad, pairs, ops):
+    """``(H grad, PCG iterations)`` for the L-BFGS inverse Hessian H of the
+    (s, y, rho) ``pairs``, oldest first, started from ``_h0``."""
     q = grad.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
@@ -268,11 +252,11 @@ def _two_loop(grad, pairs, h0):
     if pairs:
         s, y, _ = pairs[-1]
         gamma = (s @ y) / (y @ y)
-    q = h0(q, gamma, grad)
+    q, iterations = _h0(ops, q, gamma, grad)
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * (y @ q)
         q += (a - b) * s
-    return q
+    return q, iterations
 
 
 def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
@@ -280,12 +264,13 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
     """Quasi-Newton minimization of the rescaled energy at fixed h.
 
     L-BFGS (memory 10, at most 2000 iterations) with a backtracking line
-    search from the unit step that first halves the step until every
-    element satisfies det(I + h grad v) >= 1e-8 and then enforces the
-    Armijo decrease.  A trial that fails Armijo but raises Fh by at most
-    1e-13 (1 + |Fh|) lies where Fh is flat to round-off; it is accepted
-    when its gradient passes the approximate Wolfe test 0.9 g'd <=
-    g_cand'd <= -0.8 g'd (Hager and Zhang, 2005).  The two-loop recursion
+    search from the unit step.  A trial outside the domain of Fh, where
+    some element has det(I + h grad v) <= 0 and Fh = +inf, is a barrier
+    hit and halves the step; so every iterate has det > 0 everywhere.  A
+    trial is accepted on the Armijo decrease, or, when it raises Fh by at
+    most 1e-13 (1 + |Fh|) and so lies where Fh is flat to round-off, when
+    its gradient passes the approximate Wolfe test 0.9 g'd <= g_cand'd <=
+    -0.8 g'd (Hager and Zhang, 2005).  The two-loop recursion
     starts from ``fem.Operators.kplus`` on the rigid-mode complement, to
     a residual of 1e-8 of the rigid-free gradient, and from the scalar
     sy/yy on the rigid span, so the iteration count does not grow with
@@ -313,7 +298,7 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
     if classification.compat_class == INCOMPATIBLE:
         return _instability_probe(mesh, density, assembly, h, classification)
 
-    h0 = _StiffnessH0(mesh, density)
+    ops = operators(mesh, density)
     x = np.zeros((mesh.n_nodes, 2)) if init is None else np.asarray(init.values, dtype=float)
     x = _gauge(mesh, x)
     fld = DisplacementField(mesh, x)
@@ -323,6 +308,7 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
     g = rescaled_gradient(mesh, density, assembly, fld, h).reshape(-1)
     floor = f
     barrier_hits = 0
+    cg_iterations = 0
     pairs = deque(maxlen=_MEMORY)
     xf = x.reshape(-1)
     energy_trace = [f]
@@ -331,53 +317,38 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
     it = 0
     flat_steps = 0
     for it in range(1, _MAX_ITER + 1):
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= grad_tol * (1.0 + abs(f)) \
-                and np.all(_element_dets(mesh, xf, h) >= _BARRIER_DELTA):
+        if np.linalg.norm(g) <= grad_tol * (1.0 + abs(f)):
             status = CONVERGED
             it -= 1
             break
 
-        d = -_two_loop(g, pairs, h0)
+        Hg, cg = _two_loop(g, pairs, ops)
+        cg_iterations += cg
+        d = -Hg
         if d @ g >= 0.0:
             d = -g
         t = 1.0
         gd = g @ d
-        accepted = False
-        g_new = None
         for _ in range(80):
             # gauged before it is evaluated, so an accepted trial point is the
             # next iterate with its energy already known
-            cand = _gauge(mesh, (xf + t * d).reshape(-1, 2)).reshape(-1)
-            if np.any(_element_dets(mesh, cand, h) < _BARRIER_DELTA):
+            x_new = _gauge(mesh, (xf + t * d).reshape(-1, 2)).reshape(-1)
+            cand = DisplacementField(mesh, x_new)
+            f_new = eval_rescaled(mesh, density, assembly, cand, h)
+            if f_new == np.inf:
                 barrier_hits += 1
-                t *= 0.5
-                continue
-            f_cand = eval_rescaled(
-                mesh, density, assembly, DisplacementField(mesh, cand), h
-            )
-            floor = min(floor, f_cand)
-            if f_cand <= f + _ARMIJO * t * gd:
-                accepted = True
-                break
-            if f_cand <= f + _FLAT_ENERGY * (1.0 + abs(f)):
-                g_cand = rescaled_gradient(
-                    mesh, density, assembly, DisplacementField(mesh, cand), h
-                ).reshape(-1)
-                if _WOLFE_SIGMA * gd <= g_cand @ d <= -_WOLFE_UPPER * gd:
-                    accepted, g_new = True, g_cand
+            floor = min(floor, f_new)
+            armijo = f_new <= f + _ARMIJO * t * gd
+            if armijo or f_new <= f + _FLAT_ENERGY * (1.0 + abs(f)):
+                g_new = rescaled_gradient(mesh, density, assembly, cand, h).reshape(-1)
+                if armijo or _WOLFE_SIGMA * gd <= g_new @ d <= -_WOLFE_UPPER * gd:
                     break
             t *= 0.5
-        if not accepted:
+        else:
             # line search exhausted at floating-point resolution
             status = ITER_LIMIT
             break
 
-        x_new, f_new = cand, f_cand
-        if g_new is None:
-            g_new = rescaled_gradient(
-                mesh, density, assembly, DisplacementField(mesh, x_new), h
-            ).reshape(-1)
         s = x_new - xf
         y = g_new - g
         sy = s @ y
@@ -396,7 +367,7 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
         value=f,
         grad_norm=float(np.linalg.norm(g)),
         iterations=it,
-        cg_iterations=h0.cg_iterations,
+        cg_iterations=cg_iterations,
         barrier_hits=barrier_hits,
         energy_floor=floor,
         energy_trace=energy_trace,

@@ -73,6 +73,20 @@ def jittered_mesh(nx, ny, rng, amplitude=0.2):
     return Mesh(nodes, base.elements, edges)
 
 
+def shape_gradients(mesh):
+    """(m, 3, 2) gradients of the hat functions, the reference for ``mesh.G``.
+
+    Local node i of a triangle with vertices i, j = i + 1, k = i + 2 (mod 3)
+    has the gradient ((y_j - y_k), (x_k - x_j)) / 2|T|.
+    """
+    p = mesh.nodes[mesh.elements]                    # (m, 3, 2)
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    inv2a = 1.0 / (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    pj, pk = np.roll(p, -1, axis=1), np.roll(p, -2, axis=1)
+    g = np.stack([pj[..., 1] - pk[..., 1], pk[..., 0] - pj[..., 0]], axis=-1)
+    return g * inv2a[:, None, None]
+
+
 @pytest.fixture(scope="session")
 def mesh8():
     return rect_mesh(8, 8)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import jittered_mesh
+from conftest import jittered_mesh, shape_gradients
 from tractionlab.mesh import (Mesh, MeshFormatError, MeshOrientationError,
                               MeshTopologyError, read_mesh, rect_mesh, refine,
                               write_mesh)
@@ -83,7 +83,7 @@ class TestGeometry:
         A = rng.standard_normal((2, 2))
         b = rng.standard_normal(2)
         nodal = m.nodes @ A.T + b
-        grad = np.einsum("mki,mkj->mij", nodal[m.elements], m.grads)
+        grad = np.einsum("mki,mkj->mij", nodal[m.elements], shape_gradients(m))
         assert np.allclose(grad, A[None], atol=1e-13)
 
     def test_areas_positive(self):
@@ -97,7 +97,7 @@ class TestGeometry:
     ], ids=["rect", "jittered", "refined"])
     def test_gradient_operator_matches_index_construction(self, mesh):
         # the same G from explicit index arrays, one per axis of (m, 2, 2, 3)
-        g = mesh.grads
+        g = shape_gradients(mesh)
         e, i, j, k = np.indices((len(g), 2, 2, 3))
         cols = (2 * mesh.elements[e, k] + i).ravel()
         ref = sp.csr_matrix((g[e, k, j].ravel(), cols, np.arange(0, cols.size + 1, 3)),

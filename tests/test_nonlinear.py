@@ -13,9 +13,9 @@ from tractionlab.limit import IncompatibleLoadsError
 from tractionlab.loads import (INCOMPATIBLE, LoadSpec, MeshMismatchError, TractionRule,
                                assemble_loads, classify_compatibility, pressure)
 from tractionlab.mesh import rect_mesh, refine
-from tractionlab.nonlinear import (_H0_CG_TOL, CONVERGED, DIVERGED,
+from tractionlab.nonlinear import (_H0_CG_TOL, CONVERGED, DIVERGED, STALLED,
                                    InadmissibleStateError, SweepRefusedError,
-                                   _StiffnessH0, eval_rescaled, h_sweep,
+                                   _h0, eval_rescaled, h_sweep,
                                    mean_skew_gradient, minimize_rescaled,
                                    rescaled_gradient, rotation_path_field, strain_moments)
 from tractionlab.scenarios import DEFAULT_H_LIST, Scenario
@@ -205,6 +205,33 @@ class TestMinimize:
         with pytest.raises(InadmissibleStateError):
             minimize_rescaled(mesh, density, tension, 0.1, init=bad)
 
+    def test_one_deformation_per_evaluation(self, mesh, density, tension, monkeypatch):
+        # Fh = +inf is the one orientation test: no trial and no iterate forms
+        # the deformation outside an energy or a gradient evaluation
+        calls = dict.fromkeys(("_deformation", "eval_rescaled", "rescaled_gradient"), 0)
+        for name in calls:
+            def counted(*args, f=getattr(nonlinear, name), name=name):
+                calls[name] += 1
+                return f(*args)
+            monkeypatch.setattr(nonlinear, name, counted)
+        res = minimize_rescaled(mesh, density, tension, 0.2)
+        assert res.status == CONVERGED and res.iterations > 0
+        assert calls["_deformation"] == calls["eval_rescaled"] + calls["rescaled_gradient"]
+
+    def test_infimum_on_the_orientation_barrier_stalls(self):
+        # with lam = 0 the infimum of Fh lies on det(I + h grad v) = 0, where the
+        # gradient does not vanish: accepted steps stop lowering Fh
+        mesh = rect_mesh(8, 8)
+        density = Density(1.0, 0.0)
+        spec = LoadSpec({"left": pressure(25.05), "right": pressure(25.05),
+                         "top": pressure(23.99), "bottom": pressure(23.99)})
+        asm, cls, lim = sweep_inputs(mesh, density, spec)
+        res = minimize_rescaled(mesh, density, asm, 0.8, init=lim.field, classification=cls)
+        assert res.status == STALLED
+        assert res.barrier_hits > 0
+        assert res.grad_norm > 10.0
+        assert res.value == pytest.approx(76.704758, rel=1e-6)
+
 
 def sweep(mesh, density, spec, h_list):
     return h_sweep(mesh, density, *sweep_inputs(mesh, density, spec), h_list)
@@ -314,11 +341,11 @@ class TestSweep:
 
 class TestPreconditionedSolver:
     def test_h0_symmetric_positive_definite(self, mesh, density):
-        h0 = _StiffnessH0(mesh, density)
+        ops = fem.operators(mesh, density)
         rng = np.random.default_rng(64)
         U = rng.standard_normal((6, 2 * mesh.n_nodes))
         for gamma in (1.0, 1e-3):
-            G = U @ np.array([h0(u, gamma, u) for u in U]).T
+            G = U @ np.array([_h0(ops, u, gamma, u)[0] for u in U]).T
             assert np.all(np.diag(G) > 0.0)
             assert np.linalg.eigvalsh(0.5 * (G + G.T))[0] > 0.0
             # K^+ is applied by an inner solve, so symmetry holds to its tolerance
@@ -326,10 +353,10 @@ class TestPreconditionedSolver:
             assert np.max(np.abs(G - G.T) / scale) <= 10.0 * _H0_CG_TOL
 
     def test_h0_scales_rigid_span_by_gamma(self, mesh, density):
-        h0 = _StiffnessH0(mesh, density)
+        ops = fem.operators(mesh, density)
         Z = rigid_basis(mesh).euclid
         for k in range(3):
-            assert np.allclose(h0(Z[:, k], 0.25, Z[:, k]), 0.25 * Z[:, k], atol=1e-14)
+            assert np.allclose(_h0(ops, Z[:, k], 0.25, Z[:, k])[0], 0.25 * Z[:, k], atol=1e-14)
 
     @staticmethod
     def _h0_solves(density, spec, monkeypatch):

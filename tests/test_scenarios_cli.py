@@ -561,6 +561,25 @@ class TestCli:
                                            "the mesh has this tag\n")
         assert not out.exists()
 
+    def test_boundary_tag_without_a_traction_rule_writes_nothing(self, tmp_path, capsys):
+        sc_file = tmp_path / "sc.ini"
+        sc_file.write_text(SMALL_TENSION.replace("[loads.bottom]\npressure = 16\n", ""))
+        out = tmp_path / "o"
+        assert main(["analyze", str(sc_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("config error: [loads.bottom]: no traction rule for "
+                                           "this boundary tag\n")
+        assert not out.exists()
+
+    def test_first_boundary_tag_without_a_traction_rule_is_named(self, tmp_path, capsys):
+        text = SMALL_TENSION.replace("[loads.left]\npressure = 16\n", "")
+        sc_file = tmp_path / "sc.ini"
+        sc_file.write_text(text.replace("[loads.bottom]\npressure = 16\n", ""))
+        out = tmp_path / "o"
+        assert main(["sweep", str(sc_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("config error: [loads.bottom]: no traction rule for "
+                                           "this boundary tag\n")
+        assert not out.exists()
+
     def test_bad_mesh_file_writes_nothing(self, tmp_path, capsys):
         broken = tmp_path / "broken.mesh"
         broken.write_text("garbage\n")
