@@ -8,7 +8,7 @@ experiments on P1 triangulations.
 
 __version__ = "0.1.0"
 
-from .algebra import Density, SkewParam, rodrigues, skew2, skew3, skew_square, sym_eigs
+from .algebra import Density, rodrigues, skew2, skew3
 from .fem import (DisplacementField, NoConvergenceError, NotEquilibratedError,
                   assemble_stiffness, elastic_energy, element_strains,
                   linear_field, operators, rigid_basis, solve_linear)

@@ -5,8 +5,10 @@ Dimensions N = 2, 3 only.  The fixed 2D skew convention is
     J = e1 (x) e2 - e2 (x) e1 = [[0, 1], [-1, 0]],
 
 so a 2D skew matrix is W = a*J with |W|^2 = 2 a^2 and W^2 = -a^2 I.
-A 3D skew matrix is parametrized by its axis vector w, W x = w x x,
-with |W|^2 = 2 |w|^2 and W^2 = w (x) w - |w|^2 I.
+A 3D skew matrix has an axis vector w, W x = w x x, with |W|^2 = 2 |w|^2
+and W^2 = w (x) w - |w|^2 I.  Skew matrices are plain arrays: ``skew2``
+and ``skew3`` build them, their squares are W @ W, and only
+``report.skew_dict`` turns them back into coefficients.
 """
 
 from dataclasses import dataclass
@@ -18,83 +20,31 @@ J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _UNIT_NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SkewParam:
-    """Parametrized skew-symmetric matrix.
-
-    dim 2: ``coeffs`` is a single scalar a, the matrix is a*J.
-    dim 3: ``coeffs`` is the axis vector w, the matrix sends x to w x x.
-    """
-
-    dim: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        c = tuple(float(v) for v in np.atleast_1d(self.coeffs))
-        expected = 1 if self.dim == 2 else 3
-        if len(c) != expected:
-            raise ValueError(f"dim {self.dim} needs {expected} coefficients, got {len(c)}")
-        object.__setattr__(self, "coeffs", c)
-
-    def matrix(self):
-        """Materialize the skew matrix."""
-        if self.dim == 2:
-            return self.coeffs[0] * J2
-        wx, wy, wz = self.coeffs
-        return np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
-
-    def norm_sq(self):
-        """Squared Frobenius norm |W|^2 (= 2 for the unit normalization)."""
-        if self.dim == 2:
-            return 2.0 * self.coeffs[0] ** 2
-        return 2.0 * float(np.dot(self.coeffs, self.coeffs))
-
-
 def skew2(a):
-    """2D skew parameter a*J."""
-    return SkewParam(2, (a,))
+    """The 2D skew matrix a*J, a new array."""
+    return a * J2
 
 
 def skew3(w):
-    """3D skew parameter with axis vector w."""
-    return SkewParam(3, tuple(np.asarray(w, dtype=float)))
+    """The 3D skew matrix with axis vector w: W x = w x x."""
+    wx, wy, wz = (float(c) for c in w)
+    return np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
 
 
-def skew_square(w):
-    """Return W^2 for the materialized skew matrix W.
-
-    The result is symmetric negative semidefinite:
-    2D gives -a^2 I, 3D gives w (x) w - |w|^2 I.
-    """
-    if w.dim == 2:
-        a = w.coeffs[0]
-        return -(a * a) * np.eye(2)
-    axis = np.asarray(w.coeffs)
-    return np.outer(axis, axis) - float(np.dot(axis, axis)) * np.eye(3)
+def _canonical_axis(v):
+    """Fix the +- ambiguity: first nonzero component positive."""
+    for c in v:
+        if c != 0.0:
+            return v if c > 0.0 else -v
+    return v
 
 
-def rodrigues(theta, w):
-    """Rotation matrix exp(theta*W) = I + sin(theta) W + (1-cos(theta)) W^2.
-
-    Parameters
-    ----------
-    theta : float
-        Rotation angle in radians.
-    w : SkewParam
-        Unit-normalized skew parameter, |W|^2 = 2 required.
-
-    Returns
-    -------
-    ndarray
-        Proper rotation matrix of shape (dim, dim).
-    """
-    nsq = w.norm_sq()
+def rodrigues(theta, W):
+    """Rotation exp(theta W) = I + sin(theta) W + (1 - cos(theta)) W^2, skew W with |W|^2 = 2."""
+    nsq = float(np.sum(W * W))
     if abs(nsq - 2.0) > _UNIT_NORM_TOL:
         raise ValueError(f"rodrigues requires |W|^2 = 2, got {nsq!r}")
-    W = w.matrix()
-    return np.eye(w.dim) + np.sin(theta) * W + (1.0 - np.cos(theta)) * (W @ W)
+    return np.eye(len(W)) + np.sin(theta) * W + (1.0 - np.cos(theta)) * (W @ W)
 
 
 @dataclass(frozen=True)
@@ -145,16 +95,3 @@ class Density:
         mu8, lam4tr = 8.0 * self.mu, 4.0 * self.lam * (e00 + e11)
         return mu8 * e00 + lam4tr, mu8 * e01, mu8 * e11 + lam4tr
 
-
-def sym_eigs(S):
-    """Eigen-decomposition of a 2x2 or 3x3 symmetric matrix (``np.linalg.eigh``).
-
-    Returns
-    -------
-    (vals, Q) : eigenvalues ascending and orthonormal eigenvector columns
-        with S @ Q[:, i] = vals[i] * Q[:, i].
-    """
-    S = np.asarray(S, dtype=float)
-    if S.shape not in ((2, 2), (3, 3)):
-        raise ValueError(f"expected a 2x2 or 3x3 matrix, got shape {S.shape}")
-    return np.linalg.eigh(S)

@@ -16,13 +16,15 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .algebra import Density
 from .fem import NotEquilibratedError, solve_linear
 from .limit import IncompatibleLoadsError, minimize_limit, shifted_minimizer
 from .loads import WEAK, assemble_loads, classify_compatibility
 from .nonlinear import SweepAbortedError, SweepRefusedError, h_sweep
 from .report import (checked, classification_dict, provenance, report_json,
-                     solution_dump, sweep_csv, sweep_rows)
+                     skew_dict, solution_dump, sweep_csv, sweep_rows)
 from .scenarios import (DEFAULT_H_LIST, ConfigError, builtin_scenarios,
                         load_scenario)
 
@@ -102,7 +104,7 @@ class _Run:
             self.report["limit"] = {
                 "refused": str(exc),
                 "inf_F": "-inf",
-                "witness": classification_dict(self.classification)["witness"],
+                "witness": skew_dict(self.classification.witness),
                 "witness_work": self.classification.witness_work,
                 "explanation": "a skew direction with positive load work reverses the "
                                "compatibility inequality; the limit energy is unbounded "
@@ -115,7 +117,7 @@ class _Run:
         block = {
             "min_F": checked(lim.F_value, sc.cg_tol),
             "min_E": checked(lim.E_value, sc.cg_tol),
-            "W0_norm": checked(float(lim.W_star.norm_sq()) ** 0.5, 1e-6),
+            "W0_norm": checked(float(np.linalg.norm(lim.W_star)), 1e-6),
             "coincidence_abs_diff": checked(coincidence, 1e-9 * (1 + abs(lim.E_value))),
         }
         if self.classification.compat_class == WEAK and sc.shift_ts:

@@ -13,8 +13,9 @@ problem to one scalar with the closed form
 (1/|Omega|) (int div v)^-.  In 3D, for a constant strain, the inner
 minimizer is a closed-form multiple of the top eigenvector of sym E.  The
 inner minimizer is unique up to sign; the canonical representative has
-a* >= 0 (2D) or first nonzero axis component positive (3D).  The outer 2D
-minimizer is the linear-elastic one, which ``minimize_limit`` evaluates.
+a* >= 0 (2D) or first nonzero axis component positive (3D), and
+``W_star`` is that skew matrix.  The outer 2D minimizer is the
+linear-elastic one, which ``minimize_limit`` evaluates.
 """
 
 import math
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SkewParam, skew2, skew3, skew_square
+from .algebra import _canonical_axis, skew2, skew3
 from .fem import DisplacementField, elastic_energy, linear_field
-from .loads import INCOMPATIBLE, WEAK, _canonical_axis, load_work
+from .loads import INCOMPATIBLE, WEAK, load_work
 
 # dead band for the negative-part trigger, relative to the integral mass.
 # Under weakly compatible loads int quadratic_gradient(I) : E(v_lin) is zero
@@ -56,7 +57,7 @@ class LimitReport:
     F_value: float
     E_value: float
     gap: float
-    W_star: SkewParam
+    W_star: np.ndarray      # the inner minimizer, a skew matrix
     a_star_sq: float
     gap_formula: float      # E - F (2D) in closed form from a_star_sq
 
@@ -105,7 +106,7 @@ def inner_skew_minimum_3d(density, strain):
     mu, lam = density.mu, density.lam
     r = max(0.0, -(mu * (tr - vals[-1]) + lam * tr) / (mu + lam))
     W_star = skew3(_canonical_axis(math.sqrt(r) * Q[:, -1]))
-    return W_star, density.quadratic(E - 0.5 * skew_square(W_star))
+    return W_star, density.quadratic(E - 0.5 * (W_star @ W_star))
 
 
 def limit_report(mesh, density, assembly, field):
@@ -178,7 +179,7 @@ def shifted_minimizer(mesh, density, assembly, limit, direction, t, classificati
         raise ValueError(
             f"shifted minimizers require weak compatibility, got {classification.compat_class!r}"
         )
-    U2 = skew_square(direction)
+    U2 = direction @ direction
     kernel_work = float(np.sum(U2 * classification.moment_matrix))
     scale = 1.0 + float(np.linalg.norm(classification.moment_matrix))
     if abs(kernel_work) > classification.tol * scale:

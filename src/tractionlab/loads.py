@@ -8,7 +8,8 @@ the moment matrix
 
 whose trace (2D) or symmetric-part eigenstructure (3D) decides the
 strict / weak / incompatible trichotomy for the quadratic form
-Q(W) = L(W^2 x) over skew matrices W.
+Q(W) = L(W^2 x) over skew matrices W, the classification's ``witness``
+and ``kernel`` directions (``algebra.skew2``/``skew3``).
 
 Both are exact closed forms.  A traction rule depends only on the edge
 normal, so f = f_e is constant on edge e, whose endpoints take |e| f_e / 2
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SkewParam, skew2, skew3, sym_eigs
+from .algebra import _canonical_axis, skew2, skew3
 from .mesh import _scalar_mass_action
 
 STRICT = "strict"
@@ -31,7 +32,7 @@ INCOMPATIBLE = "incompatible"
 DEFAULT_TOL = 1e-9
 
 
-class MissingTractionRuleError(KeyError):
+class MissingTractionRuleError(LookupError):
     """A boundary tag present in the mesh has no traction rule."""
 
 
@@ -201,8 +202,8 @@ class Classification:
     """Result of the load compatibility analysis.
 
     compat_class is "strict", "weak" or "incompatible".  For weak loads
-    ``kernel`` lists skew directions with L(W^2 x) = 0 within tolerance;
-    for incompatible loads ``witness`` is a unit skew parameter
+    ``kernel`` lists skew matrices with L(W^2 x) = 0 within tolerance;
+    for incompatible loads ``witness`` is a unit skew matrix
     (|W|^2 = 2) with L(W^2 x) > 0 and ``witness_work`` its value
     L(z_W) = L(W^2 x / 2).  sup_gap is sup_W L(z_W): +inf exactly in the
     incompatible case, else 0 by positive homogeneity.
@@ -213,7 +214,7 @@ class Classification:
     torque_residual: float
     compat_class: str
     kernel: tuple
-    witness: SkewParam | None
+    witness: np.ndarray | None
     witness_work: float | None
     sup_gap: float
     moment_matrix: np.ndarray
@@ -237,13 +238,12 @@ def classify_moment_matrix(S, tol=DEFAULT_TOL):
             return STRICT, (), None, None, 0.0
         if tr >= -band:
             return WEAK, (skew2(1.0),), None, None, 0.0
-        witness = skew2(1.0)
-        return INCOMPATIBLE, (), witness, -0.5 * tr, math.inf
+        return INCOMPATIBLE, (), skew2(1.0), -0.5 * tr, math.inf
     if S.shape != (3, 3):
         raise ValueError(f"expected a 2x2 or 3x3 moment matrix, got shape {S.shape}")
 
     M = 0.5 * (S + S.T)
-    vals, Q = sym_eigs(M)
+    vals, Q = np.linalg.eigh(M)
     total = float(np.sum(vals))
     # pair sum excluding eigenvalue i; axis q_i gives Q(q_i) = -(pair sum)
     pair_sums = total - vals
@@ -257,14 +257,6 @@ def classify_moment_matrix(S, tol=DEFAULT_TOL):
     if kernel:
         return WEAK, kernel, None, None, 0.0
     return STRICT, (), None, None, 0.0
-
-
-def _canonical_axis(v):
-    """Fix the +- ambiguity: first nonzero component positive."""
-    for c in v:
-        if c != 0.0:
-            return v if c > 0.0 else -v
-    return v
 
 
 def classify_compatibility(assembly, tol=DEFAULT_TOL):

@@ -28,7 +28,10 @@ a symmetry of Fh under loads and are deliberately not gauged out.  K
 does not see them, so on the rigid span the initial matrix keeps the
 scalar L-BFGS scaling and the curvature pairs supply the rest.  A run
 whose accepted steps stop lowering Fh (a gradient tolerance below
-round-off, or an infimum on the orientation barrier) ends as stalled.
+round-off, or iterates pressed against the orientation barrier) ends as
+stalled.  Such a stall need not be near a minimum: turning the deformed
+body phi = x + h v keeps the stored energy and moves only the load
+work, a step that L-BFGS does not take.
 At fixed h > 0, Fh is bounded below for every load: the density grows
 quartically in grad v and the load work is linear.  What incompatible
 loads make unbounded is the h-family.  Along the witness rotation path
@@ -136,7 +139,8 @@ def eval_rescaled(mesh, density, assembly, field, h):
 def rescaled_gradient(mesh, density, assembly, field, h):
     """Exact nodal gradient of the discrete rescaled energy, shape (n, 2).
 
-    Raises InadmissibleStateError when some element has lost orientation.
+    Raises InadmissibleStateError when some element has lost orientation,
+    and MeshMismatchError for an assembly on another mesh than ``field``.
     """
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h}")
@@ -155,9 +159,11 @@ def rescaled_gradient(mesh, density, assembly, field, h):
     dPsi[:, 3] = F10 * S01 + F11 * S11
     dPsi *= mesh.areas[:, None]
     out = (mesh.G.T @ dPsi.reshape(-1)).reshape(-1, 2)
-    if assembly is not None:
-        out = out - assembly.load_vector
-    return out
+    if assembly is None:
+        return out
+    if field.mesh is not assembly.mesh:
+        raise MeshMismatchError("field and load assembly use different meshes")
+    return out - assembly.load_vector
 
 
 @dataclass(frozen=True)
@@ -280,8 +286,11 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
     here when it is None.
     Converged means |grad| <= grad_tol * (1 + |Fh|).  Stalled means that
     10 accepted steps in a row did not lower Fh: grad_tol is below what
-    round-off in Fh allows, or (seen with lam = 0) the infimum lies on the
-    orientation barrier, where the gradient does not vanish.  Diverged is
+    round-off in Fh allows, or the iterates press against the orientation
+    barrier, where the gradient does not vanish.  The second can be a
+    rotation trap rather than a minimum (seen with lam = 0): where
+    l.phi < 0 for phi = x + h v, the half turn phi -> -phi lowers Fh by
+    2 |l.phi| / h, but the gradient has no part along it.  Diverged is
     declared only for loads classified incompatible, the one class whose
     h-family is unbounded below (Fh = 2 tr S / h on the rotation path at
     theta = pi); Fh at this h is bounded below for every load.  The result

@@ -66,10 +66,12 @@ def classification_dict(classification):
     }
 
 
-def skew_dict(w):
-    if w is None:
+def skew_dict(W):
+    """Skew W as {"dim", "coeffs"}: W[0, 1] in 2D, the axis (W[2, 1], W[0, 2], W[1, 0]) in 3D."""
+    if W is None:
         return None
-    return {"dim": w.dim, "coeffs": list(w.coeffs)}
+    coeffs = [W[0, 1]] if len(W) == 2 else [W[2, 1], W[0, 2], W[1, 0]]
+    return {"dim": len(W), "coeffs": [float(c) for c in coeffs]}
 
 
 def sweep_csv(records):

@@ -72,11 +72,11 @@ def test_criterion_1_minimum_coincidence(tension_ctx):
     lim = tension_ctx["limit"]
     lin = tension_ctx["linear"]
     assert lin.energy == pytest.approx(-16.0, abs=1e-9)
-    assert np.sqrt(lim.W_star.norm_sq()) <= 1e-6
+    assert np.linalg.norm(lim.W_star) <= 1e-6
     assert abs(lim.F_value - lim.E_value) <= 1e-9 * (1.0 + abs(lim.E_value))
     assert lim.F_value == pytest.approx(-16.0, abs=1e-9)
     assert tension_ctx["seconds"] <= 5.0
-    ok(1, f"min F = {lim.F_value!r}, |W_star| = {np.sqrt(lim.W_star.norm_sq()):.1e}, "
+    ok(1, f"min F = {lim.F_value!r}, |W_star| = {np.linalg.norm(lim.W_star):.1e}, "
           f"{tension_ctx['seconds']:.2f} s")
 
 
@@ -106,7 +106,7 @@ def test_criterion_2_classification_trichotomy(density):
 def test_criterion_3_unboundedness_certificate(density):
     mesh = rect_mesh(32, 32)
     compression = assemble_loads(mesh, pressure_spec(-1.0))
-    W = skew2(1.0).matrix()
+    W = skew2(1.0)
     for h in (0.2, 0.1, 0.05):
         A = (0.5 * (W @ W) + 0.5 * np.sqrt(3.0) * W) / h
         val = eval_rescaled(mesh, density, compression, linear_field(mesh, A), h)

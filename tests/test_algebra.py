@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from tractionlab.algebra import (Density, J2, rodrigues, skew2, skew3,
-                                 skew_square, sym_eigs)
+from tractionlab.algebra import Density, J2, rodrigues, skew2, skew3
 
 
 def sym(M):
@@ -10,50 +9,53 @@ def sym(M):
 
 
 class TestSkewParam:
+    """``skew2`` and ``skew3`` build the skew matrices themselves."""
+
     def test_matrix_2d(self):
-        W = skew2(2.0).matrix()
+        W = skew2(2.0)
         assert np.array_equal(W, 2.0 * J2)
         assert np.array_equal(W.T, -W)
+        assert skew2(1.0) is not J2
 
     def test_matrix_3d_cross_product(self):
-        w = skew3([1.0, -2.0, 0.5])
+        W = skew3([1.0, -2.0, 0.5])
         x = np.array([0.3, 0.7, -1.1])
-        assert np.allclose(w.matrix() @ x, np.cross([1.0, -2.0, 0.5], x))
+        assert np.allclose(W @ x, np.cross([1.0, -2.0, 0.5], x))
+        assert np.array_equal(W.T, -W)
 
     def test_unit_norms(self):
-        assert skew2(1.0).norm_sq() == 2.0
-        assert skew3([0.0, 0.0, 1.0]).norm_sq() == 2.0
-
-    def test_bad_dim(self):
-        from tractionlab.algebra import SkewParam
-        with pytest.raises(ValueError):
-            SkewParam(4, (1.0,))
+        assert np.sum(skew2(1.0) ** 2) == 2.0
+        assert np.sum(skew3([0.0, 0.0, 1.0]) ** 2) == 2.0
 
 
 class TestSkewSquare:
+    """W @ W of the ``skew2``/``skew3`` matrices: -a^2 I and w (x) w - |w|^2 I."""
+
     def test_2d_unit_is_minus_identity(self):
-        assert np.array_equal(skew_square(skew2(1.0)), -np.eye(2))
+        W = skew2(1.0)
+        assert np.array_equal(W @ W, -np.eye(2))
 
     def test_3d_axis_e3(self):
         # w (x) w - |w|^2 I expanded by hand
-        assert np.allclose(skew_square(skew3([0, 0, 1])), np.diag([-1.0, -1.0, 0.0]))
+        W = skew3([0, 0, 1])
+        assert np.allclose(W @ W, np.diag([-1.0, -1.0, 0.0]))
 
     def test_2d_zero(self):
-        assert np.array_equal(skew_square(skew2(0.0)), np.zeros((2, 2)))
+        W = skew2(0.0)
+        assert np.array_equal(W @ W, np.zeros((2, 2)))
 
     def test_eigenvalues_nonpositive(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            W2 = skew_square(skew2(rng.standard_normal()))
-            assert np.all(np.linalg.eigvalsh(W2) <= 1e-14)
-            W2 = skew_square(skew3(rng.standard_normal(3)))
-            assert np.all(np.linalg.eigvalsh(W2) <= 1e-14)
+            for W in (skew2(rng.standard_normal()), skew3(rng.standard_normal(3))):
+                assert np.all(np.linalg.eigvalsh(W @ W) <= 1e-14)
 
     def test_matches_materialized_square(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            w = skew3(rng.standard_normal(3))
-            assert np.allclose(skew_square(w), w.matrix() @ w.matrix(), atol=1e-13)
+            w = rng.standard_normal(3)
+            W = skew3(w)
+            assert np.allclose(W @ W, np.outer(w, w) - (w @ w) * np.eye(3), atol=1e-13)
 
 
 class TestRodrigues:
@@ -89,7 +91,7 @@ class TestRodrigues:
                 axis = rng.standard_normal(3)
                 w = skew3(axis / np.linalg.norm(axis))
             R = rodrigues(theta, w)
-            assert np.allclose(R.T @ R, np.eye(w.dim), atol=1e-12)
+            assert np.allclose(R.T @ R, np.eye(len(w)), atol=1e-12)
             assert abs(np.linalg.det(R) - 1.0) <= 1e-12
 
 
@@ -154,18 +156,22 @@ class TestDensity:
 
 
 class TestSymEigs:
+    """The ``np.linalg.eigh`` contract that ``classify_moment_matrix`` and
+    ``inner_skew_minimum_3d`` read: ascending eigenvalues and orthonormal
+    eigenvector columns, also for near-degenerate 3x3 moment matrices."""
+
     def test_identity(self):
-        vals, Q = sym_eigs(np.eye(2))
+        vals, Q = np.linalg.eigh(np.eye(2))
         assert np.allclose(vals, [1.0, 1.0])
         assert np.allclose(Q.T @ Q, np.eye(2), atol=1e-14)
 
     def test_offdiagonal_pair(self):
         S = np.array([[0.0, 1.0], [1.0, 0.0]])
-        vals, _ = sym_eigs(S)
+        vals, _ = np.linalg.eigh(S)
         assert np.allclose(vals, [-1.0, 1.0])
 
     def test_diagonal_3x3_sorted(self):
-        vals, _ = sym_eigs(np.diag([1.0, 1.0, -3.0]))
+        vals, _ = np.linalg.eigh(np.diag([1.0, 1.0, -3.0]))
         assert np.allclose(vals, [-3.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -173,7 +179,7 @@ class TestSymEigs:
         rng = np.random.default_rng(15)
         for _ in range(200):
             S = sym(rng.standard_normal((dim, dim)))
-            vals, Q = sym_eigs(S)
+            vals, Q = np.linalg.eigh(S)
             norm = np.linalg.norm(S) + 1e-300
             assert np.all(np.diff(vals) >= -1e-14 * norm)
             assert np.allclose(Q.T @ Q, np.eye(dim), atol=1e-12)
@@ -186,11 +192,9 @@ class TestSymEigs:
         for gap in (0.0, 1e-14, 1e-10, 1e-6):
             base = np.diag([1.0, 1.0 + gap, -2.0])
             axis = rng.standard_normal(3)
-            from tractionlab.algebra import rodrigues as rod
-            from tractionlab.algebra import skew3 as s3
-            R = rod(0.7, s3(axis / np.linalg.norm(axis)))
+            R = rodrigues(0.7, skew3(axis / np.linalg.norm(axis)))
             S = sym(R @ base @ R.T)
-            vals, Q = sym_eigs(S)
+            vals, Q = np.linalg.eigh(S)
             norm = np.linalg.norm(S)
             for i in range(3):
                 assert np.linalg.norm(S @ Q[:, i] - vals[i] * Q[:, i]) <= 1e-12 * norm

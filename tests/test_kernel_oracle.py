@@ -147,7 +147,7 @@ class TestKernelsAgainstEinsum:
             W, energy, a2 = inner_skew_minimum(mesh, density, v)
             W_ref, energy_ref, a2_ref = ref_inner_skew_minimum(mesh, density,
                                                                element_strains(mesh, v))
-            assert a2 == a2_ref and W == W_ref
+            assert a2 == a2_ref and np.array_equal(W, W_ref)
             assert_close(energy, energy_ref)
 
         assert_close(integral_mean(mesh, field.values), ref_integral_mean(mesh, field.values),

@@ -6,7 +6,7 @@ from scipy.optimize import minimize, minimize_scalar
 
 from conftest import body_spec, infmany_spec, pressure_spec, sweep_inputs, zero_spec
 import tractionlab.limit as limit_module
-from tractionlab.algebra import Density, skew2, skew_square
+from tractionlab.algebra import Density, skew2
 from tractionlab.fem import (DisplacementField, elastic_energy, element_strains,
                              linear_field, mass_matrix, rigid_basis,
                              solve_linear)
@@ -36,6 +36,11 @@ def constant_strain_field(mesh, E):
     return linear_field(mesh, E)
 
 
+def axis_of(W):
+    """The axis w of a 3D skew matrix, W x = w x x."""
+    return np.array([W[2, 1], W[0, 2], W[1, 0]])
+
+
 class TestInnerMinimum:
     def test_uniform_contraction_fully_relaxed(self, mesh, density):
         # int div v = -2 gives a*^2 = 2 and the offset strain vanishes
@@ -43,7 +48,7 @@ class TestInnerMinimum:
                                            constant_strain_field(mesh, -np.eye(2)))
         assert a2 == pytest.approx(2.0, rel=1e-13)
         assert energy == pytest.approx(0.0, abs=1e-12)
-        assert W.coeffs[0] == pytest.approx(np.sqrt(2.0), rel=1e-13)
+        assert W[0, 1] == pytest.approx(np.sqrt(2.0), rel=1e-13)
 
     def test_uniform_expansion_keeps_zero_skew(self, mesh, density):
         W, energy, a2 = inner_skew_minimum(mesh, density, constant_strain_field(mesh, np.eye(2)))
@@ -60,7 +65,7 @@ class TestInnerMinimum:
         for _ in range(20):
             f = DisplacementField(mesh, rng.standard_normal((mesh.n_nodes, 2)))
             W, _, _ = inner_skew_minimum(mesh, density, f)
-            assert W.coeffs[0] >= 0.0
+            assert W[0, 1] >= 0.0
 
     def test_matches_scalar_scan_oracle(self, mesh, density):
         # independent route: minimize the offset energy over a directly
@@ -100,7 +105,7 @@ class TestLimitReport:
 
     def test_half_skew_square_field(self, mesh, density, zero_assembly):
         # v = (1/2) W^2 x with |W|^2 = 2: F = 0 strictly below E = 4
-        W2 = skew_square(skew2(1.0))
+        W2 = skew2(1.0) @ skew2(1.0)
         rep = limit_report(mesh, density, zero_assembly,
                            constant_strain_field(mesh, 0.5 * W2))
         assert rep.F_value == pytest.approx(0.0, abs=1e-12)
@@ -131,14 +136,14 @@ class TestLimitReport:
         W, energy, a2 = inner_skew_minimum(mesh, density, f)
 
         def offset_energy(Wp):
-            off = strains - 0.5 * skew_square(Wp)
+            off = strains - 0.5 * (Wp @ Wp)
             return float(np.sum(mesh.areas * (
                 4.0 * np.einsum("mij,mij->m", off, off)
                 + 2.0 * np.einsum("mii->m", off) ** 2
             )))
 
         plus = offset_energy(W)
-        minus = offset_energy(skew2(-W.coeffs[0]))
+        minus = offset_energy(-W)
         assert abs(plus - minus) <= 1e-13 * (1.0 + abs(plus))
 
     def test_rigid_shift_covariance(self, mesh, density):
@@ -155,7 +160,7 @@ class TestLimitReport:
 class TestMinimize:
     def test_tension_coincides_with_linear(self, mesh, density):
         _, _, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
-        assert np.sqrt(lim.W_star.norm_sq()) <= 1e-6
+        assert np.linalg.norm(lim.W_star) <= 1e-6
         assert lim.F_value == pytest.approx(-16.0, abs=1e-9)
         assert abs(lim.F_value - lim.E_value) <= 1e-9 * (1.0 + abs(lim.E_value))
 
@@ -171,7 +176,7 @@ class TestMinimize:
     def test_infmany_equal_minima(self, mesh, density):
         _, _, lim = sweep_inputs(mesh, density, infmany_spec())
         assert abs(lim.F_value - lim.E_value) <= 1e-9 * (1.0 + abs(lim.E_value))
-        assert np.sqrt(lim.W_star.norm_sq()) <= 1e-6
+        assert np.linalg.norm(lim.W_star) <= 1e-6
 
     def test_argmin_coincidence_strict(self, mesh, density):
         asm, _, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
@@ -195,8 +200,11 @@ class TestOneSolve:
         lin = solve_linear(mesh, density, asm)
         lim = minimize_limit(mesh, density, asm, classify_compatibility(asm), lin)
         assert lim.field is lin.field
-        assert lim == limit_report(mesh, density, asm, lin.field)
-        assert np.sqrt(lim.W_star.norm_sq()) <= 1e-6
+        fresh = limit_report(mesh, density, asm, lin.field)
+        assert fresh.field is lim.field and np.array_equal(fresh.W_star, lim.W_star)
+        assert ((fresh.F_value, fresh.E_value, fresh.gap, fresh.a_star_sq, fresh.gap_formula)
+                == (lim.F_value, lim.E_value, lim.gap, lim.a_star_sq, lim.gap_formula))
+        assert np.linalg.norm(lim.W_star) <= 1e-6
         assert abs(lim.F_value - lim.E_value) <= 1e-9 * (1.0 + abs(lim.E_value))
 
     def test_given_linear_solution_is_reused(self, mesh, density):
@@ -267,14 +275,14 @@ class TestInner3D:
         d = Density(1.0, 1.0)
         W, val = inner_skew_minimum_3d(d, np.diag([-1.0, -1.0, 0.0]))
         assert val == pytest.approx(0.0, abs=1e-12)
-        axis = np.asarray(W.coeffs)
+        axis = axis_of(W)
         assert abs(axis[2]) == pytest.approx(np.sqrt(2.0), rel=1e-6)
         assert np.hypot(axis[0], axis[1]) <= 1e-6
 
     def test_expansion_keeps_zero(self):
         d = Density(1.0, 1.0)
         W, val = inner_skew_minimum_3d(d, np.eye(3))
-        assert np.linalg.norm(W.coeffs) <= 1e-8
+        assert np.linalg.norm(axis_of(W)) <= 1e-8
         assert val == pytest.approx(d.quadratic(np.eye(3)), rel=1e-12)
 
     def test_matches_independent_minimizer(self):
@@ -301,7 +309,7 @@ class TestInner3D:
     def test_canonical_axis_sign(self):
         d = Density(1.0, 1.0)
         W, _ = inner_skew_minimum_3d(d, np.diag([0.0, -1.0, -1.0]))
-        axis = np.asarray(W.coeffs)
+        axis = axis_of(W)
         nz = axis[np.abs(axis) > 1e-8]
         assert nz.size and nz[0] > 0.0
 
@@ -345,12 +353,13 @@ class TestInner3DProperties:
         W, val = inner_skew_minimum_3d(d, E)
         q = _inner_objective(d, E)
 
-        # the value is the objective at the returned W, materialized directly
-        Wm = W.matrix()
-        assert abs(val - d.quadratic(E - 0.5 * Wm @ Wm)) <= 1e-12 * (1.0 + abs(val))
+        # the value is the objective at the returned W, with W^2 from its axis
+        w = axis_of(W)
+        assert np.array_equal(W.T, -W)
+        assert abs(val - q(w)[0]) <= 1e-12 * (1.0 + abs(val))
 
         # canonical sign: first nonzero axis component positive
-        nz = [c for c in W.coeffs if c != 0.0]
+        nz = [c for c in w if c != 0.0]
         assert not nz or nz[0] > 0.0
 
         # no start of an independent quasi-Newton search does better

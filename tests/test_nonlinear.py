@@ -8,7 +8,8 @@ from conftest import (admissible_field, body_spec, infmany_spec, jittered_mesh,
 from tractionlab import fem, nonlinear
 from tractionlab.algebra import Density, J2, rodrigues, skew2
 from tractionlab.fem import (DisplacementField, elastic_energy, element_gradients,
-                             element_strains, linear_field, rigid_basis, solve_linear)
+                             element_strains, integral_mean, linear_field, rigid_basis,
+                             solve_linear)
 from tractionlab.limit import IncompatibleLoadsError
 from tractionlab.loads import (INCOMPATIBLE, LoadSpec, MeshMismatchError, TractionRule,
                                assemble_loads, classify_compatibility, pressure)
@@ -61,7 +62,7 @@ class TestEval:
     @pytest.mark.parametrize("h", [0.2, 0.1, 0.05])
     def test_rotation_sequence_compression(self, mesh, density, compression, h):
         # stored term vanishes by frame indifference; value is f |Omega| / h
-        W = W_UNIT.matrix()
+        W = W_UNIT
         A = (0.5 * (W @ W) + 0.5 * np.sqrt(3.0) * W) / h
         v = linear_field(mesh, A)
         val = eval_rescaled(mesh, density, compression, v, h)
@@ -133,6 +134,16 @@ class TestGradient:
         v = linear_field(mesh, np.diag([-2.0, 0.0]))
         with pytest.raises(InadmissibleStateError):
             rescaled_gradient(mesh, density, None, v, 1.0)
+
+    def test_assembly_on_another_mesh_rejected(self, density):
+        # the same 4x4 connectivity on another rectangle: the energy and its
+        # gradient both refuse loads assembled on the first mesh
+        mesh, other = rect_mesh(4, 4), rect_mesh(4, 4, x_range=(-1.0, 1.0))
+        asm = assemble_loads(mesh, pressure_spec(16.0))
+        v = admissible_field(other, np.random.default_rng(64), 0.2)
+        for evaluate in (eval_rescaled, rescaled_gradient):
+            with pytest.raises(MeshMismatchError):
+                evaluate(other, density, asm, v, 0.2)
 
     def test_matches_central_differences(self, mesh, density, tension):
         rng = np.random.default_rng(63)
@@ -219,8 +230,10 @@ class TestMinimize:
         assert calls["_deformation"] == calls["eval_rescaled"] + calls["rescaled_gradient"]
 
     def test_infimum_on_the_orientation_barrier_stalls(self):
-        # with lam = 0 the infimum of Fh lies on det(I + h grad v) = 0, where the
-        # gradient does not vanish: accepted steps stop lowering Fh
+        # with lam = 0 the iterates press against det(I + h grad v) = 0, where the
+        # gradient does not vanish, and accepted steps stop lowering Fh.  This is
+        # a rotation trap, not an infimum: the half-turned body has Fh lower by
+        # 2 |l.phi| / h, and L-BFGS from there converges; this pins today's stall
         mesh = rect_mesh(8, 8)
         density = Density(1.0, 0.0)
         spec = LoadSpec({"left": pressure(25.05), "right": pressure(25.05),
@@ -251,7 +264,7 @@ class TestSweep:
         assert np.isfinite(sw.energy_floor)
         assert all(r.Fh >= sw.energy_floor - 1e-12 for r in sw.records)
         assert lim.F_value == pytest.approx(-16.0, abs=1e-9)
-        assert lim.W_star.norm_sq() <= 1e-12
+        assert np.sum(lim.W_star ** 2) <= 1e-12
 
     def test_upper_bound_by_oracle(self, mesh, density):
         sw = sweep(mesh, density, pressure_spec(16.0), (0.2, 0.1))
@@ -579,3 +592,35 @@ class TestCertificate:
             calls.clear()
             assert minimize_rescaled(mesh, density, compression, h).status == DIVERGED
             assert sorted(calls) == ["eval_rescaled", "rescaled_gradient"]
+
+
+def turned_field(mesh, v, theta, h):
+    """v_theta = (R_theta phi - x) / h for phi = x + h v, gauged; x the centred nodes."""
+    x = mesh.nodes - integral_mean(mesh, mesh.nodes)
+    R = rodrigues(theta, skew2(1.0))
+    v_theta = ((x + h * v.values) @ R.T - x) / h
+    return DisplacementField(mesh, v_theta - integral_mean(mesh, v_theta))
+
+
+class TestFrameIndifference:
+    """Turning the deformed body by R_theta changes the discrete Fh by its load work only."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 10), jitter=st.booleans(), lam=st.sampled_from([0.0, 1.0, 5.0]),
+           h=st.floats(0.02, 1.0), spec=_STRICT_LOADS, seed=st.integers(0, 2**32 - 1))
+    def test_turned_energy_is_shifted_by_the_load_work(self, n, jitter, lam, h, spec, seed):
+        rng = np.random.default_rng(seed)
+        mesh = jittered_mesh(n, n, rng) if jitter else rect_mesh(n, n)
+        density = Density(1.0, lam)
+        asm = assemble_loads(mesh, spec)
+        v = admissible_field(mesh, rng, h)
+        # phi = x + h v with x the centred nodes; a = l . phi and b = l . J phi
+        phi = mesh.nodes - integral_mean(mesh, mesh.nodes) + h * v.values
+        a = float(np.sum(asm.load_vector * phi))
+        b = float(np.sum(asm.load_vector * (phi @ J2.T)))
+        Fh = eval_rescaled(mesh, density, asm, v, h)
+        scale = abs(Fh) + (abs(a) + abs(b)) / h
+        for theta in (np.pi, *rng.uniform(-np.pi, np.pi, 4)):
+            expected = Fh - ((np.cos(theta) - 1.0) * a + np.sin(theta) * b) / h
+            turned = eval_rescaled(mesh, density, asm, turned_field(mesh, v, theta, h), h)
+            assert abs(turned - expected) <= 1e-13 * scale

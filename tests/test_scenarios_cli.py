@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 import tractionlab
 import tractionlab.cli
 import tractionlab.fem
+from tractionlab.algebra import _canonical_axis, skew3
 from tractionlab.cli import main
 from tractionlab.fem import assemble_stiffness, solve_linear
 from tractionlab.loads import BodyForce, TractionRule
 from tractionlab.mesh import read_mesh, rect_mesh, write_mesh
 from tractionlab.nonlinear import SweepRecord
+from tractionlab.report import skew_dict
 from tractionlab.scenarios import (DEFAULT_H_LIST, ConfigError, Scenario, builtin_scenarios,
                                    load_scenario, parse_scenario)
 
@@ -400,7 +402,9 @@ class TestCli:
         rep = json.loads((out / "report.json").read_text())
         assert rep["stages"]["solve_limit"] == "refused"
         assert rep["limit"]["inf_F"] == "-inf"
-        assert rep["limit"]["witness"]["dim"] == 2
+        unit = {"dim": 2, "coeffs": [1.0]}
+        assert rep["limit"]["witness"] == unit
+        assert rep["classification"]["witness"] == unit
         assert rep["classification"]["sup_gap"] == "+inf"
 
     def test_run_infmany_exit_0_with_shifts(self, tmp_path):
@@ -408,12 +412,21 @@ class TestCli:
         assert main(["run", "infmany", "--mesh-n", "8", "--out", str(out)]) == 0
         rep = json.loads((out / "report.json").read_text())
         assert rep["classification"]["class"] == "weak"
+        assert rep["classification"]["kernel"] == [{"dim": 2, "coeffs": [1.0]}]
         assert rep["stages"]["sweep"] == "skipped"
         checks = rep["limit"]["shift_checks"]
         assert [c["t"] for c in checks] == [0.5, 1.0, 2.0]
         for c in checks:
             assert abs(c["F_delta"]["value"]) <= c["F_delta"]["tol"]
             assert c["E_delta_positive"] is True
+
+    def test_skew_dict_of_a_3d_axis(self):
+        # no built-in run emits a 3D skew matrix; its axis is (W[2,1], W[0,2], W[1,0])
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            w = _canonical_axis(rng.standard_normal(3))
+            assert skew_dict(skew3(w)) == {"dim": 3, "coeffs": list(w)}
+        assert skew_dict(None) is None
 
     def test_bad_tol_flag_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "o"
