@@ -62,10 +62,10 @@ class Density:
     lam: float = 0.0
 
     def __post_init__(self):
-        if not self.mu > 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        if not 0.0 < self.mu < np.inf:
+            raise ValueError(f"mu must be finite and positive, got {self.mu}")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
 
     def quadratic(self, B):
         """Small-strain energy density 4 mu |B|^2 + 2 lam (Tr B)^2.

@@ -42,10 +42,10 @@ class _Run:
         self.h_list = h_list
         self.out = Path(out_dir)
         self.density = Density(scenario.mu, scenario.lam)
-        self.mesh = scenario.build_mesh()
-        for tag in sorted(set(self.mesh.edge_tags) - set(scenario.tractions)):
+        mesh = scenario.build_mesh()
+        for tag in sorted(set(mesh.edge_tags) - set(scenario.tractions)):
             raise ConfigError("no traction rule for this boundary tag", f"loads.{tag}")
-        self.assembly = assemble_loads(self.mesh, scenario.load_spec())
+        self.assembly = assemble_loads(mesh, scenario.load_spec())
         self.classification = classify_compatibility(self.assembly, scenario.tol)
         self.out.mkdir(parents=True, exist_ok=True)
         self.stages = {}
@@ -70,7 +70,7 @@ class _Run:
     def solve_linear_stage(self):
         sc = self.scenario
         try:
-            self.linear = solve_linear(self.mesh, self.density, self.assembly,
+            self.linear = solve_linear(self.density, self.assembly,
                                        tol=sc.cg_tol, equilibrium_tol=sc.tol)
         except NotEquilibratedError as exc:
             self.stages["solve_linear"] = REFUSED
@@ -87,7 +87,7 @@ class _Run:
             "preconditioner": "sa-amg",
             "cg_residual": checked(self.linear.residual, sc.cg_tol),
         }
-        self.write("solution_linear.txt", solution_dump(self.mesh, self.linear.field))
+        self.write("solution_linear.txt", solution_dump(self.linear.field))
         self.stages["solve_linear"] = OK
         print(f"min E = {self.linear.energy!r} ({self.linear.iterations} cg iterations)")
 
@@ -97,7 +97,7 @@ class _Run:
             self.stages["solve_limit"] = SKIPPED
             return
         try:
-            self.limit = minimize_limit(self.mesh, self.density, self.assembly,
+            self.limit = minimize_limit(self.density, self.assembly,
                                         self.classification, self.linear)
         except IncompatibleLoadsError as exc:
             self.stages["solve_limit"] = REFUSED
@@ -124,7 +124,7 @@ class _Run:
             checks = []
             for t in sc.shift_ts:
                 _, rec = shifted_minimizer(
-                    self.mesh, self.density, self.assembly, lim,
+                    self.density, self.assembly, lim,
                     self.classification.kernel[0], t, self.classification,
                 )
                 checks.append({
@@ -151,7 +151,7 @@ class _Run:
             print("sweep refused: limit stage did not complete")
             return
         try:
-            result = h_sweep(self.mesh, self.density, self.assembly, self.classification,
+            result = h_sweep(self.density, self.assembly, self.classification,
                              self.limit, self.h_list, grad_tol=self.scenario.grad_tol)
         except SweepRefusedError as exc:
             self.stages["sweep"] = REFUSED

@@ -7,7 +7,9 @@ its mass image ``M Z`` and the Galerkin matrix of the symmetric affine
 fields once per (mesh, density) and keeps them on the mesh.  The solve
 path never assembles the mass matrix: ``mesh.mass_action`` (also
 reachable here) applies it element by element, and ``mass_matrix``
-stays as the assembled reference.
+stays as the assembled reference.  Only the functions that build
+something on a mesh take one; ``solve_linear``, ``elastic_energy`` and
+``element_strains`` read it from their assembly or field.
 
 Every K^+ is ``Operators.kplus(b, tol, ref)``, on the complement of the
 rigid displacements: ``solve_linear`` and the initial inverse Hessian of
@@ -36,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .algebra import J2
-from .loads import check_equilibrated
+from .loads import check_equilibrated, load_work
 from .mesh import _scalar_mass_action, mass_action
 
 
@@ -81,9 +83,9 @@ def element_gradients(mesh, values):
     return (mesh.G @ np.asarray(values).reshape(-1)).reshape(-1, 2, 2)
 
 
-def element_strains(mesh, field):
+def element_strains(field):
     """Per-element infinitesimal strain sym(grad v), shape (m, 2, 2)."""
-    G = element_gradients(mesh, field.values)
+    G = element_gradients(field.mesh, field.values)
     return 0.5 * (G + np.swapaxes(G, 1, 2))
 
 
@@ -159,11 +161,15 @@ def assemble_stiffness(mesh, density):
     return (0.5 * (K + K.T)).tocsr()
 
 
-def elastic_energy(mesh, density, assembly, field):
-    """Classical linear-elastic energy int quadratic(E(v)) dx - L(v)."""
+def elastic_energy(density, assembly, field):
+    """Classical linear-elastic energy int quadratic(E(v)) dx - L(v).
+
+    Raises MeshMismatchError for an assembly on another mesh than ``field``.
+    """
+    mesh = field.mesh
     a, b, c, d = (mesh.G @ field.values.reshape(-1)).reshape(-1, 4).T
     stored = float(mesh.areas @ density.quadratic_sym2(a, 0.5 * (b + c), d))
-    return stored - float(np.sum(assembly.load_vector * field.values))
+    return stored - load_work(assembly, field)
 
 
 # Smoothed-aggregation multigrid (Vanek, Mandel and Brezina, Computing 56,
@@ -387,13 +393,14 @@ class LinearSolution:
     residual: float
 
 
-def solve_linear(mesh, density, assembly, tol=1e-10, equilibrium_tol=1e-9):
+def solve_linear(density, assembly, tol=1e-10, equilibrium_tol=1e-9):
     """Minimize int quadratic(E(v)) dx - L(v) over the rigid-mode complement.
 
-    The minimizer is ``Operators.kplus`` of the load vector to ``tol``,
-    moved to the gauge P v = 0 (mass projection).  A homogeneous load
-    (``tension``, ``infmany``, ``compression``) has an affine minimizer:
-    0 iterations, and the V-cycle is never built.
+    The problem lives on ``assembly.mesh``.  The minimizer is
+    ``Operators.kplus`` of the load vector to ``tol``, moved to the gauge
+    P v = 0 (mass projection).  A homogeneous load (``tension``,
+    ``infmany``, ``compression``) has an affine minimizer: 0 iterations,
+    and the V-cycle is never built.
 
     Raises
     ------
@@ -406,6 +413,7 @@ def solve_linear(mesh, density, assembly, tol=1e-10, equilibrium_tol=1e-9):
     if not eq.equilibrated:
         raise NotEquilibratedError(eq.force_residual, eq.torque_residual)
 
+    mesh = assembly.mesh
     ops = operators(mesh, density)
     b = assembly.load_vector.reshape(-1)
     x, it, rel = ops.kplus(b, tol)

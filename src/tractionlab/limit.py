@@ -15,7 +15,9 @@ minimizer is a closed-form multiple of the top eigenvector of sym E.  The
 inner minimizer is unique up to sign; the canonical representative has
 a* >= 0 (2D) or first nonzero axis component positive (3D), and
 ``W_star`` is that skew matrix.  The outer 2D minimizer is the
-linear-elastic one, which ``minimize_limit`` evaluates.
+linear-elastic one, which ``minimize_limit`` evaluates.  Every function
+here reads the mesh from its field or assembly; ``limit_report`` still
+takes a leading mesh as well, and checks it against both.
 """
 
 import math
@@ -25,7 +27,7 @@ import numpy as np
 
 from .algebra import _canonical_axis, skew2, skew3
 from .fem import DisplacementField, elastic_energy, linear_field
-from .loads import INCOMPATIBLE, WEAK, load_work
+from .loads import INCOMPATIBLE, WEAK, MeshMismatchError, load_work
 
 # dead band for the negative-part trigger, relative to the integral mass.
 # Under weakly compatible loads int quadratic_gradient(I) : E(v_lin) is zero
@@ -62,7 +64,7 @@ class LimitReport:
     gap_formula: float      # E - F (2D) in closed form from a_star_sq
 
 
-def inner_skew_minimum(mesh, density, field):
+def inner_skew_minimum(density, field):
     """2D inner minimization over skew offsets of the strain E(v), by exact quadrature.
 
     Reads the gradient columns a, b, c, d of ``mesh.G @ v``, so E(v) =
@@ -73,6 +75,7 @@ def inner_skew_minimum(mesh, density, field):
     (W_star, offset_energy, a_star_sq) with offset_energy =
     int quadratic(E + (a*^2/2) I) dx and canonical a* >= 0.
     """
+    mesh = field.mesh
     a, b, c, d = (mesh.G @ field.values.reshape(-1)).reshape(-1, 4).T
     q = density.quadratic_gradient(np.eye(2))[0, 0]      # quadratic_gradient(I) = q I
     per_elem = q * a + q * d
@@ -115,12 +118,15 @@ def limit_report(mesh, density, assembly, field):
     The 2D gap E - F is cross-checked against its closed form
     (1/4) int quadratic(I) (a*^2)^2 in ``gap_formula``, which equals
     (1/4) (int quadratic(I))^-1 [ (int quadratic_gradient(I):E)^- ]^2
-    only for the right a*^2.
+    only for the right a*^2.  Raises MeshMismatchError when ``mesh`` is not
+    the mesh of ``field`` or of ``assembly``.
     """
-    W_star, offset_energy, a2 = inner_skew_minimum(mesh, density, field)
+    if field.mesh is not mesh or assembly.mesh is not mesh:
+        raise MeshMismatchError("the field and the load assembly must live on the given mesh")
+    W_star, offset_energy, a2 = inner_skew_minimum(density, field)
     work = load_work(assembly, field)
     F_value = offset_energy - work
-    E_value = elastic_energy(mesh, density, assembly, field)
+    E_value = elastic_energy(density, assembly, field)
     return LimitReport(
         field=field,
         F_value=F_value,
@@ -132,7 +138,7 @@ def limit_report(mesh, density, assembly, field):
     )
 
 
-def minimize_limit(mesh, density, assembly, classification, linear):
+def minimize_limit(density, assembly, classification, linear):
     """Minimize the limit energy: the minimizer is the linear-elastic one.
 
     Substituting v = w - (a^2/2) x turns the limit energy at the skew
@@ -149,7 +155,7 @@ def minimize_limit(mesh, density, assembly, classification, linear):
     """
     if classification.compat_class == INCOMPATIBLE:
         raise IncompatibleLoadsError(classification.witness, classification.witness_work)
-    return limit_report(mesh, density, assembly, linear.field)
+    return limit_report(linear.field.mesh, density, assembly, linear.field)
 
 
 @dataclass(frozen=True)
@@ -162,7 +168,7 @@ class ShiftRecord:
     kernel_work: float          # L(U^2 x), must vanish for a kernel direction
 
 
-def shifted_minimizer(mesh, density, assembly, limit, direction, t, classification):
+def shifted_minimizer(density, assembly, limit, direction, t, classification):
     """Shift a minimizer along a kernel direction: v = v_star + t * U^2 x.
 
     ``limit`` is the LimitReport of the minimizer v_star, as
@@ -186,6 +192,7 @@ def shifted_minimizer(mesh, density, assembly, limit, direction, t, classificati
         raise ValueError(
             f"direction is not in the load kernel: L(U^2 x) = {kernel_work:.3e}"
         )
+    mesh = limit.field.mesh
     shift = linear_field(mesh, t * U2)
     field = DisplacementField(mesh, limit.field.values + shift.values)
     rep = limit_report(mesh, density, assembly, field)

@@ -42,7 +42,9 @@ discrete Fh and its gradient are evaluated once at theta = pi, and Fh at
 the given h is not minimized.
 
 Independent sweep points must not be parallelized: each h is
-warm-started from the minimizer of the previous one.
+warm-started from the minimizer of the previous one.  The functions here
+read the mesh from their field or load assembly; ``minimize_rescaled``
+still takes a leading mesh as well, and checks it against both.
 """
 
 import math
@@ -97,16 +99,20 @@ class SweepRefusedError(RuntimeError):
     """Sweep preconditions not met (classification is not strict)."""
 
 
-def _deformation(mesh, values, h):
+def _deformation(field, h):
     """Per-element F = I + h grad v, det F and the rescaled Green strain, in components.
 
-    The four columns of ``mesh.G @ values`` are the gradient components
+    Every evaluation of Fh or its gradient passes here, so this is where h
+    is checked: a ValueError unless 0 < h < inf.  The four columns of
+    ``mesh.G @ field.values`` are the gradient components
     a, b, c, d = dv_0/dx_0, dv_0/dx_1, dv_1/dx_0, dv_1/dx_1.  Returns
     ``((F00, F01, F10, F11), det F, (e00, e01, e11))`` with e = Eh / h =
     sym(grad v) + (h/2) grad v' grad v, the Green strain Eh of F divided
     by h.
     """
-    a, b, c, d = (mesh.G @ np.asarray(values).reshape(-1)).reshape(-1, 4).T
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"h must be finite and positive, got {h}")
+    a, b, c, d = (field.mesh.G @ field.values.reshape(-1)).reshape(-1, 4).T
     F00 = 1.0 + h * a
     F01 = h * b
     F10 = h * c
@@ -119,32 +125,27 @@ def _deformation(mesh, values, h):
     return (F00, F01, F10, F11), det, (e00, e01, e11)
 
 
-def eval_rescaled(mesh, density, assembly, field, h):
-    """Rescaled total energy Fh(v), +inf when some element has lost orientation.
-
-    ``assembly`` may be None for zero loads, which leaves the stored part.
-    """
-    if not h > 0.0:
-        raise ValueError(f"h must be positive, got {h}")
-    _, det, e = _deformation(mesh, field.values, h)
+def eval_rescaled(density, assembly, field, h):
+    """Rescaled total energy Fh(v), +inf when some element has lost orientation."""
+    _, det, e = _deformation(field, h)
     if np.any(det <= 0.0):
         return np.inf
     # h^-2 quadratic(Eh) = quadratic(Eh / h)
-    stored = float(mesh.areas @ density.quadratic_sym2(*e))
-    if assembly is None:
-        return stored
+    stored = float(field.mesh.areas @ density.quadratic_sym2(*e))
     return stored - load_work(assembly, field)
 
 
-def rescaled_gradient(mesh, density, assembly, field, h):
+def rescaled_gradient(density, assembly, field, h):
     """Exact nodal gradient of the discrete rescaled energy, shape (n, 2).
 
-    Raises InadmissibleStateError when some element has lost orientation,
-    and MeshMismatchError for an assembly on another mesh than ``field``.
+    Raises MeshMismatchError for an assembly on another mesh than
+    ``field``, and InadmissibleStateError when some element has lost
+    orientation.
     """
-    if not h > 0.0:
-        raise ValueError(f"h must be positive, got {h}")
-    (F00, F01, F10, F11), det, (e00, e01, e11) = _deformation(mesh, field.values, h)
+    if field.mesh is not assembly.mesh:
+        raise MeshMismatchError("field and load assembly use different meshes")
+    mesh = field.mesh
+    (F00, F01, F10, F11), det, (e00, e01, e11) = _deformation(field, h)
     if np.any(det <= 0.0):
         bad = int(np.argmin(det))
         raise InadmissibleStateError(
@@ -159,10 +160,6 @@ def rescaled_gradient(mesh, density, assembly, field, h):
     dPsi[:, 3] = F10 * S01 + F11 * S11
     dPsi *= mesh.areas[:, None]
     out = (mesh.G.T @ dPsi.reshape(-1)).reshape(-1, 2)
-    if assembly is None:
-        return out
-    if field.mesh is not assembly.mesh:
-        raise MeshMismatchError("field and load assembly use different meshes")
     return out - assembly.load_vector
 
 
@@ -203,7 +200,7 @@ def rotation_path_field(mesh, witness, theta, h):
     return linear_field(mesh, (rodrigues(theta, witness) - np.eye(2)) / h)
 
 
-def _instability_probe(mesh, density, assembly, h, classification):
+def _instability_probe(density, assembly, h, classification):
     """Fh at theta = pi on the witness rotation orbit; exact descent certificate.
 
     There v = -2 h^-1 x, the stored energy vanishes and the load work is
@@ -211,9 +208,9 @@ def _instability_probe(mesh, density, assembly, h, classification):
     orbit.  Fh is evaluated on the mesh, not taken from that closed form,
     so the two check each other.
     """
-    fld = rotation_path_field(mesh, classification.witness, np.pi, h)
-    value = float(eval_rescaled(mesh, density, assembly, fld, h))
-    grad = rescaled_gradient(mesh, density, assembly, fld, h)
+    fld = rotation_path_field(assembly.mesh, classification.witness, np.pi, h)
+    value = float(eval_rescaled(density, assembly, fld, h))
+    grad = rescaled_gradient(density, assembly, fld, h)
     return NonlinearResult(
         status=DIVERGED,
         field=fld,
@@ -298,23 +295,24 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
     solver reports gradient-norm stationarity only, never global optimality.
 
     ``energy_floor`` records the lowest finite energy seen across all
-    accepted and trial states.
+    accepted and trial states.  ``mesh`` must be the mesh of ``assembly``
+    and of ``init``; MeshMismatchError otherwise.
     """
-    if not h > 0.0:
-        raise ValueError(f"h must be positive, got {h}")
+    if assembly.mesh is not mesh or (init is not None and init.mesh is not mesh):
+        raise MeshMismatchError("the loads and the initial state must live on the given mesh")
     if classification is None:
         classification = classify_compatibility(assembly)
     if classification.compat_class == INCOMPATIBLE:
-        return _instability_probe(mesh, density, assembly, h, classification)
+        return _instability_probe(density, assembly, h, classification)
 
     ops = operators(mesh, density)
     x = np.zeros((mesh.n_nodes, 2)) if init is None else np.asarray(init.values, dtype=float)
     x = _gauge(mesh, x)
     fld = DisplacementField(mesh, x)
-    f = eval_rescaled(mesh, density, assembly, fld, h)
+    f = eval_rescaled(density, assembly, fld, h)
     if not np.isfinite(f):
         raise InadmissibleStateError("initial state has lost orientation")
-    g = rescaled_gradient(mesh, density, assembly, fld, h).reshape(-1)
+    g = rescaled_gradient(density, assembly, fld, h).reshape(-1)
     floor = f
     barrier_hits = 0
     cg_iterations = 0
@@ -343,13 +341,13 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
             # next iterate with its energy already known
             x_new = _gauge(mesh, (xf + t * d).reshape(-1, 2)).reshape(-1)
             cand = DisplacementField(mesh, x_new)
-            f_new = eval_rescaled(mesh, density, assembly, cand, h)
+            f_new = eval_rescaled(density, assembly, cand, h)
             if f_new == np.inf:
                 barrier_hits += 1
             floor = min(floor, f_new)
             armijo = f_new <= f + _ARMIJO * t * gd
             if armijo or f_new <= f + _FLAT_ENERGY * (1.0 + abs(f)):
-                g_new = rescaled_gradient(mesh, density, assembly, cand, h).reshape(-1)
+                g_new = rescaled_gradient(density, assembly, cand, h).reshape(-1)
                 if armijo or _WOLFE_SIGMA * gd <= g_new @ d <= -_WOLFE_UPPER * gd:
                     break
             t *= 0.5
@@ -392,8 +390,9 @@ _PANEL_CONST = (
 )
 
 
-def strain_moments(mesh, field):
+def strain_moments(field):
     """Strain moments int E(v) : T_k dx for the fixed 9-tensor panel."""
+    mesh = field.mesh
     panel = np.stack([T.ravel() for T in _PANEL_CONST], axis=1)
     # the panel tensors are symmetric, so E(v) : T = grad v : T
     base = (mesh.G @ field.values.reshape(-1)).reshape(-1, 4) @ panel      # (m, 3)
@@ -402,8 +401,9 @@ def strain_moments(mesh, field):
     return (base.T @ weights).reshape(-1)
 
 
-def mean_skew_gradient(mesh, field):
+def mean_skew_gradient(field):
     """Area-averaged skew part of grad v, a 2x2 skew matrix."""
+    mesh = field.mesh
     cols = (mesh.G @ field.values.reshape(-1)).reshape(-1, 4)
     Gm = (np.einsum("m,mk->k", mesh.areas, cols) / mesh.area).reshape(2, 2)
     return 0.5 * (Gm - Gm.T)
@@ -436,18 +436,18 @@ class SweepAbortedError(RuntimeError):
         super().__init__(f"sweep aborted at h = {h!r}: {reason}")
 
 
-def h_sweep(mesh, density, assembly, classification, limit, h_list, grad_tol=1e-8):
+def h_sweep(density, assembly, classification, limit, h_list, grad_tol=1e-8):
     """Minimize Fh along a descending h list and compare with the limit.
 
-    ``assembly`` holds the loads assembled on ``mesh``, ``classification``
-    their compatibility class and ``limit`` the LimitReport that
-    ``minimize_limit`` returns for them on the same mesh.  Only strictly
+    ``assembly`` holds the loads, ``classification`` their compatibility
+    class and ``limit`` the LimitReport that ``minimize_limit`` returns for
+    them; the sweep runs on ``assembly.mesh``.  Only strictly
     compatible loads are accepted; incompatible loads have no limit
     minimizer, so ``limit`` is not looked at for them.  Each
     h is warm-started from the previous minimizer, the first from the limit
     minimizer (for strict loads it is the linear-elastic one), tracking the
-    minimizing branch.  Raises MeshMismatchError when ``assembly`` or
-    ``limit`` lives on another mesh, and SweepAbortedError, with the
+    minimizing branch.  Raises MeshMismatchError when ``limit`` lives on
+    another mesh than ``assembly``, and SweepAbortedError, with the
     points computed so far, when a point does not converge or its warm
     start has lost orientation at its h.  Returns records (h, min Fh, the proxy
     |sqrt(h) mean skew grad|, strain-moment distances to the limit
@@ -464,10 +464,11 @@ def h_sweep(mesh, density, assembly, classification, limit, h_list, grad_tol=1e-
             "minimizing sequences may lose compactness (extra limit minimizers "
             "with unbounded skew gradients)",
         )
-    if assembly.mesh is not mesh or limit.field.mesh is not mesh:
-        raise MeshMismatchError("the sweep's loads and limit minimizer must live on its mesh")
+    mesh = assembly.mesh
+    if limit.field.mesh is not mesh:
+        raise MeshMismatchError("the sweep's loads and limit minimizer must live on one mesh")
 
-    limit_moments = strain_moments(mesh, limit.field)
+    limit_moments = strain_moments(limit.field)
     warm = limit.field
     records = []
     floor = np.inf
@@ -481,8 +482,8 @@ def h_sweep(mesh, density, assembly, classification, limit, h_list, grad_tol=1e-
         records.append(SweepRecord(
             h=h,
             Fh=float(res.value),
-            W_proxy=math.sqrt(h) * float(np.linalg.norm(mean_skew_gradient(mesh, res.field))),
-            moment_dist=float(np.linalg.norm(strain_moments(mesh, res.field) - limit_moments)),
+            W_proxy=math.sqrt(h) * float(np.linalg.norm(mean_skew_gradient(res.field))),
+            moment_dist=float(np.linalg.norm(strain_moments(res.field) - limit_moments)),
             iters=res.iterations,
             cg_iters=res.cg_iterations,
             status=res.status,

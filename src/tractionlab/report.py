@@ -92,6 +92,6 @@ def provenance(scenario):
     return {"config_sha256": scenario.config_hash(), "version": __version__}
 
 
-def solution_dump(mesh, field):
-    """Mesh text format with appended nodal solution lines."""
-    return write_mesh(mesh, solution=field.values)
+def solution_dump(field):
+    """The field's mesh in text format with appended nodal solution lines."""
+    return write_mesh(field.mesh, solution=field.values)

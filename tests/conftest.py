@@ -40,6 +40,12 @@ def zero_spec():
     return LoadSpec({tag: TractionRule("constant", (0.0, 0.0)) for tag in SIDES})
 
 
+def zero_loads(mesh):
+    """Zero loads on every boundary tag of mesh: Fh and its gradient keep only the stored part."""
+    return assemble_loads(mesh, LoadSpec({tag: TractionRule("constant", (0.0, 0.0))
+                                          for tag in mesh.tags()}))
+
+
 def sweep_inputs(mesh, density, spec, tol=DEFAULT_TOL):
     """(assembly, classification, limit) of spec on mesh, as h_sweep takes them.
 
@@ -51,8 +57,8 @@ def sweep_inputs(mesh, density, spec, tol=DEFAULT_TOL):
     classification = classify_compatibility(assembly, tol)
     limit = None
     if classification.compat_class != INCOMPATIBLE:
-        linear = solve_linear(mesh, density, assembly)
-        limit = minimize_limit(mesh, density, assembly, classification, linear)
+        linear = solve_linear(density, assembly)
+        limit = minimize_limit(density, assembly, classification, linear)
     return assembly, classification, limit
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (admissible_field, infmany_spec, pressure_spec, sweep_inputs,
-                      zero_spec)
+                      zero_loads, zero_spec)
 from tractionlab.algebra import Density, J2, rodrigues, skew2
 from tractionlab.fem import (DisplacementField, element_strains, linear_field,
                              solve_linear)
@@ -39,8 +39,8 @@ def tension_ctx(density):
     mesh = sc.build_mesh()     # 32 x 32
     assembly = assemble_loads(mesh, sc.load_spec())
     t0 = time.perf_counter()
-    linear = solve_linear(mesh, density, assembly)
-    limit = minimize_limit(mesh, density, assembly,
+    linear = solve_linear(density, assembly)
+    limit = minimize_limit(density, assembly,
                            classify_compatibility(assembly, sc.tol), linear)
     elapsed = time.perf_counter() - t0
     return {"scenario": sc, "mesh": mesh, "assembly": assembly,
@@ -52,7 +52,7 @@ def sweep_ctx(density):
     sc = builtin_scenarios()["tension"]
     mesh = sc.build_mesh()
     t0 = time.perf_counter()
-    result = h_sweep(mesh, density, *sweep_inputs(mesh, density, sc.load_spec(), sc.tol),
+    result = h_sweep(density, *sweep_inputs(mesh, density, sc.load_spec(), sc.tol),
                      sc.h_list)
     elapsed = time.perf_counter() - t0
     return {"result": result, "seconds": elapsed, "h_list": sc.h_list}
@@ -109,7 +109,7 @@ def test_criterion_3_unboundedness_certificate(density):
     W = skew2(1.0)
     for h in (0.2, 0.1, 0.05):
         A = (0.5 * (W @ W) + 0.5 * np.sqrt(3.0) * W) / h
-        val = eval_rescaled(mesh, density, compression, linear_field(mesh, A), h)
+        val = eval_rescaled(density, compression, linear_field(mesh, A), h)
         assert val == pytest.approx(-1.0 / h, rel=1e-12)
     res = minimize_rescaled(mesh, density, compression, 0.1)
     assert res.status == DIVERGED
@@ -123,7 +123,7 @@ def test_criterion_4_slow_rotation_sequence():
     d = Density(1.0, 0.0)
     for h in (1e-2, 1e-3, 1e-4):
         v = linear_field(mesh, h ** -0.25 * J2)
-        val = eval_rescaled(mesh, d, None, v, h)
+        val = eval_rescaled(d, zero_loads(mesh), v, h)
         assert val == pytest.approx(2.0 * h, rel=1e-12)
     ok(4, "Fh(h^(-1/4) J x) = 2 h |Omega| to 1e-12 for h in {1e-2, 1e-3, 1e-4}")
 
@@ -151,7 +151,7 @@ def test_criterion_6_extra_minimizers(infmany_ctx, density):
     lim = infmany_ctx["limit"]
     for t in (0.5, 1.0, 2.0):
         _, rec = shifted_minimizer(
-            infmany_ctx["mesh"], density, infmany_ctx["assembly"],
+            density, infmany_ctx["assembly"],
             lim, infmany_ctx["kernel"], t, infmany_ctx["classification"],
         )
         assert rec.F_delta <= 1e-8 * (1.0 + abs(lim.F_value))
@@ -168,7 +168,7 @@ def test_criterion_7_property_suites(density):
     h = 0.1
     for _ in range(20):
         v = admissible_field(mesh, rng, h)
-        g = rescaled_gradient(mesh, density, tension, v, h).reshape(-1)
+        g = rescaled_gradient(density, tension, v, h).reshape(-1)
         flat = v.values.reshape(-1)
         eps = 1e-6 * (1.0 + np.linalg.norm(flat))
         fd = np.empty_like(flat)
@@ -176,8 +176,8 @@ def test_criterion_7_property_suites(density):
             up, dn = flat.copy(), flat.copy()
             up[i] += eps
             dn[i] -= eps
-            fd[i] = (eval_rescaled(mesh, density, tension, DisplacementField(mesh, up), h)
-                     - eval_rescaled(mesh, density, tension, DisplacementField(mesh, dn), h)
+            fd[i] = (eval_rescaled(density, tension, DisplacementField(mesh, up), h)
+                     - eval_rescaled(density, tension, DisplacementField(mesh, dn), h)
                      ) / (2.0 * eps)
         assert np.linalg.norm(fd - g) <= 1e-6 * (1.0 + np.linalg.norm(g))
 
@@ -202,8 +202,8 @@ def test_criterion_7_property_suites(density):
             "bottom": constant_traction(*(-G[:, 1])),
             "top": constant_traction(*G[:, 1]),
         })
-        sol = solve_linear(m, density, assemble_loads(m, spec), tol=1e-12)
-        assert np.max(np.abs(element_strains(m, sol.field) - Estar[None])) <= 1e-10
+        sol = solve_linear(density, assemble_loads(m, spec), tol=1e-12)
+        assert np.max(np.abs(element_strains(sol.field) - Estar[None])) <= 1e-10
 
     # frame indifference spot checks
     for _ in range(10):
@@ -211,8 +211,8 @@ def test_criterion_7_property_suites(density):
         R = rodrigues(rng.uniform(0, 2 * np.pi), skew2(1.0))
         rotated = DisplacementField(
             mesh, ((mesh.nodes + h * v.values) @ R.T - mesh.nodes) / h)
-        a = eval_rescaled(mesh, density, None, v, h)
-        b = eval_rescaled(mesh, density, None, rotated, h)
+        a = eval_rescaled(density, zero_loads(mesh), v, h)
+        b = eval_rescaled(density, zero_loads(mesh), rotated, h)
         assert b == pytest.approx(a, rel=1e-10)
 
     # 3D classifier against the sphere-grid brute force on 50 random matrices

@@ -102,6 +102,12 @@ class TestDensity:
         with pytest.raises(ValueError):
             Density(1.0, -0.1)
 
+    @pytest.mark.parametrize("mu, lam", [(1.0, np.nan), (1.0, np.inf), (np.inf, 1.0),
+                                         (np.nan, 1.0)])
+    def test_rejects_nonfinite_moduli(self, mu, lam):
+        with pytest.raises(ValueError, match="must be finite"):
+            Density(mu, lam)
+
     def test_quadratic_identity_matrix(self):
         assert Density(1.0, 1.0).quadratic(np.eye(2)) == 16.0
 

@@ -13,7 +13,8 @@ from tractionlab.fem import (DisplacementField, elastic_energy, element_strains,
 from tractionlab.limit import (IncompatibleLoadsError, inner_skew_minimum,
                                inner_skew_minimum_3d, limit_report,
                                minimize_limit, shifted_minimizer)
-from tractionlab.loads import assemble_loads, classify_compatibility, load_work
+from tractionlab.loads import (MeshMismatchError, assemble_loads, classify_compatibility,
+                               load_work)
 from tractionlab.mesh import rect_mesh
 
 
@@ -44,27 +45,27 @@ def axis_of(W):
 class TestInnerMinimum:
     def test_uniform_contraction_fully_relaxed(self, mesh, density):
         # int div v = -2 gives a*^2 = 2 and the offset strain vanishes
-        W, energy, a2 = inner_skew_minimum(mesh, density,
+        W, energy, a2 = inner_skew_minimum(density,
                                            constant_strain_field(mesh, -np.eye(2)))
         assert a2 == pytest.approx(2.0, rel=1e-13)
         assert energy == pytest.approx(0.0, abs=1e-12)
         assert W[0, 1] == pytest.approx(np.sqrt(2.0), rel=1e-13)
 
     def test_uniform_expansion_keeps_zero_skew(self, mesh, density):
-        W, energy, a2 = inner_skew_minimum(mesh, density, constant_strain_field(mesh, np.eye(2)))
+        W, energy, a2 = inner_skew_minimum(density, constant_strain_field(mesh, np.eye(2)))
         assert a2 == 0.0
         assert energy == pytest.approx(16.0, rel=1e-13)
 
     def test_zero_strain(self, mesh, density):
         zero = DisplacementField(mesh, np.zeros((mesh.n_nodes, 2)))
-        W, energy, a2 = inner_skew_minimum(mesh, density, zero)
+        W, energy, a2 = inner_skew_minimum(density, zero)
         assert a2 == 0.0 and energy == 0.0
 
     def test_canonical_sign_nonnegative(self, mesh, density):
         rng = np.random.default_rng(51)
         for _ in range(20):
             f = DisplacementField(mesh, rng.standard_normal((mesh.n_nodes, 2)))
-            W, _, _ = inner_skew_minimum(mesh, density, f)
+            W, _, _ = inner_skew_minimum(density, f)
             assert W[0, 1] >= 0.0
 
     def test_matches_scalar_scan_oracle(self, mesh, density):
@@ -72,8 +73,8 @@ class TestInnerMinimum:
         rng = np.random.default_rng(52)
         for _ in range(10):
             f = DisplacementField(mesh, rng.standard_normal((mesh.n_nodes, 2)))
-            strains = element_strains(mesh, f)
-            _, energy, a2 = inner_skew_minimum(mesh, density, f)
+            strains = element_strains(f)
+            _, energy, a2 = inner_skew_minimum(density, f)
 
             def phi(a):
                 off = strains + 0.5 * a * a * np.eye(2)
@@ -132,8 +133,8 @@ class TestLimitReport:
         # the inner objective takes the same value at +W* and -W*
         rng = np.random.default_rng(55)
         f = DisplacementField(mesh, rng.standard_normal((mesh.n_nodes, 2)))
-        strains = element_strains(mesh, f)
-        W, energy, a2 = inner_skew_minimum(mesh, density, f)
+        strains = element_strains(f)
+        W, energy, a2 = inner_skew_minimum(density, f)
 
         def offset_energy(Wp):
             off = strains - 0.5 * (Wp @ Wp)
@@ -145,6 +146,18 @@ class TestLimitReport:
         plus = offset_energy(W)
         minus = offset_energy(-W)
         assert abs(plus - minus) <= 1e-13 * (1.0 + abs(plus))
+
+    def test_inputs_on_another_mesh_rejected(self, density):
+        # the same 4x4 connectivity on another rectangle
+        mesh, other = rect_mesh(4, 4), rect_mesh(4, 4, x_range=(-1.0, 1.0))
+        asm = assemble_loads(mesh, pressure_spec(16.0))
+        field = solve_linear(density, asm).field
+        cases = ((other, asm, field),
+                 (mesh, assemble_loads(other, pressure_spec(16.0)), field),
+                 (mesh, asm, DisplacementField(other, field.values)))
+        for m, a, f in cases:
+            with pytest.raises(MeshMismatchError):
+                limit_report(m, density, a, f)
 
     def test_rigid_shift_covariance(self, mesh, density):
         asm = assemble_loads(mesh, pressure_spec(16.0))
@@ -167,8 +180,8 @@ class TestMinimize:
     def test_compression_refused_with_witness(self, mesh, density):
         asm = assemble_loads(mesh, pressure_spec(-1.0))
         with pytest.raises(IncompatibleLoadsError) as err:
-            minimize_limit(mesh, density, asm, classify_compatibility(asm),
-                           solve_linear(mesh, density, asm))
+            minimize_limit(density, asm, classify_compatibility(asm),
+                           solve_linear(density, asm))
         assert err.value.witness is not None
         assert err.value.witness_work == pytest.approx(1.0, rel=1e-12)
         assert "unbounded" in str(err.value) or "-infinity" in str(err.value)
@@ -180,7 +193,7 @@ class TestMinimize:
 
     def test_argmin_coincidence_strict(self, mesh, density):
         asm, _, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
-        lin = solve_linear(mesh, density, asm)
+        lin = solve_linear(density, asm)
         M = mass_matrix(mesh)
         diff = (lim.field.values - lin.field.values).reshape(-1)
         vE = lin.field.values.reshape(-1)
@@ -197,8 +210,8 @@ class TestOneSolve:
                              ids=["tension", "infmany", "anisotropic_body"])
     def test_one_solve_returns_linear_field(self, mesh, density, spec):
         asm = assemble_loads(mesh, spec)
-        lin = solve_linear(mesh, density, asm)
-        lim = minimize_limit(mesh, density, asm, classify_compatibility(asm), lin)
+        lin = solve_linear(density, asm)
+        lim = minimize_limit(density, asm, classify_compatibility(asm), lin)
         assert lim.field is lin.field
         fresh = limit_report(mesh, density, asm, lin.field)
         assert fresh.field is lim.field and np.array_equal(fresh.W_star, lim.W_star)
@@ -209,13 +222,13 @@ class TestOneSolve:
 
     def test_given_linear_solution_is_reused(self, mesh, density):
         asm = assemble_loads(mesh, infmany_spec())
-        lin = solve_linear(mesh, density, asm)
-        lim = minimize_limit(mesh, density, asm, classify_compatibility(asm), lin)
+        lin = solve_linear(density, asm)
+        lim = minimize_limit(density, asm, classify_compatibility(asm), lin)
         assert lim.field is lin.field
         # F comes from the inner minimization, E from the classical energy
-        _, offset_energy, _ = inner_skew_minimum(mesh, density, lin.field)
+        _, offset_energy, _ = inner_skew_minimum(density, lin.field)
         assert lim.F_value == offset_energy - load_work(asm, lin.field)
-        assert lim.E_value == elastic_energy(mesh, density, asm, lin.field)
+        assert lim.E_value == elastic_energy(density, asm, lin.field)
         # the module has no solver or classifier to fall back on
         for name in ("solve_linear", "classify_compatibility", "element_strains",
                      "element_gradients"):
@@ -233,7 +246,7 @@ class TestShiftedMinimizers:
     def test_zero_shift_is_identity(self, setup):
         mesh, density, asm, lim, cls = setup
         U = cls.kernel[0]
-        field, rec = shifted_minimizer(mesh, density, asm, lim, U, 0.0, cls)
+        field, rec = shifted_minimizer(density, asm, lim, U, 0.0, cls)
         assert np.array_equal(field.values, lim.field.values)
         assert abs(rec.F_delta) <= 1e-10
         assert abs(rec.E_delta) <= 1e-10
@@ -242,7 +255,7 @@ class TestShiftedMinimizers:
     def test_shifts_stay_minimal_for_limit_energy(self, setup, t):
         mesh, density, asm, lim, cls = setup
         U = cls.kernel[0]
-        field, rec = shifted_minimizer(mesh, density, asm, lim, U, t, cls)
+        field, rec = shifted_minimizer(density, asm, lim, U, t, cls)
         assert rec.F_delta <= 1e-8 * (1.0 + abs(lim.F_value))
         assert rec.E_delta > 0.0
         # the shift field is exactly -t x in 2D
@@ -251,8 +264,8 @@ class TestShiftedMinimizers:
     def test_classical_energy_grows_quadratically(self, setup):
         mesh, density, asm, lim, cls = setup
         U = cls.kernel[0]
-        _, rec1 = shifted_minimizer(mesh, density, asm, lim, U, 1.0, cls)
-        _, rec2 = shifted_minimizer(mesh, density, asm, lim, U, 2.0, cls)
+        _, rec1 = shifted_minimizer(density, asm, lim, U, 1.0, cls)
+        _, rec2 = shifted_minimizer(density, asm, lim, U, 2.0, cls)
         # E(v* - t x) - min E = 16 t^2 on the unit square
         assert rec1.E_delta == pytest.approx(16.0, rel=1e-9)
         assert rec2.E_delta == pytest.approx(64.0, rel=1e-9)
@@ -260,13 +273,13 @@ class TestShiftedMinimizers:
     def test_strict_load_refused(self, mesh, density):
         asm, cls, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
         with pytest.raises(ValueError, match="weak"):
-            shifted_minimizer(mesh, density, asm, lim, skew2(1.0), 1.0, cls)
+            shifted_minimizer(density, asm, lim, skew2(1.0), 1.0, cls)
 
     def test_negative_t_rejected(self, setup):
         mesh, density, asm, lim, cls = setup
         U = cls.kernel[0]
         with pytest.raises(ValueError):
-            shifted_minimizer(mesh, density, asm, lim, U, -0.5, cls)
+            shifted_minimizer(density, asm, lim, U, -0.5, cls)
 
 
 class TestInner3D:

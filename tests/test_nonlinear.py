@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (admissible_field, body_spec, infmany_spec, jittered_mesh,
-                      pressure_spec, stress_spec, sweep_inputs, zero_spec)
+                      pressure_spec, stress_spec, sweep_inputs, zero_loads, zero_spec)
 from tractionlab import fem, nonlinear
 from tractionlab.algebra import Density, J2, rodrigues, skew2
 from tractionlab.fem import (DisplacementField, elastic_energy, element_gradients,
@@ -57,7 +57,7 @@ def homogeneous_oracle(h, p=16.0, modulus=16.0):
 class TestEval:
     def test_reference_state_is_zero(self, mesh, density, tension):
         v = DisplacementField(mesh, np.zeros((mesh.n_nodes, 2)))
-        assert eval_rescaled(mesh, density, tension, v, 0.3) == 0.0
+        assert eval_rescaled(density, tension, v, 0.3) == 0.0
 
     @pytest.mark.parametrize("h", [0.2, 0.1, 0.05])
     def test_rotation_sequence_compression(self, mesh, density, compression, h):
@@ -65,7 +65,7 @@ class TestEval:
         W = W_UNIT
         A = (0.5 * (W @ W) + 0.5 * np.sqrt(3.0) * W) / h
         v = linear_field(mesh, A)
-        val = eval_rescaled(mesh, density, compression, v, h)
+        val = eval_rescaled(density, compression, v, h)
         assert val == pytest.approx(-1.0 / h, rel=1e-12)
 
     @pytest.mark.parametrize("h", [1e-2, 1e-3, 1e-4])
@@ -73,17 +73,28 @@ class TestEval:
         # v = h^(-1/4) J x with the plain quadratic density: value 2 h |Omega|
         d = Density(1.0, 0.0)
         v = linear_field(mesh, h ** -0.25 * J2)
-        val = eval_rescaled(mesh, d, None, v, h)
+        val = eval_rescaled(d, zero_loads(mesh), v, h)
         assert val == pytest.approx(2.0 * h, rel=1e-12)
 
     def test_orientation_loss_infinite(self, mesh, density):
         v = linear_field(mesh, np.diag([-2.0, 0.0]))
-        assert eval_rescaled(mesh, density, None, v, 1.0) == np.inf
+        assert eval_rescaled(density, zero_loads(mesh), v, 1.0) == np.inf
 
     def test_rejects_nonpositive_h(self, mesh, density, tension):
         v = DisplacementField(mesh, np.zeros((mesh.n_nodes, 2)))
         with pytest.raises(ValueError):
-            eval_rescaled(mesh, density, tension, v, 0.0)
+            eval_rescaled(density, tension, v, 0.0)
+
+    @pytest.mark.parametrize("h", [np.inf, np.nan, 0.0, -1.0])
+    def test_h_must_be_finite_and_positive(self, mesh, density, tension, h):
+        # checked once, where every evaluation forms the deformation
+        v = DisplacementField(mesh, np.zeros((mesh.n_nodes, 2)))
+        calls = (lambda: eval_rescaled(density, tension, v, h),
+                 lambda: rescaled_gradient(density, tension, v, h),
+                 lambda: minimize_rescaled(mesh, density, tension, h))
+        for call in calls:
+            with pytest.raises(ValueError, match="h must be finite and positive"):
+                call()
 
     def test_frame_indifference_of_stored_term(self, mesh, density):
         # replacing y = x + h v by R y leaves the stored term unchanged
@@ -95,20 +106,20 @@ class TestEval:
             rotated = DisplacementField(
                 mesh, ((mesh.nodes + h * v.values) @ R.T - mesh.nodes) / h
             )
-            a = eval_rescaled(mesh, density, None, v, h)
-            b = eval_rescaled(mesh, density, None, rotated, h)
+            a = eval_rescaled(density, zero_loads(mesh), v, h)
+            b = eval_rescaled(density, zero_loads(mesh), rotated, h)
             assert b == pytest.approx(a, rel=1e-10)
 
     def test_energy_consistency_rate(self, mesh, density, tension):
         # eval + L converges to the quadratic energy at rate O(h)
         rng = np.random.default_rng(62)
         v = admissible_field(mesh, rng, 0.1, amplitude=0.4)
-        target = elastic_energy(mesh, density, tension, v) \
+        target = elastic_energy(density, tension, v) \
             + float(np.sum(tension.load_vector * v.values))
         errs = []
         hs = (1e-1, 1e-2, 1e-3)
         for h in hs:
-            val = eval_rescaled(mesh, density, None, v, h)
+            val = eval_rescaled(density, zero_loads(mesh), v, h)
             errs.append(abs(val - target))
         # err <= C h with C fitted at the largest h (higher-order terms only
         # shrink the ratio as h decreases)
@@ -122,18 +133,18 @@ class TestEval:
 class TestGradient:
     def test_zero_state_zero_loads(self, mesh, density):
         v = DisplacementField(mesh, np.zeros((mesh.n_nodes, 2)))
-        g = rescaled_gradient(mesh, density, None, v, 0.2)
+        g = rescaled_gradient(density, zero_loads(mesh), v, 0.2)
         assert np.max(np.abs(g)) == 0.0
 
     def test_zero_state_with_loads(self, mesh, density, tension):
         v = DisplacementField(mesh, np.zeros((mesh.n_nodes, 2)))
-        g = rescaled_gradient(mesh, density, tension, v, 0.2)
+        g = rescaled_gradient(density, tension, v, 0.2)
         assert np.array_equal(g, -tension.load_vector)
 
     def test_inadmissible_state_rejected(self, mesh, density):
         v = linear_field(mesh, np.diag([-2.0, 0.0]))
         with pytest.raises(InadmissibleStateError):
-            rescaled_gradient(mesh, density, None, v, 1.0)
+            rescaled_gradient(density, zero_loads(mesh), v, 1.0)
 
     def test_assembly_on_another_mesh_rejected(self, density):
         # the same 4x4 connectivity on another rectangle: the energy and its
@@ -143,14 +154,14 @@ class TestGradient:
         v = admissible_field(other, np.random.default_rng(64), 0.2)
         for evaluate in (eval_rescaled, rescaled_gradient):
             with pytest.raises(MeshMismatchError):
-                evaluate(other, density, asm, v, 0.2)
+                evaluate(density, asm, v, 0.2)
 
     def test_matches_central_differences(self, mesh, density, tension):
         rng = np.random.default_rng(63)
         h = 0.1
         for _ in range(20):
             v = admissible_field(mesh, rng, h)
-            g = rescaled_gradient(mesh, density, tension, v, h).reshape(-1)
+            g = rescaled_gradient(density, tension, v, h).reshape(-1)
             flat = v.values.reshape(-1)
             eps = 1e-6 * (1.0 + np.linalg.norm(flat))
             fd = np.empty_like(flat)
@@ -159,9 +170,9 @@ class TestGradient:
                 dn = flat.copy()
                 up[i] += eps
                 dn[i] -= eps
-                fp = eval_rescaled(mesh, density, tension,
+                fp = eval_rescaled(density, tension,
                                    DisplacementField(mesh, up), h)
-                fm = eval_rescaled(mesh, density, tension,
+                fm = eval_rescaled(density, tension,
                                    DisplacementField(mesh, dn), h)
                 fd[i] = (fp - fm) / (2.0 * eps)
             assert np.linalg.norm(fd - g) <= 1e-6 * (1.0 + np.linalg.norm(g))
@@ -170,7 +181,7 @@ class TestGradient:
 class TestMinimize:
     def test_tension_upper_bounded_by_homogeneous_oracle(self, mesh, density, tension):
         h = 0.1
-        init = solve_linear(mesh, density, tension).field
+        init = solve_linear(density, tension).field
         res = minimize_rescaled(mesh, density, tension, h, init=init)
         assert res.status == CONVERGED
         assert res.value <= -14.65
@@ -200,16 +211,26 @@ class TestMinimize:
         assert cert.witness_work == pytest.approx(1.0, rel=1e-12)
 
     def test_descent_monotonicity(self, mesh, density, tension):
-        init = solve_linear(mesh, density, tension).field
+        init = solve_linear(density, tension).field
         res = minimize_rescaled(mesh, density, tension, 0.1, init=init)
         trace = np.asarray(res.energy_trace)
         assert np.all(np.diff(trace) <= 1e-12 * (1.0 + np.abs(trace[:-1])))
 
     def test_floor_not_above_final_value(self, mesh, density, tension):
-        init = solve_linear(mesh, density, tension).field
+        init = solve_linear(density, tension).field
         res = minimize_rescaled(mesh, density, tension, 0.1, init=init)
         assert res.energy_floor <= res.value
         assert np.isfinite(res.energy_floor)
+
+    def test_inputs_on_another_mesh_rejected(self, density):
+        # the same 4x4 connectivity on another rectangle
+        mesh, other = rect_mesh(4, 4), rect_mesh(4, 4, x_range=(-1.0, 1.0))
+        asm = assemble_loads(mesh, pressure_spec(16.0))
+        init = DisplacementField(other, np.zeros((other.n_nodes, 2)))
+        with pytest.raises(MeshMismatchError):
+            minimize_rescaled(mesh, density, asm, 0.2, init=init)
+        with pytest.raises(MeshMismatchError):
+            minimize_rescaled(other, density, asm, 0.2)
 
     def test_inadmissible_init_rejected(self, mesh, density, tension):
         bad = linear_field(mesh, np.diag([-20.0, 0.0]))
@@ -247,13 +268,13 @@ class TestMinimize:
 
 
 def sweep(mesh, density, spec, h_list):
-    return h_sweep(mesh, density, *sweep_inputs(mesh, density, spec), h_list)
+    return h_sweep(density, *sweep_inputs(mesh, density, spec), h_list)
 
 
 class TestSweep:
     def test_tension_sweep_monotone(self, mesh, density):
         asm, cls, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
-        sw = h_sweep(mesh, density, asm, cls, lim, (0.2, 0.1, 0.05))
+        sw = h_sweep(density, asm, cls, lim, (0.2, 0.1, 0.05))
         assert all(r.status == CONVERGED for r in sw.records)
         gaps = [abs(r.Fh + 16.0) for r in sw.records]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -298,10 +319,10 @@ class TestSweep:
 
     def test_given_limit_minimizer_is_the_warm_start(self, mesh, density):
         asm, cls, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
-        sw = h_sweep(mesh, density, asm, cls, lim, (0.2, 0.1))
+        sw = h_sweep(density, asm, cls, lim, (0.2, 0.1))
         first = minimize_rescaled(mesh, density, asm, 0.2, init=lim.field)
         assert (sw.records[0].Fh, sw.records[0].iters) == (first.value, first.iterations)
-        dist = np.linalg.norm(strain_moments(mesh, first.field) - strain_moments(mesh, lim.field))
+        dist = np.linalg.norm(strain_moments(first.field) - strain_moments(lim.field))
         assert sw.records[0].moment_dist == dist
 
     def test_strict_sweep_never_probes(self, mesh, density, monkeypatch):
@@ -323,8 +344,8 @@ class TestSweep:
         weak = classify_compatibility(asm, 1e-3)
         assert weak.compat_class == "weak"
         with pytest.raises(SweepRefusedError, match="compactness"):
-            h_sweep(mesh, density, asm, weak, lim, (0.1, 0.05))
-        sw = h_sweep(mesh, density, asm, strict, lim, (0.1,))
+            h_sweep(density, asm, weak, lim, (0.1, 0.05))
+        sw = h_sweep(density, asm, strict, lim, (0.1,))
         assert [r.status for r in sw.records] == [CONVERGED]
 
     def test_loads_classified_once(self, mesh, density, monkeypatch):
@@ -336,7 +357,7 @@ class TestSweep:
             calls.append(args)
             return classify_compatibility(*args, **kw)
         monkeypatch.setattr(nonlinear, "classify_compatibility", counted)
-        sw = h_sweep(mesh, density, asm, cls, lim, (0.2, 0.1))
+        sw = h_sweep(density, asm, cls, lim, (0.2, 0.1))
         assert [r.status for r in sw.records] == [CONVERGED] * 2
         assert calls == []
         minimize_rescaled(mesh, density, asm, 0.2, init=lim.field)
@@ -349,7 +370,7 @@ class TestSweep:
         asm_other, _, lim_other = sweep_inputs(other, density, spec)
         for a, lm in ((asm_other, lim), (asm, lim_other)):
             with pytest.raises(MeshMismatchError):
-                h_sweep(mesh, density, a, cls, lm, (0.2, 0.1))
+                h_sweep(density, a, cls, lm, (0.2, 0.1))
 
 
 class TestPreconditionedSolver:
@@ -403,7 +424,7 @@ class TestPreconditionedSolver:
         monkeypatch.setattr(nonlinear, "minimize_rescaled", new_point)
         monkeypatch.setattr(nonlinear, "_two_loop", record_gradient)
         monkeypatch.setattr(fem.Operators, "kplus", record_solve)
-        sw = h_sweep(mesh, density, asm, cls, lim, (0.2, 0.1, 0.05, 0.025))
+        sw = h_sweep(density, asm, cls, lim, (0.2, 0.1, 0.05, 0.025))
         assert [r.status for r in sw.records] == [CONVERGED] * 4
         assert [len(p) for p in points] == [r.iters for r in sw.records]
         assert [sum(it for it, _ in p) for p in points] == [r.cg_iters for r in sw.records]
@@ -434,7 +455,7 @@ class TestPreconditionedSolver:
                              ids=["tension", "bodyforce"])
     def test_sweep_warm_start_is_linear_minimizer(self, mesh, density, spec):
         asm, _, lim = sweep_inputs(mesh, density, spec)
-        linear = solve_linear(mesh, density, asm).field.values
+        linear = solve_linear(density, asm).field.values
         warm = lim.field.values
         assert np.max(np.abs(warm - linear)) <= 1e-12 * (1.0 + np.max(np.abs(linear)))
 
@@ -449,14 +470,14 @@ class TestPreconditionedSolver:
         assert all(r.W_proxy > 1e-5 for r in sw.records)
 
         asm = assemble_loads(mesh, spec)
-        linear = solve_linear(mesh, density, asm).field
+        linear = solve_linear(density, asm).field
         warm = linear
         for h, rec in zip(hs, sw.records):
             res = minimize_rescaled(mesh, density, asm, h, init=warm)
             assert res.value == rec.Fh
-            g = rescaled_gradient(mesh, density, asm, res.field, h)
+            g = rescaled_gradient(density, asm, res.field, h)
             assert np.linalg.norm(g) <= 1e-8 * (1.0 + abs(rec.Fh))
-            assert rec.Fh <= eval_rescaled(mesh, density, asm, linear, h)
+            assert rec.Fh <= eval_rescaled(density, asm, linear, h)
             warm = res.field
 
 
@@ -464,13 +485,13 @@ class TestMoments:
     def test_identity_strain_moments(self, mesh):
         # E = I: the I-panel moment is int Tr E = 2 |Omega|; the trace-free
         # panel tensors and the centered first moments all vanish
-        moments = strain_moments(mesh, linear_field(mesh, np.eye(2)))
+        moments = strain_moments(linear_field(mesh, np.eye(2)))
         assert moments[0] == pytest.approx(2.0, rel=1e-13)
         assert np.allclose(moments[1:], 0.0, atol=1e-13)
 
     def test_mean_skew_gradient(self, mesh):
         v = linear_field(mesh, 0.3 * J2)
-        skew = mean_skew_gradient(mesh, v)
+        skew = mean_skew_gradient(v)
         assert np.allclose(skew, 0.3 * J2, atol=1e-13)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -479,16 +500,16 @@ class TestMoments:
         rng = np.random.default_rng(seed)
         mesh = jittered_mesh(*rng.integers(1, 8, 2), rng)
         field = DisplacementField(mesh, rng.standard_normal((mesh.n_nodes, 2)))
-        E = element_strains(mesh, field)
+        E = element_strains(field)
         x1, x2 = mesh.centroids.T
         panel = (np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
         ref = np.array([np.sum(mesh.areas * w * np.einsum("mij,ij->m", E, T))
                         for T in panel for w in (1.0, x1, x2)])
-        moments = strain_moments(mesh, field)
+        moments = strain_moments(field)
         assert np.max(np.abs(moments - ref)) <= 1e-13 * np.max(np.abs(ref))
         G = np.sum(mesh.areas[:, None, None] * element_gradients(mesh, field.values), axis=0)
         ref_skew = 0.5 * (G - G.T) / mesh.area
-        skew = mean_skew_gradient(mesh, field)
+        skew = mean_skew_gradient(field)
         assert np.max(np.abs(skew - ref_skew)) <= 1e-13 * np.max(np.abs(ref_skew))
 
 
@@ -540,9 +561,9 @@ class TestFlatEnergy:
         mesh = rect_mesh(n, n)
         density = Density(1.0, lam)
         asm = assemble_loads(mesh, pressure_spec(p))
-        res = minimize_rescaled(mesh, density, asm, h, init=solve_linear(mesh, density, asm).field)
+        res = minimize_rescaled(mesh, density, asm, h, init=solve_linear(density, asm).field)
         assert res.status == CONVERGED
-        g = rescaled_gradient(mesh, density, asm, res.field, h)
+        g = rescaled_gradient(density, asm, res.field, h)
         assert np.linalg.norm(g) <= 1e-8 * (1.0 + abs(res.value))
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -553,7 +574,7 @@ class TestFlatEnergy:
         density = Density(1.0, lam)
         asm, cls, lim = sweep_inputs(mesh, density, spec)
         assert cls.compat_class == "strict"
-        sw = h_sweep(mesh, density, asm, cls, lim, DEFAULT_H_LIST)
+        sw = h_sweep(density, asm, cls, lim, DEFAULT_H_LIST)
         assert [r.status for r in sw.records] == [CONVERGED] * len(DEFAULT_H_LIST)
 
 
@@ -580,7 +601,7 @@ class TestCertificate:
         # no angle pi k / 64 of the orbit goes lower
         for k in range(1, 65):
             v = rotation_path_field(mesh, cls.witness, np.pi * k / 64, h)
-            assert eval_rescaled(mesh, density, asm, v, h) >= res.value - 1e-12 * abs(res.value)
+            assert eval_rescaled(density, asm, v, h) >= res.value - 1e-12 * abs(res.value)
 
     def test_one_energy_and_one_gradient_evaluation(self, mesh, density, compression, monkeypatch):
         calls = []
@@ -618,9 +639,9 @@ class TestFrameIndifference:
         phi = mesh.nodes - integral_mean(mesh, mesh.nodes) + h * v.values
         a = float(np.sum(asm.load_vector * phi))
         b = float(np.sum(asm.load_vector * (phi @ J2.T)))
-        Fh = eval_rescaled(mesh, density, asm, v, h)
+        Fh = eval_rescaled(density, asm, v, h)
         scale = abs(Fh) + (abs(a) + abs(b)) / h
         for theta in (np.pi, *rng.uniform(-np.pi, np.pi, 4)):
             expected = Fh - ((np.cos(theta) - 1.0) * a + np.sin(theta) * b) / h
-            turned = eval_rescaled(mesh, density, asm, turned_field(mesh, v, theta, h), h)
+            turned = eval_rescaled(density, asm, turned_field(mesh, v, theta, h), h)
             assert abs(turned - expected) <= 1e-13 * scale

@@ -673,9 +673,9 @@ class TestSolveCount:
     def solved_sizes(self, monkeypatch):
         sizes = []
 
-        def counting(mesh, *args, **kwargs):
-            sizes.append(mesh.n_nodes)
-            return solve_linear(mesh, *args, **kwargs)
+        def counting(density, assembly, *args, **kwargs):
+            sizes.append(assembly.mesh.n_nodes)
+            return solve_linear(density, assembly, *args, **kwargs)
 
         monkeypatch.setattr(tractionlab.cli, "solve_linear", counting)
         return sizes
