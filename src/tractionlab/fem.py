@@ -24,11 +24,16 @@ stops when the Jacobi-norm residual sqrt(r' D^-1 r) of r = P(b - K x),
 relative to that of the rigid-free ``ref`` (default ``b``; ``b`` again
 when ``ref`` is rigid), is at most ``tol``.  The test comes before every
 preconditioner call, and the returned x is Euclidean-orthogonal to the
-rigid modes.  The preconditioner is a symmetric smoothed-aggregation
-multigrid V-cycle with the rigid modes as its near-null space, built on
-the first iteration that needs it.  The iteration count hardly grows
-with the mesh: on the body force g = x, 48 iterations to 1e-10 at
-128x128 and 63 at 256x256, against 700 and 1360 with Jacobi.
+rigid modes.  The first ``_JACOBI_STEPS`` = 10 iterations are
+preconditioned by the diagonal of K: they settle a start whose residual
+is round-off just above ``tol``, as the L-BFGS initial-matrix solves of
+a homogeneous load have, for far less than building a multigrid.  A
+solve still above ``tol`` after them restarts CG from its x with a
+symmetric smoothed-aggregation multigrid V-cycle, whose near-null space
+is the rigid modes, built on that first use.  The iteration count hardly
+grows with the mesh: on the body force g = x, 10 Jacobi and 48 V-cycle
+iterations to 1e-10 at 128x128 and 10 + 63 at 256x256, against 700 and
+1360 with Jacobi alone.
 """
 
 from dataclasses import dataclass
@@ -178,6 +183,12 @@ def elastic_energy(density, assembly, field):
 # rigid modes) per aggregate into the tentative prolongator and smooths
 # that once with damped Jacobi; the coarse matrices are Galerkin products.
 
+# K^+ iterates with the diagonal of K as preconditioner for at most this
+# many steps before it builds the V-cycle and restarts with it.  A start
+# whose residual is round-off above tol needs a few of them.  Ten cost
+# about 0.5 ms at 32x32 against 9 ms to build the hierarchy, and 6 ms at
+# 128x128 against 115 ms (BLAS on one thread)
+_JACOBI_STEPS = 10
 # levels stop coarsening at this many dofs, solved by a dense pseudo-inverse
 _COARSEST_DOFS = 300
 # the coarsest matrix keeps the rigid modes as a null space whose computed
@@ -306,9 +317,9 @@ class Operators:
     (x~, 0), (0, y~) and (y~, x~) of the centred node coordinates as
     columns, and ``XKX = X' K X`` their Galerkin matrix.  ``vcycle``, the
     smoothed-aggregation V-cycle preconditioning K^+, is built on first
-    use, so solves that the affine start already settles never build
-    it.  Nothing in the bundle refers to the mesh, so the bundle cached
-    on the mesh forms no reference cycle.
+    use, so solves that the affine start and the Jacobi phase of
+    ``kplus`` settle never build it.  Nothing in the bundle refers to
+    the mesh, so the bundle cached on the mesh forms no reference cycle.
     """
 
     K: object
@@ -331,8 +342,12 @@ class Operators:
         """K^+ b on the rigid-mode complement: ``(x, iterations, relative residual)``.
 
         The solve of the module docstring; ``ref`` (default ``b``) sets
-        the scale of the stopping rule.  Raises NoConvergenceError after
-        20 * len(b) iterations.
+        the scale of the stopping rule.  CG runs from the affine start
+        with the diagonal of K as preconditioner for at most
+        ``_JACOBI_STEPS`` iterations, then, if the residual is still
+        above ``tol``, restarts from its x with the V-cycle.
+        ``iterations`` counts both phases.  Raises NoConvergenceError
+        after 20 * len(b) iterations.
         """
         K, inv_diag, X = self.K, self.inv_diag, self.X
         b = b - self.rigid_part(b)
@@ -351,10 +366,11 @@ class Operators:
         while rel > tol:
             if it >= 20 * b.size:
                 raise NoConvergenceError(it, float(rel))
-            z = self.vcycle(r)
+            z = inv_diag * r if it < _JACOBI_STEPS else self.vcycle(r)
             z -= self.rigid_part(z)
             rho_new = r @ z
-            p = z if it == 0 else z + (rho_new / rho) * p
+            # the search direction restarts where the preconditioner changes
+            p = z if it in (0, _JACOBI_STEPS) else z + (rho_new / rho) * p
             rho = rho_new
             Kp = K @ p
             alpha = rho / (p @ Kp)

@@ -71,10 +71,12 @@ _ARMIJO = 1e-4
 # 1982).  After a point's first step the first loop has already cut q to
 # 1e-8 ... 1e-2 of g, and a residual relative to b would be resolved far
 # below anything the next step sees.  The tension sweep at 32x32 takes
-# 1/1/0/0 inner iterations per point, as the affine start of the solve
-# already meets the test, against 108/85/56/55 at 1e-8 of b; the body
-# force g = x takes 61/61/61/32 against 62/62/62/32, with the same
-# L-BFGS iterations in all four
+# 1/0/0/0 inner iterations per point, as the affine start of the solve
+# meets the test or leaves round-off that a Jacobi step of K^+ settles,
+# so it never builds the multigrid; at 1e-8 of b it takes 143/113/73/72.
+# The body force g = x, which runs past the Jacobi phase into the
+# multigrid, takes 79/79/79/41 against 80/80/80/41, with the same L-BFGS
+# iterations in all four
 _H0_CG_TOL = 1e-8
 # a trial step that fails Armijo but raises Fh by at most this, relative
 # to 1 + |Fh|, is on energy that is flat to round-off; it is accepted on
@@ -99,19 +101,25 @@ class SweepRefusedError(RuntimeError):
     """Sweep preconditions not met (classification is not strict)."""
 
 
+def _check_h(h):
+    """ValueError unless 0 < h < inf."""
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"h must be finite and positive, got {h}")
+
+
 def _deformation(field, h):
     """Per-element F = I + h grad v, det F and the rescaled Green strain, in components.
 
     Every evaluation of Fh or its gradient passes here, so this is where h
-    is checked: a ValueError unless 0 < h < inf.  The four columns of
+    is checked, by ``_check_h``; so is the rotation-path field, which
+    divides by h before anything is evaluated.  The four columns of
     ``mesh.G @ field.values`` are the gradient components
     a, b, c, d = dv_0/dx_0, dv_0/dx_1, dv_1/dx_0, dv_1/dx_1.  Returns
     ``((F00, F01, F10, F11), det F, (e00, e01, e11))`` with e = Eh / h =
     sym(grad v) + (h/2) grad v' grad v, the Green strain Eh of F divided
     by h.
     """
-    if not 0.0 < h < np.inf:
-        raise ValueError(f"h must be finite and positive, got {h}")
+    _check_h(h)
     a, b, c, d = (field.mesh.G @ field.values.reshape(-1)).reshape(-1, 4).T
     F00 = 1.0 + h * a
     F01 = h * b
@@ -197,6 +205,7 @@ def _gauge(mesh, values):
 
 def rotation_path_field(mesh, witness, theta, h):
     """The rotation-path displacement v = h^-1 (R_theta - I) x, R_theta = exp(theta W)."""
+    _check_h(h)
     return linear_field(mesh, (rodrigues(theta, witness) - np.eye(2)) / h)
 
 

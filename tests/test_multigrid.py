@@ -105,11 +105,25 @@ def _solutions(ops, b, tol=1e-12):
     return [x, y - Z @ (Z.T @ y)]
 
 
+def _assert_solved_past_the_switch(ops, b, tol=1e-10):
+    # the solve runs through the Jacobi phase into the multigrid, and the
+    # restart there keeps it to its tolerance.  The check is at
+    # solve_linear's 1e-10: at 1e-12 the true residual of the body force
+    # lies up to 20% above the recursive one that stops the solve, with or
+    # without the Jacobi phase, as round-off in K x reaches that level
+    x, it, _ = ops.kplus(b, tol)
+    assert it > fem._JACOBI_STEPS
+    assert _relative_residual(ops, b, x) <= tol
+
+
 @pytest.mark.parametrize("spec", [pressure_spec(16.0), infmany_spec(), BODY],
                          ids=["tension", "infmany", "bodyforce"])
 def test_amg_agrees_with_jacobi(mesh, ops, spec):
-    amg, jacobi = _solutions(ops, assemble_loads(mesh, spec).load_vector.reshape(-1))
+    b = assemble_loads(mesh, spec).load_vector.reshape(-1)
+    amg, jacobi = _solutions(ops, b)
     assert np.linalg.norm(amg - jacobi) <= 1e-9 * np.linalg.norm(jacobi)
+    if spec is BODY:
+        _assert_solved_past_the_switch(ops, b)
 
 
 def test_amg_agrees_with_jacobi_random_rhs(ops):
@@ -120,6 +134,7 @@ def test_amg_agrees_with_jacobi_random_rhs(ops):
     for b in (noise, ops.Zeu @ rng.standard_normal(3) + 1e-12 * noise):
         amg, jacobi = _solutions(ops, b)
         assert np.linalg.norm(amg - jacobi) <= 1e-9 * np.linalg.norm(jacobi)
+        _assert_solved_past_the_switch(ops, b)
 
 
 def test_iterations_do_not_grow_with_the_mesh():
@@ -192,9 +207,33 @@ def test_multigrid_built_only_when_an_iteration_needs_it(tmp_path, monkeypatch):
     m = rect_mesh(16, 16)
     assert solve_linear(DENSITY, assemble_loads(m, pressure_spec(16.0))).iterations == 0
     assert built == []
-    assert main(["run", "bodyforce", "--out", str(tmp_path)]) == 0
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["linear"]["cg_iterations"] > 0
+
+    # the tension sweep at 32x32 iterates, but only on round-off above its
+    # tolerance, which the Jacobi phase settles
+    assert main(["run", "tension", "--out", str(tmp_path / "t")]) == 0
+    report = json.loads((tmp_path / "t" / "report.json").read_text())
+    assert sum(p["cg_iters"] for p in report["nonlinear"]["sweep"]) > 0
+    assert built == []
+
+    # a right-hand side 5e-8 of the gradient it is measured by, as the
+    # L-BFGS initial matrix hands kplus after a point's first step.  It is
+    # K times white noise, the residual of a round-off error in x; white
+    # noise itself, whose smooth part the diagonal barely reaches, takes 11
+    # to 13 steps
+    m = rect_mesh(32, 32)
+    ops = operators(m, DENSITY)
+    ref = assemble_loads(m, BODY).load_vector.reshape(-1)
+    noise = ops.K @ np.random.default_rng(69).standard_normal(ref.size)
+    b = 5e-8 * np.linalg.norm(ref) / np.linalg.norm(noise) * noise
+    x, it, rel = ops.kplus(b, 1e-8, ref)
+    assert 0 < it <= fem._JACOBI_STEPS
+    assert rel <= 1e-8
+    assert "vcycle" not in ops.__dict__
+
+    # the body force runs past the Jacobi phase and builds the hierarchy once
+    assert main(["run", "bodyforce", "--out", str(tmp_path / "b")]) == 0
+    report = json.loads((tmp_path / "b" / "report.json").read_text())
+    assert report["linear"]["cg_iterations"] > fem._JACOBI_STEPS
     assert all(p["cg_iters"] > 0 for p in report["nonlinear"]["sweep"])
     assert built == [1]
 

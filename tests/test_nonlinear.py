@@ -86,12 +86,14 @@ class TestEval:
             eval_rescaled(density, tension, v, 0.0)
 
     @pytest.mark.parametrize("h", [np.inf, np.nan, 0.0, -1.0])
-    def test_h_must_be_finite_and_positive(self, mesh, density, tension, h):
-        # checked once, where every evaluation forms the deformation
+    def test_h_must_be_finite_and_positive(self, mesh, density, tension, compression, h):
+        # checked where every evaluation forms the deformation, and, for
+        # incompatible loads, before the certificate's field divides by h
         v = DisplacementField(mesh, np.zeros((mesh.n_nodes, 2)))
         calls = (lambda: eval_rescaled(density, tension, v, h),
                  lambda: rescaled_gradient(density, tension, v, h),
-                 lambda: minimize_rescaled(mesh, density, tension, h))
+                 lambda: minimize_rescaled(mesh, density, tension, h),
+                 lambda: minimize_rescaled(mesh, density, compression, h))
         for call in calls:
             with pytest.raises(ValueError, match="h must be finite and positive"):
                 call()
