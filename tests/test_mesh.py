@@ -131,6 +131,11 @@ class TestTextFormat:
         assert np.array_equal(values, sol)
         assert np.array_equal(m.nodes, m2.nodes)
 
+    @pytest.mark.parametrize("shape", [(8, 2), (10, 2), (9, 3), (9, 1), (18,)])
+    def test_solution_of_wrong_shape_is_refused(self, shape):
+        with pytest.raises(ValueError, match=r"^solution has shape .*, expected \(9, 2\)$"):
+            write_mesh(rect_mesh(2, 2), solution=np.ones(shape))
+
     def test_missing_solution_line_is_format_error(self):
         text = write_mesh(rect_mesh(2, 2), solution=np.ones((9, 2)))
         with pytest.raises(MeshFormatError, match="^node 4 has no solution line$"):

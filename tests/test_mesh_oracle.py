@@ -215,6 +215,27 @@ class TestWriteMeshBytes:
         assert write_mesh(awkward_mesh) == per_line_text(awkward_mesh)
         assert write_mesh(awkward_mesh, solution) == per_line_text(awkward_mesh, solution)
 
+    X = 0.1 + 0.2
+    # signed zeros, 1-ulp neighbours and subnormals: equal or near values with distinct bits
+    POOL = (0.0, -0.0, X, np.nextafter(X, -np.inf), np.nextafter(X, np.inf), 5e-324, -5e-324,
+            1e16, 1e-7, np.inf, np.nan)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), jitter=st.booleans(), dtype=st.sampled_from([np.float64, np.float32]))
+    def test_repeated_awkward_values_byte_identical(self, data, jitter, dtype):
+        nx, ny = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        mesh = (jittered_mesh(nx, ny, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+                if jitter else rect_mesh(nx, ny))
+        entries = data.draw(st.lists(st.sampled_from(self.POOL), min_size=2 * mesh.n_nodes,
+                                     max_size=2 * mesh.n_nodes))
+        solution = np.array(entries, dtype=dtype).reshape(-1, 2)
+        text = write_mesh(mesh, solution)
+        assert text == per_line_text(mesh, solution)
+        back, values = read_mesh(text)
+        assert _same_bits(back.nodes, mesh.nodes)
+        finite = np.isfinite(solution)
+        assert _same_bits(values[finite], solution.astype(np.float64)[finite])
+
     def test_jittered_round_trip_bit_for_bit(self):
         rng = np.random.default_rng(8)
         mesh = jittered_mesh(9, 6, rng)
