@@ -16,9 +16,8 @@ from .limit import (IncompatibleLoadsError, LimitReport, inner_skew_minimum,
                     inner_skew_minimum_3d, limit_report, minimize_limit,
                     shifted_minimizer)
 from .loads import (BodyForce, Classification, LoadSpec, TractionRule,
-                    assemble_loads, check_equilibrated, classify_compatibility,
-                    classify_moment_matrix, constant_traction, load_work,
-                    pressure, tangential)
+                    assemble_loads, classify_moment_matrix, constant_traction,
+                    load_work, pressure, tangential)
 from .mesh import Mesh, read_mesh, rect_mesh, refine, write_mesh
 from .nonlinear import (NonlinearResult, SweepRecord, SweepRefusedError,
                         eval_rescaled, h_sweep, minimize_rescaled,

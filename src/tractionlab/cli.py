@@ -10,6 +10,9 @@ explanation and exits with code 2.  A sweep whose minimizer stops short
 of convergence is aborted: the partial sweep and the reason go to
 sweep.csv and report.json, and the run exits with code 1.  Genuine
 errors (bad config, broken mesh) exit with code 1 without a report.
+The loads are assembled and classified once, at the scenario's ``tol``
+(``--tol``), and every stage reads that classification from the
+assembly.
 """
 
 import argparse
@@ -21,7 +24,7 @@ import numpy as np
 from .algebra import Density
 from .fem import NotEquilibratedError, solve_linear
 from .limit import IncompatibleLoadsError, minimize_limit, shifted_minimizer
-from .loads import WEAK, assemble_loads, classify_compatibility
+from .loads import WEAK, assemble_loads
 from .nonlinear import SweepAbortedError, SweepRefusedError, h_sweep
 from .report import (checked, classification_dict, provenance, report_json,
                      skew_dict, solution_dump, sweep_csv, sweep_rows)
@@ -45,8 +48,7 @@ class _Run:
         mesh = scenario.build_mesh()
         for tag in sorted(set(mesh.edge_tags) - set(scenario.tractions)):
             raise ConfigError("no traction rule for this boundary tag", f"loads.{tag}")
-        self.assembly = assemble_loads(mesh, scenario.load_spec())
-        self.classification = classify_compatibility(self.assembly, scenario.tol)
+        self.assembly = assemble_loads(mesh, scenario.load_spec(), scenario.tol)
         self.out.mkdir(parents=True, exist_ok=True)
         self.stages = {}
         self.report = {
@@ -61,17 +63,16 @@ class _Run:
         (self.out / name).write_text(text, encoding="utf-8")
 
     def analyze(self):
-        self.report["classification"] = classification_dict(self.classification)
+        cls = self.assembly.classification
+        self.report["classification"] = classification_dict(cls)
         self.write("classification.json", report_json(self.report["classification"]))
         self.stages["analyze"] = OK
-        print(f"classification: {self.classification.compat_class}"
-              f" (equilibrated: {self.classification.equilibrated})")
+        print(f"classification: {cls.compat_class} (equilibrated: {cls.equilibrated})")
 
     def solve_linear_stage(self):
         sc = self.scenario
         try:
-            self.linear = solve_linear(self.density, self.assembly,
-                                       tol=sc.cg_tol, equilibrium_tol=sc.tol)
+            self.linear = solve_linear(self.density, self.assembly, tol=sc.cg_tol)
         except NotEquilibratedError as exc:
             self.stages["solve_linear"] = REFUSED
             self.report["linear"] = {
@@ -97,15 +98,14 @@ class _Run:
             self.stages["solve_limit"] = SKIPPED
             return
         try:
-            self.limit = minimize_limit(self.density, self.assembly,
-                                        self.classification, self.linear)
+            self.limit = minimize_limit(self.density, self.assembly, self.linear)
         except IncompatibleLoadsError as exc:
             self.stages["solve_limit"] = REFUSED
             self.report["limit"] = {
                 "refused": str(exc),
                 "inf_F": "-inf",
-                "witness": skew_dict(self.classification.witness),
-                "witness_work": self.classification.witness_work,
+                "witness": skew_dict(exc.witness),
+                "witness_work": exc.witness_work,
                 "explanation": "a skew direction with positive load work reverses the "
                                "compatibility inequality; the limit energy is unbounded "
                                "from below",
@@ -120,13 +120,10 @@ class _Run:
             "W0_norm": checked(float(np.linalg.norm(lim.W_star)), 1e-6),
             "coincidence_abs_diff": checked(coincidence, 1e-9 * (1 + abs(lim.E_value))),
         }
-        if self.classification.compat_class == WEAK and sc.shift_ts:
+        if self.assembly.classification.compat_class == WEAK and sc.shift_ts:
             checks = []
             for t in sc.shift_ts:
-                _, rec = shifted_minimizer(
-                    self.density, self.assembly, lim,
-                    self.classification.kernel[0], t, self.classification,
-                )
+                _, rec = shifted_minimizer(self.density, self.assembly, lim, t)
                 checks.append({
                     "t": rec.t,
                     "F_delta": checked(rec.F_delta, 1e-8 * (1 + abs(lim.F_value))),
@@ -151,8 +148,8 @@ class _Run:
             print("sweep refused: limit stage did not complete")
             return
         try:
-            result = h_sweep(self.density, self.assembly, self.classification,
-                             self.limit, self.h_list, grad_tol=self.scenario.grad_tol)
+            result = h_sweep(self.density, self.assembly, self.limit, self.h_list,
+                             grad_tol=self.scenario.grad_tol)
         except SweepRefusedError as exc:
             self.stages["sweep"] = REFUSED
             self.report["nonlinear"] = {"refused": str(exc)}

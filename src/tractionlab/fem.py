@@ -9,7 +9,10 @@ path never assembles the mass matrix: ``mesh.mass_action`` (also
 reachable here) applies it element by element, and ``mass_matrix``
 stays as the assembled reference.  Only the functions that build
 something on a mesh take one; ``solve_linear``, ``elastic_energy`` and
-``element_strains`` read it from their assembly or field.
+``element_strains`` read it from their assembly or field, and every
+element gradient in the package is ``DisplacementField.gradient_columns``.
+``solve_linear`` refuses loads that ``assembly.classification`` does not
+find equilibrated.
 
 Every K^+ is ``Operators.kplus(b, tol, ref)``, on the complement of the
 rigid displacements: ``solve_linear`` and the initial inverse Hessian of
@@ -43,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .algebra import J2
-from .loads import check_equilibrated, load_work
+from .loads import load_work
 from .mesh import _scalar_mass_action, mass_action
 
 
@@ -76,6 +79,11 @@ class DisplacementField:
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=float).reshape(self.mesh.n_nodes, 2)
 
+    def gradient_columns(self):
+        """Per-element gradient components, shape (m, 4): the columns a, b, c, d
+        = dv_0/dx_0, dv_0/dx_1, dv_1/dx_0, dv_1/dx_1 of ``mesh.G @ v``."""
+        return (self.mesh.G @ self.values.reshape(-1)).reshape(-1, 4)
+
 
 def linear_field(mesh, A):
     """Nodal interpolant of v(x) = A x (exact for P1)."""
@@ -83,14 +91,9 @@ def linear_field(mesh, A):
     return DisplacementField(mesh, mesh.nodes @ A.T)
 
 
-def element_gradients(mesh, values):
-    """Per-element displacement gradient, shape (m, 2, 2), (grad v)_ij = dv_i/dx_j."""
-    return (mesh.G @ np.asarray(values).reshape(-1)).reshape(-1, 2, 2)
-
-
 def element_strains(field):
     """Per-element infinitesimal strain sym(grad v), shape (m, 2, 2)."""
-    G = element_gradients(field.mesh, field.values)
+    G = field.gradient_columns().reshape(-1, 2, 2)
     return 0.5 * (G + np.swapaxes(G, 1, 2))
 
 
@@ -171,9 +174,8 @@ def elastic_energy(density, assembly, field):
 
     Raises MeshMismatchError for an assembly on another mesh than ``field``.
     """
-    mesh = field.mesh
-    a, b, c, d = (mesh.G @ field.values.reshape(-1)).reshape(-1, 4).T
-    stored = float(mesh.areas @ density.quadratic_sym2(a, 0.5 * (b + c), d))
+    a, b, c, d = field.gradient_columns().T
+    stored = float(field.mesh.areas @ density.quadratic_sym2(a, 0.5 * (b + c), d))
     return stored - load_work(assembly, field)
 
 
@@ -346,9 +348,12 @@ class Operators:
         with the diagonal of K as preconditioner for at most
         ``_JACOBI_STEPS`` iterations, then, if the residual is still
         above ``tol``, restarts from its x with the V-cycle.
-        ``iterations`` counts both phases.  Raises NoConvergenceError
-        after 20 * len(b) iterations.
+        ``iterations`` counts both phases.  Raises ValueError unless
+        0 < tol < inf, and NoConvergenceError after 20 * len(b)
+        iterations.
         """
+        if not 0.0 < tol < np.inf:
+            raise ValueError(f"K^+ tolerance must be finite and positive, got {tol}")
         K, inv_diag, X = self.K, self.inv_diag, self.X
         b = b - self.rigid_part(b)
         denom = np.sqrt(b @ (inv_diag * b))
@@ -409,7 +414,7 @@ class LinearSolution:
     residual: float
 
 
-def solve_linear(density, assembly, tol=1e-10, equilibrium_tol=1e-9):
+def solve_linear(density, assembly, tol=1e-10):
     """Minimize int quadratic(E(v)) dx - L(v) over the rigid-mode complement.
 
     The problem lives on ``assembly.mesh``.  The minimizer is
@@ -421,13 +426,16 @@ def solve_linear(density, assembly, tol=1e-10, equilibrium_tol=1e-9):
     Raises
     ------
     NotEquilibratedError
-        when the loads do not vanish on rigid displacements.
+        when ``assembly.classification`` finds that the loads do not
+        vanish on rigid displacements.
+    ValueError
+        unless 0 < tol < inf.
     NoConvergenceError
         when CG fails within 20 * ndof iterations.
     """
-    eq = check_equilibrated(assembly, equilibrium_tol)
-    if not eq.equilibrated:
-        raise NotEquilibratedError(eq.force_residual, eq.torque_residual)
+    cls = assembly.classification
+    if not cls.equilibrated:
+        raise NotEquilibratedError(cls.force_residual, cls.torque_residual)
 
     mesh = assembly.mesh
     ops = operators(mesh, density)

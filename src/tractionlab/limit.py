@@ -16,8 +16,9 @@ inner minimizer is unique up to sign; the canonical representative has
 a* >= 0 (2D) or first nonzero axis component positive (3D), and
 ``W_star`` is that skew matrix.  The outer 2D minimizer is the
 linear-elastic one, which ``minimize_limit`` evaluates.  Every function
-here reads the mesh from its field or assembly; ``limit_report`` still
-takes a leading mesh as well, and checks it against both.
+here reads the mesh from its field or assembly, and the compatibility
+class from ``assembly.classification``; ``limit_report`` still takes a
+leading mesh as well, and checks it against both.
 """
 
 import math
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _canonical_axis, skew2, skew3
-from .fem import DisplacementField, elastic_energy, linear_field
+from .fem import DisplacementField, elastic_energy
 from .loads import INCOMPATIBLE, WEAK, MeshMismatchError, load_work
 
 # dead band for the negative-part trigger, relative to the integral mass.
@@ -67,8 +68,8 @@ class LimitReport:
 def inner_skew_minimum(density, field):
     """2D inner minimization over skew offsets of the strain E(v), by exact quadrature.
 
-    Reads the gradient columns a, b, c, d of ``mesh.G @ v``, so E(v) =
-    [[a, (b + c)/2], [(b + c)/2, d]] per element.
+    Reads the gradient columns a, b, c, d of ``field.gradient_columns()``,
+    so E(v) = [[a, (b + c)/2], [(b + c)/2, d]] per element.
 
     Returns
     -------
@@ -76,7 +77,7 @@ def inner_skew_minimum(density, field):
     int quadratic(E + (a*^2/2) I) dx and canonical a* >= 0.
     """
     mesh = field.mesh
-    a, b, c, d = (mesh.G @ field.values.reshape(-1)).reshape(-1, 4).T
+    a, b, c, d = field.gradient_columns().T
     q = density.quadratic_gradient(np.eye(2))[0, 0]      # quadratic_gradient(I) = q I
     per_elem = q * a + q * d
     num = float(np.sum(mesh.areas * per_elem))
@@ -138,23 +139,25 @@ def limit_report(mesh, density, assembly, field):
     )
 
 
-def minimize_limit(density, assembly, classification, linear):
+def minimize_limit(density, assembly, linear):
     """Minimize the limit energy: the minimizer is the linear-elastic one.
 
     Substituting v = w - (a^2/2) x turns the limit energy at the skew
     offset aJ into E(w) + (a^2/2) Tr S with S the load moment matrix, and
     Tr S >= 0 for compatible loads.  So (v_lin, W = 0) is a minimizer:
     the only one up to rigid motions for strict loads, one of the ray
-    v_lin - t x for weak loads.  ``classification`` is that of
-    ``assembly`` and ``linear`` its LinearSolution; nothing is solved here.
+    v_lin - t x for weak loads.  ``linear`` is the LinearSolution of
+    ``assembly``; nothing is solved here.
 
     Returns ``limit_report`` of ``linear.field``: F_value and W_star come
     from the inner minimization and E_value from the classical energy, so
     |F_value - E_value| remains an independent check of the coincidence of
-    minima.  Refuses incompatible loads (the infimum is -infinity).
+    minima.  Refuses loads that ``assembly.classification`` finds
+    incompatible (the infimum is -infinity).
     """
-    if classification.compat_class == INCOMPATIBLE:
-        raise IncompatibleLoadsError(classification.witness, classification.witness_work)
+    cls = assembly.classification
+    if cls.compat_class == INCOMPATIBLE:
+        raise IncompatibleLoadsError(cls.witness, cls.witness_work)
     return limit_report(linear.field.mesh, density, assembly, linear.field)
 
 
@@ -165,41 +168,29 @@ class ShiftRecord:
     t: float
     F_delta: float              # F(v) - min F, expected ~ 0
     E_delta: float              # E(v) - min E, expected > 0 for t > 0
-    kernel_work: float          # L(U^2 x), must vanish for a kernel direction
 
 
-def shifted_minimizer(density, assembly, limit, direction, t, classification):
-    """Shift a minimizer along a kernel direction: v = v_star + t * U^2 x.
+def shifted_minimizer(density, assembly, limit, t):
+    """Shift a minimizer along the load kernel: v = v_star - t x.
 
     ``limit`` is the LimitReport of the minimizer v_star, as
-    ``minimize_limit`` returns it.  For the canonical 2D kernel direction
-    (|U|^2 = 2, U^2 = -I) v is exactly v_star - t * x.  ``classification``
-    is that of ``assembly``; it must be weak, and L(U^2 x) must vanish
-    within its tolerance.
+    ``minimize_limit`` returns it, and ``assembly.classification`` must
+    be weak.  In 2D every kernel direction U is +-J, with U^2 = -I, so
+    the shift t U^2 x is -t x.  Raises ValueError unless 0 <= t < inf.
 
     Returns (field, ShiftRecord).
     """
-    if t < 0.0:
-        raise ValueError("shift parameter t must be nonnegative")
-    if classification.compat_class != WEAK:
-        raise ValueError(
-            f"shifted minimizers require weak compatibility, got {classification.compat_class!r}"
-        )
-    U2 = direction @ direction
-    kernel_work = float(np.sum(U2 * classification.moment_matrix))
-    scale = 1.0 + float(np.linalg.norm(classification.moment_matrix))
-    if abs(kernel_work) > classification.tol * scale:
-        raise ValueError(
-            f"direction is not in the load kernel: L(U^2 x) = {kernel_work:.3e}"
-        )
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"shift parameter t must be finite and nonnegative, got {t}")
+    compat_class = assembly.classification.compat_class
+    if compat_class != WEAK:
+        raise ValueError(f"shifted minimizers require weak compatibility, got {compat_class!r}")
     mesh = limit.field.mesh
-    shift = linear_field(mesh, t * U2)
-    field = DisplacementField(mesh, limit.field.values + shift.values)
+    field = DisplacementField(mesh, limit.field.values - t * mesh.nodes)
     rep = limit_report(mesh, density, assembly, field)
     record = ShiftRecord(
         t=float(t),
         F_delta=rep.F_value - limit.F_value,
         E_delta=rep.E_value - limit.E_value,
-        kernel_work=kernel_work,
     )
     return field, record

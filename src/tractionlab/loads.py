@@ -9,7 +9,10 @@ the moment matrix
 whose trace (2D) or symmetric-part eigenstructure (3D) decides the
 strict / weak / incompatible trichotomy for the quadratic form
 Q(W) = L(W^2 x) over skew matrices W, the classification's ``witness``
-and ``kernel`` directions (``algebra.skew2``/``skew3``).
+and ``kernel`` directions (``algebra.skew2``/``skew3``).  The loads are
+classified once, at one tolerance, when they are assembled: the
+equilibrium test and the trichotomy are ``assembly.classification``,
+and every later stage reads them from there.
 
 Both are exact closed forms.  A traction rule depends only on the edge
 normal, so f = f_e is constant on edge e, whose endpoints take |e| f_e / 2
@@ -128,7 +131,7 @@ class LoadSpec:
 
 
 class LoadAssembly:
-    """Discrete load functional and its geometric invariants.
+    """Discrete load functional, its geometric invariants and its classification.
 
     Attributes
     ----------
@@ -136,9 +139,10 @@ class LoadAssembly:
     resultant_force : (2,)
     torque : float, scalar torque about the origin
     moment_matrix : (2, 2) matrix S
+    classification : Classification of the loads at the tolerance ``tol``
     """
 
-    def __init__(self, mesh, spec):
+    def __init__(self, mesh, spec, tol):
         tags = np.asarray(mesh.edge_tags)
         f = np.zeros((len(tags), 2))
         for tag in mesh.tags():
@@ -161,10 +165,33 @@ class LoadAssembly:
         self.moment_matrix = S
         self.torque = float(S[1, 0] - S[0, 1])
 
+        # equilibrium residuals are absolute, against tol (1 + |l|): L vanishes
+        # on translations iff the resultant force is zero, and on infinitesimal
+        # rotations iff S is symmetric
+        force_res = float(np.linalg.norm(self.resultant_force))
+        torque_res = float(np.linalg.norm(0.5 * (S - S.T)))
+        bound = tol * (1.0 + float(np.linalg.norm(ell)))
+        compat_class, kernel, witness, work, sup_gap = classify_moment_matrix(S, tol)
+        self.classification = Classification(
+            equilibrated=force_res <= bound and torque_res <= bound,
+            force_residual=force_res,
+            torque_residual=torque_res,
+            compat_class=compat_class,
+            kernel=kernel,
+            witness=witness,
+            witness_work=work,
+            sup_gap=sup_gap,
+            moment_matrix=S.copy(),
+            tol=tol,
+        )
 
-def assemble_loads(mesh, spec):
-    """Assemble the nodal load vector, resultants and moment matrix."""
-    return LoadAssembly(mesh, spec)
+
+def assemble_loads(mesh, spec, tol=DEFAULT_TOL):
+    """Assemble the nodal load vector, resultants and moment matrix, classified at ``tol``.
+
+    Raises ValueError unless 0 < tol < inf.
+    """
+    return LoadAssembly(mesh, spec, tol)
 
 
 def load_work(assembly, field):
@@ -172,29 +199,6 @@ def load_work(assembly, field):
     if field.mesh is not assembly.mesh:
         raise MeshMismatchError("field and load assembly use different meshes")
     return float(np.sum(assembly.load_vector * field.values))
-
-
-@dataclass(frozen=True)
-class EquilibriumCheck:
-    equilibrated: bool
-    force_residual: float
-    torque_residual: float
-
-
-def check_equilibrated(assembly, tol=DEFAULT_TOL):
-    """Check zero resultant force and symmetric moment matrix.
-
-    Residuals are absolute and compared against tol * (1 + |l|): the load
-    functional vanishes on translations iff the resultant force is zero,
-    and on infinitesimal rotations iff S is symmetric.
-    """
-    S = assembly.moment_matrix
-    skew = 0.5 * (S - S.T)
-    force_res = float(np.linalg.norm(assembly.resultant_force))
-    torque_res = float(np.linalg.norm(skew))
-    scale = 1.0 + float(np.linalg.norm(assembly.load_vector))
-    ok = force_res <= tol * scale and torque_res <= tol * scale
-    return EquilibriumCheck(ok, force_res, torque_res)
 
 
 @dataclass(frozen=True)
@@ -229,7 +233,10 @@ def classify_moment_matrix(S, tol=DEFAULT_TOL):
     of M decide.  Threshold band is tol * |S| (Frobenius).
 
     Returns (compat_class, kernel, witness, witness_work, sup_gap).
+    Raises ValueError unless 0 < tol < inf.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"classification tolerance must be finite and positive, got {tol}")
     S = np.asarray(S, dtype=float)
     band = tol * float(np.linalg.norm(S))
     if S.shape == (2, 2):
@@ -257,23 +264,3 @@ def classify_moment_matrix(S, tol=DEFAULT_TOL):
     if kernel:
         return WEAK, kernel, None, None, 0.0
     return STRICT, (), None, None, 0.0
-
-
-def classify_compatibility(assembly, tol=DEFAULT_TOL):
-    """Full classification of an assembled 2D load system."""
-    eq = check_equilibrated(assembly, tol)
-    compat_class, kernel, witness, work, sup_gap = classify_moment_matrix(
-        assembly.moment_matrix, tol
-    )
-    return Classification(
-        equilibrated=eq.equilibrated,
-        force_residual=eq.force_residual,
-        torque_residual=eq.torque_residual,
-        compat_class=compat_class,
-        kernel=kernel,
-        witness=witness,
-        witness_work=work,
-        sup_gap=sup_gap,
-        moment_matrix=assembly.moment_matrix.copy(),
-        tol=tol,
-    )

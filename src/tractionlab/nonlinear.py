@@ -7,10 +7,11 @@ The rescaled energy of a displacement v at parameter h > 0 is
 +infinity as soon as some element loses orientation
 (det(I + h grad v) <= 0).  The integrand is polynomial in the constant
 per-element gradient, so one-point quadrature is exact.  The element
-kernels work on the four gradient components of ``mesh.G @ v`` as flat
-arrays: F = I + h grad v, det F and the Green strain come from one
-helper, and the density and its stress from ``Density.quadratic_sym2``
-and ``Density.quadratic_gradient_sym2``, for the L-BFGS steps and the
+kernels work on the four gradient components of
+``DisplacementField.gradient_columns`` as flat arrays: F = I + h grad v,
+det F and the Green strain come from one helper, and the density and its
+stress from ``Density.quadratic_sym2`` and
+``Density.quadratic_gradient_sym2``, for the L-BFGS steps and the
 rotation-path probe alike.
 
 Minimization uses limited-memory BFGS with a backtracking line search
@@ -43,8 +44,9 @@ the given h is not minimized.
 
 Independent sweep points must not be parallelized: each h is
 warm-started from the minimizer of the previous one.  The functions here
-read the mesh from their field or load assembly; ``minimize_rescaled``
-still takes a leading mesh as well, and checks it against both.
+read the mesh from their field or load assembly, and the compatibility
+class from ``assembly.classification``; ``minimize_rescaled`` still takes
+a leading mesh as well, and checks it against both.
 """
 
 import math
@@ -56,8 +58,7 @@ import numpy as np
 from .algebra import rodrigues
 from .fem import DisplacementField, integral_mean, linear_field, operators
 from .limit import IncompatibleLoadsError
-from .loads import (INCOMPATIBLE, STRICT, MeshMismatchError, classify_compatibility,
-                    load_work)
+from .loads import INCOMPATIBLE, STRICT, MeshMismatchError, load_work
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -113,14 +114,14 @@ def _deformation(field, h):
     Every evaluation of Fh or its gradient passes here, so this is where h
     is checked, by ``_check_h``; so is the rotation-path field, which
     divides by h before anything is evaluated.  The four columns of
-    ``mesh.G @ field.values`` are the gradient components
+    ``field.gradient_columns()`` are the gradient components
     a, b, c, d = dv_0/dx_0, dv_0/dx_1, dv_1/dx_0, dv_1/dx_1.  Returns
     ``((F00, F01, F10, F11), det F, (e00, e01, e11))`` with e = Eh / h =
     sym(grad v) + (h/2) grad v' grad v, the Green strain Eh of F divided
     by h.
     """
     _check_h(h)
-    a, b, c, d = (field.mesh.G @ field.values.reshape(-1)).reshape(-1, 4).T
+    a, b, c, d = field.gradient_columns().T
     F00 = 1.0 + h * a
     F01 = h * b
     F10 = h * c
@@ -209,7 +210,7 @@ def rotation_path_field(mesh, witness, theta, h):
     return linear_field(mesh, (rodrigues(theta, witness) - np.eye(2)) / h)
 
 
-def _instability_probe(density, assembly, h, classification):
+def _instability_probe(density, assembly, h):
     """Fh at theta = pi on the witness rotation orbit; exact descent certificate.
 
     There v = -2 h^-1 x, the stored energy vanishes and the load work is
@@ -217,7 +218,8 @@ def _instability_probe(density, assembly, h, classification):
     orbit.  Fh is evaluated on the mesh, not taken from that closed form,
     so the two check each other.
     """
-    fld = rotation_path_field(assembly.mesh, classification.witness, np.pi, h)
+    cls = assembly.classification
+    fld = rotation_path_field(assembly.mesh, cls.witness, np.pi, h)
     value = float(eval_rescaled(density, assembly, fld, h))
     grad = rescaled_gradient(density, assembly, fld, h)
     return NonlinearResult(
@@ -233,7 +235,7 @@ def _instability_probe(density, assembly, h, classification):
         certificate=DivergenceCertificate(
             thetas=np.array([np.pi]),
             trace=np.array([value]),
-            witness_work=classification.witness_work,
+            witness_work=cls.witness_work,
         ),
     )
 
@@ -271,8 +273,7 @@ def _two_loop(grad, pairs, ops):
     return q, iterations
 
 
-def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
-                      classification=None):
+def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8):
     """Quasi-Newton minimization of the rescaled energy at fixed h.
 
     L-BFGS (memory 10, at most 2000 iterations) with a backtracking line
@@ -288,8 +289,6 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
     sy/yy on the rigid span, so the iteration count does not grow with
     the mesh.  ``cg_iterations`` of the result counts the PCG iterations
     of those solves.
-    ``classification`` is that of ``assembly``; the loads are classified
-    here when it is None.
     Converged means |grad| <= grad_tol * (1 + |Fh|).  Stalled means that
     10 accepted steps in a row did not lower Fh: grad_tol is below what
     round-off in Fh allows, or the iterates press against the orientation
@@ -297,7 +296,8 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
     rotation trap rather than a minimum (seen with lam = 0): where
     l.phi < 0 for phi = x + h v, the half turn phi -> -phi lowers Fh by
     2 |l.phi| / h, but the gradient has no part along it.  Diverged is
-    declared only for loads classified incompatible, the one class whose
+    declared only for loads that ``assembly.classification`` finds
+    incompatible, the one class whose
     h-family is unbounded below (Fh = 2 tr S / h on the rotation path at
     theta = pi); Fh at this h is bounded below for every load.  The result
     is then the rotation-orbit certificate, with no minimization.  The
@@ -309,10 +309,8 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8,
     """
     if assembly.mesh is not mesh or (init is not None and init.mesh is not mesh):
         raise MeshMismatchError("the loads and the initial state must live on the given mesh")
-    if classification is None:
-        classification = classify_compatibility(assembly)
-    if classification.compat_class == INCOMPATIBLE:
-        return _instability_probe(density, assembly, h, classification)
+    if assembly.classification.compat_class == INCOMPATIBLE:
+        return _instability_probe(density, assembly, h)
 
     ops = operators(mesh, density)
     x = np.zeros((mesh.n_nodes, 2)) if init is None else np.asarray(init.values, dtype=float)
@@ -404,7 +402,7 @@ def strain_moments(field):
     mesh = field.mesh
     panel = np.stack([T.ravel() for T in _PANEL_CONST], axis=1)
     # the panel tensors are symmetric, so E(v) : T = grad v : T
-    base = (mesh.G @ field.values.reshape(-1)).reshape(-1, 4) @ panel      # (m, 3)
+    base = field.gradient_columns() @ panel      # (m, 3)
     # int 1, int x1 and int x2 over each element
     weights = mesh.areas[:, None] * np.column_stack([np.ones(mesh.n_elements), mesh.centroids])
     return (base.T @ weights).reshape(-1)
@@ -413,7 +411,7 @@ def strain_moments(field):
 def mean_skew_gradient(field):
     """Area-averaged skew part of grad v, a 2x2 skew matrix."""
     mesh = field.mesh
-    cols = (mesh.G @ field.values.reshape(-1)).reshape(-1, 4)
+    cols = field.gradient_columns()
     Gm = (np.einsum("m,mk->k", mesh.areas, cols) / mesh.area).reshape(2, 2)
     return 0.5 * (Gm - Gm.T)
 
@@ -445,17 +443,17 @@ class SweepAbortedError(RuntimeError):
         super().__init__(f"sweep aborted at h = {h!r}: {reason}")
 
 
-def h_sweep(density, assembly, classification, limit, h_list, grad_tol=1e-8):
+def h_sweep(density, assembly, limit, h_list, grad_tol=1e-8):
     """Minimize Fh along a descending h list and compare with the limit.
 
-    ``assembly`` holds the loads, ``classification`` their compatibility
-    class and ``limit`` the LimitReport that ``minimize_limit`` returns for
-    them; the sweep runs on ``assembly.mesh``.  Only strictly
-    compatible loads are accepted; incompatible loads have no limit
-    minimizer, so ``limit`` is not looked at for them.  Each
-    h is warm-started from the previous minimizer, the first from the limit
-    minimizer (for strict loads it is the linear-elastic one), tracking the
-    minimizing branch.  Raises MeshMismatchError when ``limit`` lives on
+    ``assembly`` holds the loads and their compatibility class, and
+    ``limit`` the LimitReport that ``minimize_limit`` returns for them;
+    the sweep runs on ``assembly.mesh``.  Only loads that
+    ``assembly.classification`` finds strictly compatible are accepted;
+    incompatible loads have no limit minimizer, so ``limit`` is not
+    looked at for them.  Each h is warm-started from the previous
+    minimizer, the first from the limit minimizer (for strict loads it is
+    the linear-elastic one), tracking the minimizing branch.  Raises MeshMismatchError when ``limit`` lives on
     another mesh than ``assembly``, and SweepAbortedError, with the
     points computed so far, when a point does not converge or its warm
     start has lost orientation at its h.  Returns records (h, min Fh, the proxy
@@ -465,9 +463,10 @@ def h_sweep(density, assembly, classification, limit, h_list, grad_tol=1e-8):
     hs = [float(h) for h in h_list]
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("h_list must be strictly decreasing")
-    if classification.compat_class == INCOMPATIBLE:
-        raise IncompatibleLoadsError(classification.witness, classification.witness_work)
-    if classification.compat_class != STRICT:
+    cls = assembly.classification
+    if cls.compat_class == INCOMPATIBLE:
+        raise IncompatibleLoadsError(cls.witness, cls.witness_work)
+    if cls.compat_class != STRICT:
         raise SweepRefusedError(
             "sweep requires strictly compatible loads: under weak compatibility "
             "minimizing sequences may lose compactness (extra limit minimizers "
@@ -483,8 +482,7 @@ def h_sweep(density, assembly, classification, limit, h_list, grad_tol=1e-8):
     floor = np.inf
     for h in hs:
         try:
-            res = minimize_rescaled(mesh, density, assembly, h, init=warm, grad_tol=grad_tol,
-                                    classification=classification)
+            res = minimize_rescaled(mesh, density, assembly, h, init=warm, grad_tol=grad_tol)
         except InadmissibleStateError as exc:
             raise SweepAbortedError(records, h, f"warm start is inadmissible: {exc}") from None
         floor = min(floor, res.energy_floor)

@@ -4,8 +4,7 @@ import pytest
 from tractionlab import (Density, LoadSpec, Mesh, assemble_loads, pressure, rect_mesh,
                          solve_linear)
 from tractionlab.limit import minimize_limit
-from tractionlab.loads import (DEFAULT_TOL, INCOMPATIBLE, BodyForce, TractionRule,
-                               classify_compatibility)
+from tractionlab.loads import DEFAULT_TOL, INCOMPATIBLE, BodyForce, TractionRule
 
 SIDES = ("left", "right", "top", "bottom")
 
@@ -47,19 +46,18 @@ def zero_loads(mesh):
 
 
 def sweep_inputs(mesh, density, spec, tol=DEFAULT_TOL):
-    """(assembly, classification, limit) of spec on mesh, as h_sweep takes them.
+    """(assembly, limit) of spec on mesh, as h_sweep takes them.
 
-    The loads are classified at tol; limit is the LimitReport of their
-    linear solution, None for incompatible loads, which have no limit
-    minimizer.
+    The loads are assembled and classified at tol; limit is the
+    LimitReport of their linear solution, None for incompatible loads,
+    which have no limit minimizer.
     """
-    assembly = assemble_loads(mesh, spec)
-    classification = classify_compatibility(assembly, tol)
+    assembly = assemble_loads(mesh, spec, tol)
     limit = None
-    if classification.compat_class != INCOMPATIBLE:
+    if assembly.classification.compat_class != INCOMPATIBLE:
         linear = solve_linear(density, assembly)
-        limit = minimize_limit(density, assembly, classification, linear)
-    return assembly, classification, limit
+        limit = minimize_limit(density, assembly, linear)
+    return assembly, limit
 
 
 def jittered_mesh(nx, ny, rng, amplitude=0.2):
@@ -129,11 +127,11 @@ def random_field_values(mesh, rng, amplitude=1.0):
 
 def admissible_field(mesh, rng, h, amplitude=0.5):
     """Random nodal field scaled until every element keeps orientation safely."""
-    from tractionlab.fem import DisplacementField, element_gradients
+    from tractionlab.fem import DisplacementField
 
     values = random_field_values(mesh, rng, amplitude)
     for _ in range(60):
-        G = element_gradients(mesh, values)
+        G = DisplacementField(mesh, values).gradient_columns().reshape(-1, 2, 2)
         F00 = 1.0 + h * G[:, 0, 0]
         F11 = 1.0 + h * G[:, 1, 1]
         dets = F00 * F11 - h * h * G[:, 0, 1] * G[:, 1, 0]

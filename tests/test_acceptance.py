@@ -15,7 +15,7 @@ from tractionlab.fem import (DisplacementField, element_strains, linear_field,
                              solve_linear)
 from tractionlab.limit import limit_report, minimize_limit, shifted_minimizer
 from tractionlab.loads import (INCOMPATIBLE, STRICT, WEAK, assemble_loads,
-                               classify_compatibility, classify_moment_matrix)
+                               classify_moment_matrix)
 from tractionlab.mesh import rect_mesh
 from tractionlab.nonlinear import (CONVERGED, DIVERGED, eval_rescaled, h_sweep,
                                    minimize_rescaled, rescaled_gradient)
@@ -37,11 +37,10 @@ def density():
 def tension_ctx(density):
     sc = builtin_scenarios()["tension"]
     mesh = sc.build_mesh()     # 32 x 32
-    assembly = assemble_loads(mesh, sc.load_spec())
+    assembly = assemble_loads(mesh, sc.load_spec(), sc.tol)
     t0 = time.perf_counter()
     linear = solve_linear(density, assembly)
-    limit = minimize_limit(density, assembly,
-                           classify_compatibility(assembly, sc.tol), linear)
+    limit = minimize_limit(density, assembly, linear)
     elapsed = time.perf_counter() - t0
     return {"scenario": sc, "mesh": mesh, "assembly": assembly,
             "linear": linear, "limit": limit, "seconds": elapsed}
@@ -62,9 +61,8 @@ def sweep_ctx(density):
 def infmany_ctx(density):
     sc = builtin_scenarios()["infmany"]
     mesh = sc.build_mesh()
-    assembly, cls, limit = sweep_inputs(mesh, density, sc.load_spec(), sc.tol)
-    return {"mesh": mesh, "assembly": assembly, "limit": limit,
-            "classification": cls, "kernel": cls.kernel[0], "scenario": sc}
+    assembly, limit = sweep_inputs(mesh, density, sc.load_spec(), sc.tol)
+    return {"mesh": mesh, "assembly": assembly, "limit": limit, "scenario": sc}
 
 
 def test_criterion_1_minimum_coincidence(tension_ctx):
@@ -88,7 +86,7 @@ def test_criterion_2_classification_trichotomy(density):
         (infmany_spec(), WEAK, np.array([[0.0, 1.0], [1.0, 0.0]])),
     ]
     for spec, expected_class, expected_S in landmarks:
-        cls = classify_compatibility(assemble_loads(mesh, spec))
+        cls = assemble_loads(mesh, spec).classification
         assert cls.compat_class == expected_class
         assert np.max(np.abs(cls.moment_matrix - expected_S)) <= 1e-12
         if expected_class == INCOMPATIBLE:
@@ -98,7 +96,7 @@ def test_criterion_2_classification_trichotomy(density):
                            ("infmany", WEAK)):
         sc = builtin_scenarios()[name]
         m = sc.build_mesh()
-        cls = classify_compatibility(assemble_loads(m, sc.load_spec()), sc.tol)
+        cls = assemble_loads(m, sc.load_spec(), sc.tol).classification
         assert cls.compat_class == expected
     ok(2, "strict / incompatible(witness) / weak with S = I, -I, e1e2+e2e1 to 1e-12")
 
@@ -150,10 +148,7 @@ def test_criterion_5_limit_convergence_surrogate(sweep_ctx):
 def test_criterion_6_extra_minimizers(infmany_ctx, density):
     lim = infmany_ctx["limit"]
     for t in (0.5, 1.0, 2.0):
-        _, rec = shifted_minimizer(
-            density, infmany_ctx["assembly"],
-            lim, infmany_ctx["kernel"], t, infmany_ctx["classification"],
-        )
+        _, rec = shifted_minimizer(density, infmany_ctx["assembly"], lim, t)
         assert rec.F_delta <= 1e-8 * (1.0 + abs(lim.F_value))
         assert rec.E_delta > 0.0
     ok(6, "F(v0 - t x) stays minimal while E strictly grows, t in {0.5, 1, 2}")

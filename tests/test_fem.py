@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (SIDES, admissible_field, infmany_spec, jittered_mesh,
+from conftest import (SIDES, admissible_field, body_spec, infmany_spec, jittered_mesh,
                       pressure_spec, shape_gradients, zero_loads)
 from tractionlab.algebra import Density, J2
 from tractionlab.fem import (DisplacementField, NotEquilibratedError,
                              assemble_stiffness, elastic_energy,
-                             element_gradients, element_strains, linear_field,
+                             element_strains, linear_field,
                              mass_action, mass_matrix, operators, rigid_basis,
                              solve_linear)
 from tractionlab.loads import LoadSpec, assemble_loads, constant_traction
@@ -161,6 +161,16 @@ class TestSolve:
             solve_linear(density, assemble_loads(mesh, spec))
         assert err.value.force_residual == pytest.approx(4.0, rel=1e-12)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, mesh, density, tol):
+        # a nan fails every comparison and would stop CG at the affine start;
+        # a tol <= 0 would run 20 * ndof iterations before giving up
+        asm = assemble_loads(mesh, body_spec((1.0, 0.0, 0.0, 1.0)))
+        with pytest.raises(ValueError, match="tolerance"):
+            solve_linear(density, asm, tol=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            operators(mesh, density).kplus(asm.load_vector.reshape(-1), tol)
+
     def test_gauge_is_mass_orthogonal(self, mesh, density):
         asm = assemble_loads(mesh, pressure_spec(16.0))
         sol = solve_linear(density, asm)
@@ -244,7 +254,8 @@ class TestGradientOperatorProperties:
         ref = np.einsum("mki,mkj->mij", v[m.elements], g)
         scale = np.einsum("mki,mkj->mij", np.abs(v[m.elements]), np.abs(g))
         assert m.G.shape == (4 * m.n_elements, 2 * m.n_nodes)
-        assert np.all(np.abs(element_gradients(m, v) - ref) <= 1e-14 * scale)
+        G = DisplacementField(m, v).gradient_columns().reshape(-1, 2, 2)
+        assert np.all(np.abs(G - ref) <= 1e-14 * scale)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(nx=st.integers(1, 6), ny=st.integers(1, 6), seed=_seeds)

@@ -13,8 +13,7 @@ from tractionlab.fem import (DisplacementField, elastic_energy, element_strains,
 from tractionlab.limit import (IncompatibleLoadsError, inner_skew_minimum,
                                inner_skew_minimum_3d, limit_report,
                                minimize_limit, shifted_minimizer)
-from tractionlab.loads import (MeshMismatchError, assemble_loads, classify_compatibility,
-                               load_work)
+from tractionlab.loads import MeshMismatchError, assemble_loads, load_work
 from tractionlab.mesh import rect_mesh
 
 
@@ -172,7 +171,7 @@ class TestLimitReport:
 
 class TestMinimize:
     def test_tension_coincides_with_linear(self, mesh, density):
-        _, _, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
+        _, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
         assert np.linalg.norm(lim.W_star) <= 1e-6
         assert lim.F_value == pytest.approx(-16.0, abs=1e-9)
         assert abs(lim.F_value - lim.E_value) <= 1e-9 * (1.0 + abs(lim.E_value))
@@ -180,19 +179,18 @@ class TestMinimize:
     def test_compression_refused_with_witness(self, mesh, density):
         asm = assemble_loads(mesh, pressure_spec(-1.0))
         with pytest.raises(IncompatibleLoadsError) as err:
-            minimize_limit(density, asm, classify_compatibility(asm),
-                           solve_linear(density, asm))
+            minimize_limit(density, asm, solve_linear(density, asm))
         assert err.value.witness is not None
         assert err.value.witness_work == pytest.approx(1.0, rel=1e-12)
         assert "unbounded" in str(err.value) or "-infinity" in str(err.value)
 
     def test_infmany_equal_minima(self, mesh, density):
-        _, _, lim = sweep_inputs(mesh, density, infmany_spec())
+        _, lim = sweep_inputs(mesh, density, infmany_spec())
         assert abs(lim.F_value - lim.E_value) <= 1e-9 * (1.0 + abs(lim.E_value))
         assert np.linalg.norm(lim.W_star) <= 1e-6
 
     def test_argmin_coincidence_strict(self, mesh, density):
-        asm, _, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
+        asm, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
         lin = solve_linear(density, asm)
         M = mass_matrix(mesh)
         diff = (lim.field.values - lin.field.values).reshape(-1)
@@ -211,7 +209,7 @@ class TestOneSolve:
     def test_one_solve_returns_linear_field(self, mesh, density, spec):
         asm = assemble_loads(mesh, spec)
         lin = solve_linear(density, asm)
-        lim = minimize_limit(density, asm, classify_compatibility(asm), lin)
+        lim = minimize_limit(density, asm, lin)
         assert lim.field is lin.field
         fresh = limit_report(mesh, density, asm, lin.field)
         assert fresh.field is lim.field and np.array_equal(fresh.W_star, lim.W_star)
@@ -223,63 +221,60 @@ class TestOneSolve:
     def test_given_linear_solution_is_reused(self, mesh, density):
         asm = assemble_loads(mesh, infmany_spec())
         lin = solve_linear(density, asm)
-        lim = minimize_limit(density, asm, classify_compatibility(asm), lin)
+        lim = minimize_limit(density, asm, lin)
         assert lim.field is lin.field
         # F comes from the inner minimization, E from the classical energy
         _, offset_energy, _ = inner_skew_minimum(density, lin.field)
         assert lim.F_value == offset_energy - load_work(asm, lin.field)
         assert lim.E_value == elastic_energy(density, asm, lin.field)
         # the module has no solver or classifier to fall back on
-        for name in ("solve_linear", "classify_compatibility", "element_strains",
-                     "element_gradients"):
+        for name in ("solve_linear", "classify_moment_matrix", "element_strains"):
             assert not hasattr(limit_module, name)
 
 
 @pytest.fixture(scope="module")
 def setup(mesh, density):
-    asm, cls, lim = sweep_inputs(mesh, density, infmany_spec())
-    return mesh, density, asm, lim, cls
+    asm, lim = sweep_inputs(mesh, density, infmany_spec())
+    return mesh, density, asm, lim
 
 
 class TestShiftedMinimizers:
 
     def test_zero_shift_is_identity(self, setup):
-        mesh, density, asm, lim, cls = setup
-        U = cls.kernel[0]
-        field, rec = shifted_minimizer(density, asm, lim, U, 0.0, cls)
+        mesh, density, asm, lim = setup
+        field, rec = shifted_minimizer(density, asm, lim, 0.0)
         assert np.array_equal(field.values, lim.field.values)
         assert abs(rec.F_delta) <= 1e-10
         assert abs(rec.E_delta) <= 1e-10
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_shifts_stay_minimal_for_limit_energy(self, setup, t):
-        mesh, density, asm, lim, cls = setup
-        U = cls.kernel[0]
-        field, rec = shifted_minimizer(density, asm, lim, U, t, cls)
+        mesh, density, asm, lim = setup
+        field, rec = shifted_minimizer(density, asm, lim, t)
         assert rec.F_delta <= 1e-8 * (1.0 + abs(lim.F_value))
         assert rec.E_delta > 0.0
         # the shift field is exactly -t x in 2D
         assert np.allclose(field.values, lim.field.values - t * mesh.nodes, atol=1e-14)
 
     def test_classical_energy_grows_quadratically(self, setup):
-        mesh, density, asm, lim, cls = setup
-        U = cls.kernel[0]
-        _, rec1 = shifted_minimizer(density, asm, lim, U, 1.0, cls)
-        _, rec2 = shifted_minimizer(density, asm, lim, U, 2.0, cls)
+        mesh, density, asm, lim = setup
+        _, rec1 = shifted_minimizer(density, asm, lim, 1.0)
+        _, rec2 = shifted_minimizer(density, asm, lim, 2.0)
         # E(v* - t x) - min E = 16 t^2 on the unit square
         assert rec1.E_delta == pytest.approx(16.0, rel=1e-9)
         assert rec2.E_delta == pytest.approx(64.0, rel=1e-9)
 
     def test_strict_load_refused(self, mesh, density):
-        asm, cls, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
+        asm, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
         with pytest.raises(ValueError, match="weak"):
-            shifted_minimizer(density, asm, lim, skew2(1.0), 1.0, cls)
+            shifted_minimizer(density, asm, lim, 1.0)
 
     def test_negative_t_rejected(self, setup):
-        mesh, density, asm, lim, cls = setup
-        U = cls.kernel[0]
-        with pytest.raises(ValueError):
-            shifted_minimizer(density, asm, lim, U, -0.5, cls)
+        mesh, density, asm, lim = setup
+        # nan and inf as well: the shifted field would be nan, or -inf x
+        for t in (-0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="nonnegative"):
+                shifted_minimizer(density, asm, lim, t)
 
 
 class TestInner3D:

@@ -6,8 +6,7 @@ from tractionlab.algebra import rodrigues, skew2
 from tractionlab.fem import DisplacementField, linear_field
 from tractionlab.loads import (INCOMPATIBLE, STRICT, WEAK, BodyForce, LoadSpec,
                                MeshMismatchError, MissingTractionRuleError,
-                               TractionRule, assemble_loads, check_equilibrated,
-                               classify_compatibility, classify_moment_matrix,
+                               TractionRule, assemble_loads, classify_moment_matrix,
                                load_work)
 from tractionlab.mesh import rect_mesh
 
@@ -121,38 +120,46 @@ class TestLoadWork:
 
 class TestEquilibration:
     def test_pressure_is_equilibrated(self, mesh):
-        chk = check_equilibrated(assemble_loads(mesh, pressure_spec(1.0)))
+        chk = assemble_loads(mesh, pressure_spec(1.0)).classification
         assert chk.equilibrated
         assert chk.force_residual <= 1e-14
         assert chk.torque_residual <= 1e-14
 
     def test_constant_traction_everywhere_unbalanced(self, mesh):
         spec = LoadSpec({tag: TractionRule("constant", (1.0, 0.0)) for tag in SIDES})
-        chk = check_equilibrated(assemble_loads(mesh, spec))
+        chk = assemble_loads(mesh, spec).classification
         assert not chk.equilibrated
         assert chk.force_residual == pytest.approx(4.0, rel=1e-13)
 
     def test_infmany_is_equilibrated(self, mesh):
-        assert check_equilibrated(assemble_loads(mesh, infmany_spec())).equilibrated
+        assert assemble_loads(mesh, infmany_spec()).classification.equilibrated
 
     def test_pure_torque_unbalanced(self, mesh):
         # tangential load on the whole boundary: zero force, nonzero torque
         spec = LoadSpec({tag: TractionRule("tangential", (1.0,)) for tag in SIDES})
-        chk = check_equilibrated(assemble_loads(mesh, spec))
+        chk = assemble_loads(mesh, spec).classification
         assert not chk.equilibrated
         assert chk.force_residual <= 1e-13
         assert chk.torque_residual > 0.1
 
 
 class TestClassification:
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, mesh, tol):
+        # a nan band fails every comparison: tension would read incompatible
+        with pytest.raises(ValueError, match="tolerance"):
+            assemble_loads(mesh, pressure_spec(1.0), tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            classify_moment_matrix(np.eye(3), tol)
+
     def test_tension_strict(self, mesh):
-        cls = classify_compatibility(assemble_loads(mesh, pressure_spec(1.0)))
+        cls = assemble_loads(mesh, pressure_spec(1.0)).classification
         assert cls.compat_class == STRICT
         assert cls.sup_gap == 0.0
         assert cls.witness is None
 
     def test_compression_incompatible(self, mesh):
-        cls = classify_compatibility(assemble_loads(mesh, pressure_spec(-1.0)))
+        cls = assemble_loads(mesh, pressure_spec(-1.0)).classification
         assert cls.compat_class == INCOMPATIBLE
         assert cls.sup_gap == np.inf
         assert cls.witness is not None
@@ -160,7 +167,7 @@ class TestClassification:
         assert cls.witness_work == pytest.approx(1.0, rel=1e-12)
 
     def test_infmany_weak_with_full_kernel(self, mesh):
-        cls = classify_compatibility(assemble_loads(mesh, infmany_spec()))
+        cls = assemble_loads(mesh, infmany_spec()).classification
         assert cls.compat_class == WEAK
         assert len(cls.kernel) == 1
         U = cls.kernel[0]
@@ -168,7 +175,7 @@ class TestClassification:
         assert abs(work) <= 1e-12
 
     def test_zero_loads_weak(self, mesh):
-        cls = classify_compatibility(assemble_loads(mesh, zero_spec()))
+        cls = assemble_loads(mesh, zero_spec()).classification
         assert cls.compat_class == WEAK
 
     def test_3d_landmark_matrix(self):
@@ -192,7 +199,7 @@ class TestClassification:
         R = rodrigues(theta, skew2(1.0))
         for spec_fn in (lambda: pressure_spec(1.0), lambda: pressure_spec(-2.0), infmany_spec):
             base_mesh = rect_mesh(6, 6)
-            base = classify_compatibility(assemble_loads(base_mesh, spec_fn()))
+            base = assemble_loads(base_mesh, spec_fn()).classification
 
             from tractionlab.mesh import Mesh
             rot_nodes = base_mesh.nodes @ R.T
@@ -208,14 +215,14 @@ class TestClassification:
                     rot_tractions[tag] = TractionRule("constant", tuple(R @ np.asarray(rule.value)))
                 else:
                     rot_tractions[tag] = rule     # pressure/tangential co-rotate with n
-            rot = classify_compatibility(assemble_loads(rot_mesh_, LoadSpec(rot_tractions)))
+            rot = assemble_loads(rot_mesh_, LoadSpec(rot_tractions)).classification
             assert rot.compat_class == base.compat_class
 
     def test_positive_scaling_invariance(self, mesh):
         for spec_fn, expected in ((lambda s: pressure_spec(s), STRICT),
                                   (lambda s: pressure_spec(-s), INCOMPATIBLE)):
             for scale in (1e-3, 1.0, 1e4):
-                cls = classify_compatibility(assemble_loads(mesh, spec_fn(scale)))
+                cls = assemble_loads(mesh, spec_fn(scale)).classification
                 assert cls.compat_class == expected
 
 

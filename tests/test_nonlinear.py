@@ -5,14 +5,14 @@ from hypothesis import strategies as st
 
 from conftest import (admissible_field, body_spec, infmany_spec, jittered_mesh,
                       pressure_spec, stress_spec, sweep_inputs, zero_loads, zero_spec)
-from tractionlab import fem, nonlinear
+from tractionlab import fem, loads, nonlinear
 from tractionlab.algebra import Density, J2, rodrigues, skew2
-from tractionlab.fem import (DisplacementField, elastic_energy, element_gradients,
+from tractionlab.fem import (DisplacementField, elastic_energy,
                              element_strains, integral_mean, linear_field, rigid_basis,
                              solve_linear)
-from tractionlab.limit import IncompatibleLoadsError
+from tractionlab.limit import IncompatibleLoadsError, minimize_limit
 from tractionlab.loads import (INCOMPATIBLE, LoadSpec, MeshMismatchError, TractionRule,
-                               assemble_loads, classify_compatibility, pressure)
+                               assemble_loads, pressure)
 from tractionlab.mesh import rect_mesh, refine
 from tractionlab.nonlinear import (_H0_CG_TOL, CONVERGED, DIVERGED, STALLED,
                                    InadmissibleStateError, SweepRefusedError,
@@ -261,8 +261,8 @@ class TestMinimize:
         density = Density(1.0, 0.0)
         spec = LoadSpec({"left": pressure(25.05), "right": pressure(25.05),
                          "top": pressure(23.99), "bottom": pressure(23.99)})
-        asm, cls, lim = sweep_inputs(mesh, density, spec)
-        res = minimize_rescaled(mesh, density, asm, 0.8, init=lim.field, classification=cls)
+        asm, lim = sweep_inputs(mesh, density, spec)
+        res = minimize_rescaled(mesh, density, asm, 0.8, init=lim.field)
         assert res.status == STALLED
         assert res.barrier_hits > 0
         assert res.grad_norm > 10.0
@@ -275,8 +275,8 @@ def sweep(mesh, density, spec, h_list):
 
 class TestSweep:
     def test_tension_sweep_monotone(self, mesh, density):
-        asm, cls, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
-        sw = h_sweep(density, asm, cls, lim, (0.2, 0.1, 0.05))
+        asm, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
+        sw = h_sweep(density, asm, lim, (0.2, 0.1, 0.05))
         assert all(r.status == CONVERGED for r in sw.records)
         gaps = [abs(r.Fh + 16.0) for r in sw.records]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -320,8 +320,8 @@ class TestSweep:
         assert all(r.status == CONVERGED for r in sw.records)
 
     def test_given_limit_minimizer_is_the_warm_start(self, mesh, density):
-        asm, cls, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
-        sw = h_sweep(density, asm, cls, lim, (0.2, 0.1))
+        asm, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
+        sw = h_sweep(density, asm, lim, (0.2, 0.1))
         first = minimize_rescaled(mesh, density, asm, 0.2, init=lim.field)
         assert (sw.records[0].Fh, sw.records[0].iters) == (first.value, first.iterations)
         dist = np.linalg.norm(strain_moments(first.field) - strain_moments(lim.field))
@@ -336,43 +336,44 @@ class TestSweep:
         assert [r.status for r in sw.records] == [CONVERGED] * 2
         assert len(calls) == 0
 
-    def test_given_classification_decides(self, mesh, density):
-        # infmany plus a 1e-6 pressure: strict at the default tol, weak at 1e-3
+    def test_assembly_tol_decides(self, mesh, density):
+        # infmany plus a 1e-6 pressure: weak at tol 1e-3, strict at the default 1e-9
         spec = LoadSpec({tag: TractionRule("constant", v) for tag, v in
                          (("right", (1e-6, 1.0)), ("left", (-1e-6, -1.0)),
                           ("top", (1.0, 1e-6)), ("bottom", (-1.0, -1e-6)))})
-        asm, strict, lim = sweep_inputs(mesh, density, spec)
-        assert strict.compat_class == "strict"
-        weak = classify_compatibility(asm, 1e-3)
-        assert weak.compat_class == "weak"
+        asm, lim = sweep_inputs(mesh, density, spec, 1e-3)
+        assert asm.classification.compat_class == "weak"
         with pytest.raises(SweepRefusedError, match="compactness"):
-            h_sweep(density, asm, weak, lim, (0.1, 0.05))
-        sw = h_sweep(density, asm, strict, lim, (0.1,))
+            h_sweep(density, asm, lim, (0.1, 0.05))
+        asm, lim = sweep_inputs(mesh, density, spec, 1e-9)
+        assert asm.classification.compat_class == "strict"
+        sw = h_sweep(density, asm, lim, (0.1,))
         assert [r.status for r in sw.records] == [CONVERGED]
 
     def test_loads_classified_once(self, mesh, density, monkeypatch):
-        # h_sweep hands its classification to every point; a bare call classifies
-        asm, cls, lim = sweep_inputs(mesh, density, pressure_spec(16.0))
+        # assemble_loads classifies; no later stage classifies again
         calls = []
-
-        def counted(*args, **kw):
-            calls.append(args)
-            return classify_compatibility(*args, **kw)
-        monkeypatch.setattr(nonlinear, "classify_compatibility", counted)
-        sw = h_sweep(density, asm, cls, lim, (0.2, 0.1))
+        classify = loads.classify_moment_matrix
+        monkeypatch.setattr(loads, "classify_moment_matrix",
+                            lambda *args: calls.append(args) or classify(*args))
+        asm = assemble_loads(mesh, pressure_spec(16.0))
+        compression = assemble_loads(mesh, pressure_spec(-1.0))
+        assert len(calls) == 2
+        lim = minimize_limit(density, asm, solve_linear(density, asm))
+        sw = h_sweep(density, asm, lim, (0.2, 0.1))
         assert [r.status for r in sw.records] == [CONVERGED] * 2
-        assert calls == []
         minimize_rescaled(mesh, density, asm, 0.2, init=lim.field)
-        assert len(calls) == 1
+        assert minimize_rescaled(mesh, density, compression, 0.2).status == DIVERGED
+        assert len(calls) == 2
 
     def test_inputs_on_another_mesh_rejected(self, mesh, density):
         spec = pressure_spec(16.0)
-        asm, cls, lim = sweep_inputs(mesh, density, spec)
+        asm, lim = sweep_inputs(mesh, density, spec)
         other = rect_mesh(8, 8)
-        asm_other, _, lim_other = sweep_inputs(other, density, spec)
+        asm_other, lim_other = sweep_inputs(other, density, spec)
         for a, lm in ((asm_other, lim), (asm, lim_other)):
             with pytest.raises(MeshMismatchError):
-                h_sweep(density, a, cls, lm, (0.2, 0.1))
+                h_sweep(density, a, lm, (0.2, 0.1))
 
 
 class TestPreconditionedSolver:
@@ -400,7 +401,7 @@ class TestPreconditionedSolver:
         # application's PCG iterations and its Jacobi-norm residual
         # relative to P g, recomputed here
         mesh = rect_mesh(16, 16)
-        asm, cls, lim = sweep_inputs(mesh, density, spec)
+        asm, lim = sweep_inputs(mesh, density, spec)
         Zeu = rigid_basis(mesh).euclid
         two_loop, kplus, minimize = (nonlinear._two_loop, fem.Operators.kplus,
                                      nonlinear.minimize_rescaled)
@@ -426,7 +427,7 @@ class TestPreconditionedSolver:
         monkeypatch.setattr(nonlinear, "minimize_rescaled", new_point)
         monkeypatch.setattr(nonlinear, "_two_loop", record_gradient)
         monkeypatch.setattr(fem.Operators, "kplus", record_solve)
-        sw = h_sweep(density, asm, cls, lim, (0.2, 0.1, 0.05, 0.025))
+        sw = h_sweep(density, asm, lim, (0.2, 0.1, 0.05, 0.025))
         assert [r.status for r in sw.records] == [CONVERGED] * 4
         assert [len(p) for p in points] == [r.iters for r in sw.records]
         assert [sum(it for it, _ in p) for p in points] == [r.cg_iters for r in sw.records]
@@ -456,7 +457,7 @@ class TestPreconditionedSolver:
     @pytest.mark.parametrize("spec", [pressure_spec(16.0), body_spec((1.0, 0.0, 0.0, 1.0))],
                              ids=["tension", "bodyforce"])
     def test_sweep_warm_start_is_linear_minimizer(self, mesh, density, spec):
-        asm, _, lim = sweep_inputs(mesh, density, spec)
+        asm, lim = sweep_inputs(mesh, density, spec)
         linear = solve_linear(density, asm).field.values
         warm = lim.field.values
         assert np.max(np.abs(warm - linear)) <= 1e-12 * (1.0 + np.max(np.abs(linear)))
@@ -509,7 +510,8 @@ class TestMoments:
                         for T in panel for w in (1.0, x1, x2)])
         moments = strain_moments(field)
         assert np.max(np.abs(moments - ref)) <= 1e-13 * np.max(np.abs(ref))
-        G = np.sum(mesh.areas[:, None, None] * element_gradients(mesh, field.values), axis=0)
+        G = np.sum(mesh.areas[:, None, None] * field.gradient_columns().reshape(-1, 2, 2),
+                   axis=0)
         ref_skew = 0.5 * (G - G.T) / mesh.area
         skew = mean_skew_gradient(field)
         assert np.max(np.abs(skew - ref_skew)) <= 1e-13 * np.max(np.abs(ref_skew))
@@ -574,9 +576,9 @@ class TestFlatEnergy:
     def test_random_strict_sweeps_converge(self, n, jitter, lam, spec, seed):
         mesh = jittered_mesh(n, n, np.random.default_rng(seed)) if jitter else rect_mesh(n, n)
         density = Density(1.0, lam)
-        asm, cls, lim = sweep_inputs(mesh, density, spec)
-        assert cls.compat_class == "strict"
-        sw = h_sweep(density, asm, cls, lim, DEFAULT_H_LIST)
+        asm, lim = sweep_inputs(mesh, density, spec)
+        assert asm.classification.compat_class == "strict"
+        sw = h_sweep(density, asm, lim, DEFAULT_H_LIST)
         assert [r.status for r in sw.records] == [CONVERGED] * len(DEFAULT_H_LIST)
 
 
@@ -590,15 +592,15 @@ class TestCertificate:
         mesh = jittered_mesh(n, n, np.random.default_rng(seed)) if jitter else rect_mesh(n, n)
         density = Density(1.0, lam)
         asm = assemble_loads(mesh, spec)
-        cls = classify_compatibility(asm)
+        cls = asm.classification
         assert cls.compat_class == INCOMPATIBLE
-        res = minimize_rescaled(mesh, density, asm, h, classification=cls)
+        res = minimize_rescaled(mesh, density, asm, h)
         assert res.status == DIVERGED
         assert res.value == pytest.approx(2.0 * np.trace(asm.moment_matrix) / h, rel=1e-12)
         assert list(res.certificate.thetas) == [np.pi]
         assert list(res.certificate.trace) == [res.value]
         # the body is turned over: F = I + h grad v = -I on every element
-        F = np.eye(2) + h * element_gradients(mesh, res.field.values)
+        F = np.eye(2) + h * res.field.gradient_columns().reshape(-1, 2, 2)
         assert np.max(np.abs(F + np.eye(2))) <= 1e-12
         # no angle pi k / 64 of the orbit goes lower
         for k in range(1, 65):
