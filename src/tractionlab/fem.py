@@ -5,38 +5,36 @@ the infinitesimal rigid displacements (dimension 3 in 2D).
 ``operators(mesh, density)`` builds the stiffness, the rigid basis with
 its mass image ``M Z`` and the Galerkin matrix of the symmetric affine
 fields once per (mesh, density) and keeps them on the mesh.  The solve
-path never assembles the mass matrix: ``mesh.mass_action`` (also
-reachable here) applies it element by element, and ``mass_matrix``
-stays as the assembled reference.  Only the functions that build
-something on a mesh take one; ``solve_linear``, ``elastic_energy`` and
-``element_strains`` read it from their assembly or field, and every
-element gradient in the package is ``DisplacementField.gradient_columns``.
+path never assembles the mass matrix: ``mesh.mass_action`` applies it
+element by element, and ``mass_matrix`` stays as the assembled
+reference.  Only the functions that build something on a mesh take one;
+``solve_linear``, ``elastic_energy`` and ``element_strains`` read it
+from their assembly or field, and every element gradient in the package
+is ``DisplacementField.gradient_columns``.
 ``solve_linear`` refuses loads that ``assembly.classification`` does not
 find equilibrated.
 
 Every K^+ is ``Operators.kplus(b, tol, ref)``, on the complement of the
 rigid displacements: ``solve_linear`` and the initial inverse Hessian of
 the rescaled-energy L-BFGS both call it.  It makes b Euclidean-
-orthogonal to the rigid modes.  Conjugate gradients then start from
-the Galerkin solution on the symmetric affine fields, x0 = X (X' K X)^-1
-X' b: the K-orthogonal projection of K^+ b onto them, never farther
-from the solution in the energy norm than a zero start, and exact for a
-homogeneous load, which then takes no iteration.  The residual and the
-preconditioned residual are made rigid-free every iteration.  The solve
-stops when the Jacobi-norm residual sqrt(r' D^-1 r) of r = P(b - K x),
+orthogonal to the rigid modes, and conjugate gradients start from the
+Galerkin solution on the symmetric affine fields, x0 = X (X' K X)^-1 X'
+b: the K-orthogonal projection of K^+ b onto them, never farther from
+it in the energy norm than a zero start, and exact for a homogeneous
+load, which then takes no iteration.  Only the residual is made
+rigid-free every iteration: neither r' z nor K p sees the rigid part of
+the preconditioned z, and x is projected once at exit.  The solve stops
+when the Jacobi-norm residual sqrt(r' D^-1 r) of r = P(b - K x),
 relative to that of the rigid-free ``ref`` (default ``b``; ``b`` again
-when ``ref`` is rigid), is at most ``tol``.  The test comes before every
-preconditioner call, and the returned x is Euclidean-orthogonal to the
-rigid modes.  The first ``_JACOBI_STEPS`` = 10 iterations are
-preconditioned by the diagonal of K: they settle a start whose residual
-is round-off just above ``tol``, as the L-BFGS initial-matrix solves of
-a homogeneous load have, for far less than building a multigrid.  A
-solve still above ``tol`` after them restarts CG from its x with a
-symmetric smoothed-aggregation multigrid V-cycle, whose near-null space
-is the rigid modes, built on that first use.  The iteration count hardly
-grows with the mesh: on the body force g = x, 10 Jacobi and 48 V-cycle
-iterations to 1e-10 at 128x128 and 10 + 63 at 256x256, against 700 and
-1360 with Jacobi alone.
+when ``ref`` is rigid), is at most ``tol``, tested before every
+preconditioner call, and returns the true residual of its x.  The first
+``_JACOBI_STEPS`` = 10 iterations are preconditioned by the diagonal of
+K: they settle a start whose residual is round-off just above ``tol``,
+as the L-BFGS initial-matrix solves of a homogeneous load have, for far
+less than building a multigrid.  A solve still above ``tol`` after them
+restarts CG from its x with a symmetric smoothed-aggregation multigrid
+V-cycle, whose near-null space is the rigid modes, built on that first
+use; its iteration count hardly grows with the mesh.
 """
 
 from dataclasses import dataclass
@@ -47,7 +45,7 @@ import scipy.sparse as sp
 
 from .algebra import J2
 from .loads import load_work
-from .mesh import _scalar_mass_action, mass_action
+from .mesh import mass_action
 
 
 class NotEquilibratedError(RuntimeError):
@@ -139,7 +137,7 @@ def rigid_basis(mesh):
     raw[:, 2] = (centred @ J2.T).reshape(-1)
     # M raw from the mass actions of 1 and of the centred coordinates, each
     # taken once: J2 only permutes and negates, so the products are exact
-    m = _scalar_mass_action(mesh, np.column_stack([np.ones(n), centred]))
+    m = mass_action(mesh, np.column_stack([np.ones(n), centred]))
     Mraw = np.zeros_like(raw)
     Mraw[0::2, 0] = m[:, 0]
     Mraw[1::2, 1] = m[:, 0]
@@ -186,16 +184,11 @@ def elastic_energy(density, assembly, field):
 # that once with damped Jacobi; the coarse matrices are Galerkin products.
 
 # K^+ iterates with the diagonal of K as preconditioner for at most this
-# many steps before it builds the V-cycle and restarts with it.  A start
-# whose residual is round-off above tol needs a few of them.  Ten cost
-# about 0.5 ms at 32x32 against 9 ms to build the hierarchy, and 6 ms at
-# 128x128 against 115 ms (BLAS on one thread)
+# many steps, which settle a start round-off above tol for far less than
+# the V-cycle it builds and restarts with after them
 _JACOBI_STEPS = 10
-# levels stop coarsening at this many dofs, solved by a dense pseudo-inverse
+# levels stop coarsening at this many dofs, solved by a dense inverse
 _COARSEST_DOFS = 300
-# the coarsest matrix keeps the rigid modes as a null space whose computed
-# eigenvalues are round-off; its nonzero spectrum is far above this cutoff
-_COARSEST_RCOND = 1e-10
 
 
 def _node_graph(A, bs):
@@ -274,8 +267,9 @@ class _VCycle:
 
     Calling it on r gives an approximation of K^+ r that is symmetric and
     positive definite on the complement of span(B): one damped-Jacobi
-    sweep before and one after each coarse correction, and a dense
-    pseudo-inverse on the coarsest level.
+    sweep before and one after each coarse correction, and on the
+    coarsest level, singular on the span of the near-null basis Q carried
+    down to it (orthonormal), the exact A^+ = (A + QQ')^-1 - QQ'.
     """
 
     def __init__(self, K, B):
@@ -284,7 +278,7 @@ class _VCycle:
         while A.shape[0] > _COARSEST_DOFS:
             inv_diag = 1.0 / A.diagonal()
             omega = _jacobi_weight(A, inv_diag)
-            T, B = _tentative_prolongator(_aggregate(_node_graph(A, bs)), bs, B)
+            T, Bc = _tentative_prolongator(_aggregate(_node_graph(A, bs)), bs, B)
             if T.shape[1] >= A.shape[0]:
                 break
             AT = A @ T
@@ -295,8 +289,11 @@ class _VCycle:
             self.levels.append((A, omega * inv_diag, P, R))
             A = R @ (A @ P)
             A = (0.5 * (A + A.T)).tocsr()
-            bs = B.shape[1]
-        self.coarsest = np.linalg.pinv(A.toarray(), rcond=_COARSEST_RCOND, hermitian=True)
+            B, bs = Bc, Bc.shape[1]
+        # A is singular exactly on span(B) = span(Q): (A + QQ')^-1 = A^+ + QQ'
+        Q, _ = np.linalg.qr(B)
+        QQ = Q @ Q.T
+        self.coarsest = np.linalg.inv(A.toarray() + QQ) - QQ
 
     def __call__(self, b, k=0):
         if k == len(self.levels):
@@ -348,9 +345,9 @@ class Operators:
         with the diagonal of K as preconditioner for at most
         ``_JACOBI_STEPS`` iterations, then, if the residual is still
         above ``tol``, restarts from its x with the V-cycle.
-        ``iterations`` counts both phases.  Raises ValueError unless
-        0 < tol < inf, and NoConvergenceError after 20 * len(b)
-        iterations.
+        ``iterations`` counts both phases; the residual is the true one
+        of x.  Raises ValueError unless 0 < tol < inf, and
+        NoConvergenceError after 20 * len(b) iterations.
         """
         if not 0.0 < tol < np.inf:
             raise ValueError(f"K^+ tolerance must be finite and positive, got {tol}")
@@ -363,16 +360,18 @@ class Operators:
             ref = ref - self.rigid_part(ref)
             denom = np.sqrt(ref @ (inv_diag * ref)) or denom
 
+        def residual(x):
+            r = b - K @ x
+            r -= self.rigid_part(r)
+            return r, np.sqrt(r @ (inv_diag * r)) / denom
+
         x = X @ np.linalg.solve(self.XKX, X.T @ b)
-        r = b - K @ x
-        r -= self.rigid_part(r)
-        rel = np.sqrt(r @ (inv_diag * r)) / denom
+        r, rel = residual(x)
         it = 0
         while rel > tol:
             if it >= 20 * b.size:
                 raise NoConvergenceError(it, float(rel))
             z = inv_diag * r if it < _JACOBI_STEPS else self.vcycle(r)
-            z -= self.rigid_part(z)
             rho_new = r @ z
             # the search direction restarts where the preconditioner changes
             p = z if it in (0, _JACOBI_STEPS) else z + (rho_new / rho) * p
@@ -385,6 +384,9 @@ class Operators:
             rel = np.sqrt(r @ (inv_diag * r)) / denom
             it += 1
         x -= self.rigid_part(x)
+        if it:
+            # CG stopped on its recursive r, which drifts from the true one
+            _, rel = residual(x)
         return x, it, float(rel)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _canonical_axis, skew2, skew3
-from .mesh import _scalar_mass_action
+from .mesh import mass_action
 
 STRICT = "strict"
 WEAK = "weak"
@@ -155,7 +155,7 @@ class LoadAssembly:
         S = lf.T @ mesh.nodes[mesh.edge_nodes].mean(axis=1)
 
         if spec.body.kind != "zero":
-            Mg = _scalar_mass_action(mesh, spec.body.evaluate(mesh.nodes))
+            Mg = mass_action(mesh, spec.body.evaluate(mesh.nodes))
             ell += Mg
             S += Mg.T @ mesh.nodes
 

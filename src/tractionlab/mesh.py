@@ -3,8 +3,8 @@
 P1 (piecewise linear) triangles only; element geometry (areas, constant
 shape-function gradients, edge lengths and outward normals) and the
 sparse discrete-gradient operator G are precomputed at construction;
-``mass_action`` applies the P1 mass matrix.  A line-oriented text format
-supports round-trip persistence:
+``mass_action`` applies the scalar P1 mass matrix to nodal columns.  A
+line-oriented text format supports round-trip persistence:
 
     # comment
     v <x> <y>
@@ -179,19 +179,9 @@ class Mesh:
         return sorted(set(self.edge_tags))
 
 
-def mass_action(mesh, x):
-    """M x for the consistent P1 vector mass matrix M, without assembling M.
-
-    ``x`` holds interleaved nodal dofs, shape (2n,) or (2n, k).  Per
-    scalar component, (M f)_a = sum over triangles T containing a of
-    |T| (f_a + sum_{b in T} f_b) / 12.
-    """
-    x = np.asarray(x, dtype=float)
-    return _scalar_mass_action(mesh, x.reshape(mesh.n_nodes, -1)).reshape(x.shape)
-
-
-def _scalar_mass_action(mesh, f):
-    """The scalar P1 mass matrix applied to each column of the nodal fields f, shape (n, k)."""
+def mass_action(mesh, f):
+    """M f for the scalar P1 mass matrix M, unassembled, on each column of f, shape (n, k):
+    (M f)_a = sum over triangles T containing a of |T| (f_a + sum_{b in T} f_b) / 12."""
     out = np.empty_like(f)
     for c in range(f.shape[1]):
         fe = f[mesh.elements, c]

@@ -33,12 +33,12 @@ round-off, or iterates pressed against the orientation barrier) ends as
 stalled.  Such a stall need not be near a minimum: turning the deformed
 body phi = x + h v keeps the stored energy and moves only the load
 work, a step that L-BFGS does not take.
-At fixed h > 0, Fh is bounded below for every load: the density grows
-quartically in grad v and the load work is linear.  What incompatible
-loads make unbounded is the h-family.  Along the witness rotation path
-v = h^-1 (R_theta - I) x the stored energy vanishes and Fh = (1 - cos
-theta) tr S / h, least at theta = pi, where it is 2 tr S / h and tends to
--inf as h -> 0 when tr S < 0.  The certificate is that one state: the
+At fixed h > 0, Fh is bounded below for every equilibrated load: the
+density grows quartically in grad v and the load work is linear.  What
+incompatible loads make unbounded is the h-family.  Along the witness
+rotation path v = h^-1 (R_theta - I) x the stored energy vanishes and
+Fh = (1 - cos theta) tr S / h, least at theta = pi, where it is
+2 tr S / h and tends to -inf as h -> 0 when tr S < 0.  The certificate is that one state: the
 discrete Fh and its gradient are evaluated once at theta = pi, and Fh at
 the given h is not minimized.
 
@@ -56,7 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import rodrigues
-from .fem import DisplacementField, integral_mean, linear_field, operators
+from .fem import (DisplacementField, NotEquilibratedError, integral_mean, linear_field,
+                  operators)
 from .limit import IncompatibleLoadsError
 from .loads import INCOMPATIBLE, STRICT, MeshMismatchError, load_work
 
@@ -297,19 +298,23 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8):
     l.phi < 0 for phi = x + h v, the half turn phi -> -phi lowers Fh by
     2 |l.phi| / h, but the gradient has no part along it.  Diverged is
     declared only for loads that ``assembly.classification`` finds
-    incompatible, the one class whose
-    h-family is unbounded below (Fh = 2 tr S / h on the rotation path at
-    theta = pi); Fh at this h is bounded below for every load.  The result
-    is then the rotation-orbit certificate, with no minimization.  The
-    solver reports gradient-norm stationarity only, never global optimality.
+    incompatible, the one class whose h-family is unbounded below (Fh =
+    2 tr S / h on the rotation path at theta = pi); Fh at this h is
+    bounded below for every equilibrated load.  The result is then the
+    rotation-orbit certificate, with no minimization.  The solver reports
+    gradient-norm stationarity only, never global optimality.
 
     ``energy_floor`` records the lowest finite energy seen across all
-    accepted and trial states.  ``mesh`` must be the mesh of ``assembly``
-    and of ``init``; MeshMismatchError otherwise.
+    accepted and trial states.  Loads that are not equilibrated raise
+    NotEquilibratedError first, as in ``solve_linear``.  ``mesh`` must be
+    the mesh of ``assembly`` and of ``init``; MeshMismatchError otherwise.
     """
+    cls = assembly.classification
+    if not cls.equilibrated:
+        raise NotEquilibratedError(cls.force_residual, cls.torque_residual)
     if assembly.mesh is not mesh or (init is not None and init.mesh is not mesh):
         raise MeshMismatchError("the loads and the initial state must live on the given mesh")
-    if assembly.classification.compat_class == INCOMPATIBLE:
+    if cls.compat_class == INCOMPATIBLE:
         return _instability_probe(density, assembly, h)
 
     ops = operators(mesh, density)
@@ -453,10 +458,11 @@ def h_sweep(density, assembly, limit, h_list, grad_tol=1e-8):
     incompatible loads have no limit minimizer, so ``limit`` is not
     looked at for them.  Each h is warm-started from the previous
     minimizer, the first from the limit minimizer (for strict loads it is
-    the linear-elastic one), tracking the minimizing branch.  Raises MeshMismatchError when ``limit`` lives on
-    another mesh than ``assembly``, and SweepAbortedError, with the
-    points computed so far, when a point does not converge or its warm
-    start has lost orientation at its h.  Returns records (h, min Fh, the proxy
+    the linear-elastic one), tracking the minimizing branch.  Raises
+    MeshMismatchError when ``limit`` lives on another mesh than
+    ``assembly``, NotEquilibratedError as ``minimize_rescaled`` does, and
+    SweepAbortedError, with the points computed so far, when a point
+    does not converge or its warm start has lost orientation at its h.  Returns records (h, min Fh, the proxy
     |sqrt(h) mean skew grad|, strain-moment distances to the limit
     minimizer) plus the lowest energy seen over all points.
     """

@@ -67,6 +67,40 @@ def test_prolongators_keep_rigid_modes(ops):
         bs = 3
 
 
+def test_coarsest_level_is_the_pseudo_inverse(ops):
+    # rebuild the coarsest level's matrix and near-null space: the dense
+    # operator there is A^+, which vanishes on that space
+    B, bs = ops.Z, 2
+    for A, _, P, R in ops.vcycle.levels:
+        _, B = fem._tentative_prolongator(fem._aggregate(fem._node_graph(A, bs)), bs, B)
+        bs = 3
+    A = (R @ (A @ P)).toarray()
+    A = 0.5 * (A + A.T)
+    C = ops.vcycle.coarsest
+    assert np.max(np.abs(C - C.T)) <= 1e-14 * np.max(np.abs(C))
+    assert np.max(np.abs(A @ C @ A - A)) <= 1e-12 * np.max(np.abs(A))
+    assert np.max(np.abs(C @ B)) <= 1e-12 * np.max(np.abs(C)) * np.max(np.abs(B))
+
+
+def test_coarsening_that_stops_on_no_reduction(monkeypatch):
+    # with no size limit, coarsening goes on until one aggregate holds the
+    # last node: 162 and 27 dofs, then 3, where it stops.  The 3 dofs span
+    # only the rigid modes, on whose complement A^+ is zero
+    monkeypatch.setattr(fem, "_COARSEST_DOFS", 0)
+    m = rect_mesh(8, 8)
+    ops = operators(m, DENSITY)
+    vcycle = ops.vcycle
+    assert [A.shape[0] for A, _, _, _ in vcycle.levels] == [162, 27]
+    assert vcycle.coarsest.shape == (3, 3)
+    assert np.max(np.abs(vcycle.coarsest)) <= 1e-14
+    b = assemble_loads(m, BODY).load_vector.reshape(-1)
+    x, it, rel = ops.kplus(b, 1e-10)
+    assert it > fem._JACOBI_STEPS
+    assert rel <= 1e-10
+    exact = np.linalg.pinv(ops.K.toarray(), hermitian=True) @ _complement(ops, b)
+    assert np.linalg.norm(x - exact) <= 1e-9 * np.linalg.norm(exact)
+
+
 def _jacobi_cg(ops, b, tol):
     # zero-start CG on the rigid complement, preconditioned by the diagonal
     # of K: a reference that shares neither the start nor the V-cycle
@@ -157,6 +191,19 @@ def _relative_residual(ops, b, x):
     r -= Z @ (Z.T @ r)
     d = ops.K.diagonal()
     return np.sqrt((r @ (r / d)) / (b @ (b / d)))
+
+
+@pytest.mark.parametrize("lam", [1.0, 100.0])
+def test_returned_residual_is_the_true_one(mesh, lam):
+    # CG stops on its recursive residual but reports the true one of x.  On
+    # stiff material the two differ, and at 1e-12 the true one stays above tol
+    ops = operators(mesh, Density(1.0, lam))
+    b = assemble_loads(mesh, BODY).load_vector.reshape(-1)
+    x, it, rel = ops.kplus(b, 1e-12)
+    assert it > 0
+    assert rel == pytest.approx(_relative_residual(ops, b, x), rel=1e-12)
+    if lam == 100.0:
+        assert rel > 1e-12
 
 
 @pytest.mark.parametrize("load", ["tension", "infmany", "stress"])

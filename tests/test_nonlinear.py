@@ -3,18 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (admissible_field, body_spec, infmany_spec, jittered_mesh,
+from conftest import (SIDES, admissible_field, body_spec, infmany_spec, jittered_mesh,
                       pressure_spec, stress_spec, sweep_inputs, zero_loads, zero_spec)
 from tractionlab import fem, loads, nonlinear
 from tractionlab.algebra import Density, J2, rodrigues, skew2
-from tractionlab.fem import (DisplacementField, elastic_energy,
+from tractionlab.fem import (DisplacementField, NotEquilibratedError, elastic_energy,
                              element_strains, integral_mean, linear_field, rigid_basis,
                              solve_linear)
-from tractionlab.limit import IncompatibleLoadsError, minimize_limit
-from tractionlab.loads import (INCOMPATIBLE, LoadSpec, MeshMismatchError, TractionRule,
-                               assemble_loads, pressure)
+from tractionlab.limit import IncompatibleLoadsError, limit_report, minimize_limit
+from tractionlab.loads import (INCOMPATIBLE, BodyForce, LoadSpec, MeshMismatchError,
+                               TractionRule, assemble_loads, constant_traction, pressure)
 from tractionlab.mesh import rect_mesh, refine
-from tractionlab.nonlinear import (_H0_CG_TOL, CONVERGED, DIVERGED, STALLED,
+from tractionlab.nonlinear import (_H0_CG_TOL, CONVERGED, DIVERGED, ITER_LIMIT, STALLED,
                                    InadmissibleStateError, SweepRefusedError,
                                    _h0, eval_rescaled, h_sweep,
                                    mean_skew_gradient, minimize_rescaled,
@@ -252,6 +252,38 @@ class TestMinimize:
         assert res.status == CONVERGED and res.iterations > 0
         assert calls["_deformation"] == calls["eval_rescaled"] + calls["rescaled_gradient"]
 
+    def test_not_equilibrated_rejected(self, mesh, density):
+        # the constant traction (1, 0) on every side has resultant (4, 0): Fh
+        # falls without bound along translations, so no status may be returned
+        spec = LoadSpec({tag: constant_traction(1.0, 0.0) for tag in SIDES})
+        asm = assemble_loads(mesh, spec)
+        with pytest.raises(NotEquilibratedError) as err:
+            minimize_rescaled(mesh, density, asm, 0.1)
+        assert err.value.force_residual == pytest.approx(4.0, rel=1e-12)
+        shift = DisplacementField(mesh, np.tile([1000.0, 0.0], (mesh.n_nodes, 1)))
+        assert eval_rescaled(density, asm, shift, 0.1) == pytest.approx(-4000.0, rel=1e-12)
+
+    def test_line_search_exhaustion_returns_the_start(self, mesh, density, tension,
+                                                      monkeypatch):
+        # every trial after the start is outside the domain of Fh: 80 halvings
+        # each hit the barrier, and the minimization ends at its start
+        evaluate = nonlinear.eval_rescaled
+        calls = []
+
+        def barrier_after_start(*args):
+            calls.append(1)
+            return evaluate(*args) if len(calls) == 1 else np.inf
+
+        monkeypatch.setattr(nonlinear, "eval_rescaled", barrier_after_start)
+        init = solve_linear(density, tension).field
+        res = minimize_rescaled(mesh, density, tension, 0.1, init=init)
+        assert res.status == ITER_LIMIT
+        assert res.barrier_hits == 80
+        assert res.iterations == 1
+        assert res.energy_trace == [res.value]
+        start = init.values - integral_mean(mesh, init.values)
+        assert np.array_equal(res.field.values, start)
+
     def test_infimum_on_the_orientation_barrier_stalls(self):
         # with lam = 0 the iterates press against det(I + h grad v) = 0, where the
         # gradient does not vanish, and accepted steps stop lowering Fh.  This is
@@ -365,6 +397,17 @@ class TestSweep:
         minimize_rescaled(mesh, density, asm, 0.2, init=lim.field)
         assert minimize_rescaled(mesh, density, compression, 0.2).status == DIVERGED
         assert len(calls) == 2
+
+    def test_not_equilibrated_rejected(self, mesh, density):
+        # strict moment matrix, but the constant body force (1, 0) leaves a
+        # resultant; the sweep raises from its first minimization
+        spec = LoadSpec(pressure_spec(16.0).tractions, BodyForce("constant", (1.0, 0.0)))
+        asm = assemble_loads(mesh, spec)
+        cls = asm.classification
+        assert cls.compat_class == "strict" and not cls.equilibrated
+        zero = DisplacementField(mesh, np.zeros((mesh.n_nodes, 2)))
+        with pytest.raises(NotEquilibratedError):
+            h_sweep(density, asm, limit_report(mesh, density, asm, zero), (0.2, 0.1))
 
     def test_inputs_on_another_mesh_rejected(self, mesh, density):
         spec = pressure_spec(16.0)

@@ -657,6 +657,22 @@ class TestCli:
             })
         assert outs[0] == outs[1]
 
+    def test_bodyforce_byte_identical_across_blas_threads(self, tmp_path):
+        # the 16x16 body force iterates the multigrid, whose coarsest level
+        # (93 dofs) is one dense inverse, identical at either thread count
+        src = str(Path(tractionlab.__file__).resolve().parents[1])
+        code = "import sys; from tractionlab.cli import main; sys.exit(main(sys.argv[1:]))"
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-c", code, "run", "bodyforce", "--out", str(out)],
+                           env=env, capture_output=True, check=True)
+            outs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert "solution_linear.txt" in outs[0]
+        assert outs[0] == outs[1]
+
     def test_provenance_carries_config_hash(self, tmp_path):
         out = tmp_path / "o"
         main(["analyze", "tension", "--out", str(out)])
