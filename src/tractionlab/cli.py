@@ -16,6 +16,7 @@ assembly.
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -203,7 +204,9 @@ def cmd_scenarios(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="tractionlab",
         description="Pure-traction elasticity experiments: compatibility analysis, "

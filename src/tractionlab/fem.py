@@ -1,7 +1,10 @@
 """P1 vector finite elements for the pure-traction linear-elastic problem.
 
 The pure-Neumann stiffness operator K is singular with kernel equal to
-the infinitesimal rigid displacements (dimension 3 in 2D).
+the infinitesimal rigid displacements (dimension 3 in 2D).  It is
+assembled as the Gram product K = H' H of the weighted strain operator
+H, three rows per element, so it is symmetric bit for bit by
+construction.
 ``operators(mesh, density)`` builds the stiffness, the rigid basis with
 its mass image ``M Z`` and the Galerkin matrix of the symmetric affine
 fields once per (mesh, density) and keeps them on the mesh.  The solve
@@ -27,14 +30,17 @@ the preconditioned z, and x is projected once at exit.  The solve stops
 when the Jacobi-norm residual sqrt(r' D^-1 r) of r = P(b - K x),
 relative to that of the rigid-free ``ref`` (default ``b``; ``b`` again
 when ``ref`` is rigid), is at most ``tol``, tested before every
-preconditioner call, and returns the true residual of its x.  The first
-``_JACOBI_STEPS`` = 10 iterations are preconditioned by the diagonal of
-K: they settle a start whose residual is round-off just above ``tol``,
-as the L-BFGS initial-matrix solves of a homogeneous load have, for far
-less than building a multigrid.  A solve still above ``tol`` after them
-restarts CG from its x with a symmetric smoothed-aggregation multigrid
+preconditioner call, and returns the true residual of its x.  A start
+whose residual is at most ``_JACOBI_START`` = 1e3 times ``tol``, as the
+L-BFGS initial-matrix solves of a homogeneous load have, gets
+``_JACOBI_STEPS`` = 10 iterations preconditioned by the diagonal of K,
+which settle such round-off for far less than building a multigrid.  A
+solve still above ``tol`` after them, or from a start farther above it,
+runs CG from its x with a symmetric smoothed-aggregation multigrid
 V-cycle, whose near-null space is the rigid modes, built on that first
-use; its iteration count hardly grows with the mesh.
+use; its iteration count hardly grows with the mesh.  The rule reads
+only the solve's own start, so a solve's count does not depend on the
+solves before it.
 """
 
 from dataclasses import dataclass
@@ -143,28 +149,44 @@ def rigid_basis(mesh):
     Mraw[1::2, 1] = m[:, 0]
     Mraw[:, 2] = (m[:, 1:] @ J2.T).reshape(-1)
 
-    # Z = raw L^-T with raw' M raw = L L' (Cholesky): mass-orthonormal, same span
-    L = np.linalg.cholesky(raw.T @ Mraw)
-    Z = np.linalg.solve(L, raw.T).T
-    MZ = np.linalg.solve(L, Mraw.T).T
+    # Z = raw L^-T with raw' M raw = L L' (Cholesky): mass-orthonormal, same span,
+    # through the 3 x 3 inverse rather than a solve with 2n right-hand sides
+    L_inv = np.linalg.inv(np.linalg.cholesky(raw.T @ Mraw))
+    Z = raw @ L_inv.T
+    MZ = Mraw @ L_inv.T
     Zeu, _ = np.linalg.qr(Z)
     fields = [DisplacementField(mesh, Z[:, k].reshape(n, 2)) for k in range(3)]
     return RigidBasis(mesh, fields, Z, Zeu, MZ)
 
 
 def assemble_stiffness(mesh, density):
-    """Sparse symmetric stiffness K = G' (diag(areas) (x) C) G.
+    """Sparse stiffness K = H' H, symmetric bit for bit.
 
-    (1/2) v' K v = int quadratic(E(v)) dx.  G is the mesh's discrete
-    gradient; column kl of the 4x4 matrix C is
-    quadratic_gradient(sym(e_k (x) e_l)) in row-major order, so that
-    h' C h = 2 quadratic(sym H) for the flattened gradient h of H.
+    (1/2) v' K v = int quadratic(E(v)) dx.  Column kl of the 4x4 matrix C
+    is quadratic_gradient(sym(e_k (x) e_l)) in row-major order, so that
+    h' C h = 2 quadratic(sym H) for the flattened gradient h of H.  C = L L'
+    with L (4 x 3) its eigenvectors of the positive eigenvalues (all but
+    the skew one) times their square roots, and H has the three rows
+    sqrt|T| L' G_T per triangle T, one 3 x 2 block per triangle and node.
+    Entries (i, j) and (j, i) of H' H sum the same products in the same order.
     """
     C = np.stack([density.quadratic_gradient(0.5 * (E + E.T)).ravel()
                   for E in np.eye(4).reshape(4, 2, 2)], axis=1)
-    G = mesh.G
-    K = G.T @ (sp.kron(sp.diags(mesh.areas), C, format="csr") @ G)
-    return (0.5 * (K + K.T)).tocsr()
+    w, V = np.linalg.eigh(C)
+    L = (V[:, 1:] * np.sqrt(w[1:])).reshape(2, 2, 3)
+    m = mesh.n_elements
+    # g[e, j, k] = sqrt|T_e| d phi_k / dx_j, and block (e, k) of H is
+    # [r, i] = sum_j L[i, j, r] g[e, j, k]
+    g = mesh.G.data.reshape(m, 2, 2, 3)[:, 0] * np.sqrt(mesh.areas)[:, None, None]
+    blocks = np.tensordot(g, L.transpose(1, 2, 0), axes=([1], [0]))
+    H = sp.bsr_matrix((blocks.reshape(3 * m, 3, 2), mesh.elements.ravel(),
+                       np.arange(0, 3 * m + 1, 3)), shape=(3 * m, 2 * mesh.n_nodes))
+    K = (H.T @ H).tocsr()
+    # the exact cancellations of a structured mesh would cost every K @ x and
+    # join nodes in the aggregation graph; sorted rows make K @ x faster
+    K.eliminate_zeros()
+    K.sort_indices()
+    return K
 
 
 def elastic_energy(density, assembly, field):
@@ -187,6 +209,11 @@ def elastic_energy(density, assembly, field):
 # many steps, which settle a start round-off above tol for far less than
 # the V-cycle it builds and restarts with after them
 _JACOBI_STEPS = 10
+# ... but only from an affine start at most this many times tol: the
+# starts of homogeneous loads lie within 20 tol (``run tension``, 32x32 to
+# 128x128), those of a body force 4e7 tol and more above it, which the
+# V-cycle takes from the first step
+_JACOBI_START = 1e3
 # levels stop coarsening at this many dofs, solved by a dense inverse
 _COARSEST_DOFS = 300
 
@@ -269,11 +296,15 @@ class _VCycle:
     positive definite on the complement of span(B): one damped-Jacobi
     sweep before and one after each coarse correction, and on the
     coarsest level, singular on the span of the near-null basis Q carried
-    down to it (orthonormal), the exact A^+ = (A + QQ')^-1 - QQ'.
+    down to it (orthonormal), the exact A^+ = (A + s QQ')^-1 - QQ' / s,
+    with the shift s the mean diagonal of K.
     """
 
     def __init__(self, K, B):
         self.levels = []
+        # the coarsest shift, in the units of the moduli: a unit shift
+        # leaves A + QQ' ill conditioned for moduli far from 1
+        shift = K.diagonal().mean()
         A, bs = K, 2
         while A.shape[0] > _COARSEST_DOFS:
             inv_diag = 1.0 / A.diagonal()
@@ -290,10 +321,13 @@ class _VCycle:
             A = R @ (A @ P)
             A = (0.5 * (A + A.T)).tocsr()
             B, bs = Bc, Bc.shape[1]
-        # A is singular exactly on span(B) = span(Q): (A + QQ')^-1 = A^+ + QQ'
+        # A is singular exactly on span(B) = span(Q): (A + s QQ')^-1 = A^+ + QQ' / s
         Q, _ = np.linalg.qr(B)
         QQ = Q @ Q.T
-        self.coarsest = np.linalg.inv(A.toarray() + QQ) - QQ
+        C = np.linalg.inv(A.toarray() + shift * QQ)
+        # the inverse is symmetric only to round-off, which grows with the
+        # condition of A + s QQ': the coarser levels have smaller entries than K
+        self.coarsest = 0.5 * (C + C.T) - QQ / shift
 
     def __call__(self, b, k=0):
         if k == len(self.levels):
@@ -314,10 +348,10 @@ class Operators:
     ``rigid_basis``, ``MZ = M Z`` (the only use of the mass matrix, so M
     itself is never assembled), ``X`` the symmetric affine fields
     (x~, 0), (0, y~) and (y~, x~) of the centred node coordinates as
-    columns, and ``XKX = X' K X`` their Galerkin matrix.  ``vcycle``, the
-    smoothed-aggregation V-cycle preconditioning K^+, is built on first
-    use, so solves that the affine start and the Jacobi phase of
-    ``kplus`` settle never build it.  Nothing in the bundle refers to
+    columns, and ``XKX = X' K X`` their Galerkin matrix, in closed form.
+    ``vcycle``, the smoothed-aggregation V-cycle preconditioning K^+, is
+    built on first use, so solves that the affine start and the Jacobi
+    phase of ``kplus`` settle never build it.  Nothing in the bundle refers to
     the mesh, so the bundle cached on the mesh forms no reference cycle.
     """
 
@@ -341,13 +375,14 @@ class Operators:
         """K^+ b on the rigid-mode complement: ``(x, iterations, relative residual)``.
 
         The solve of the module docstring; ``ref`` (default ``b``) sets
-        the scale of the stopping rule.  CG runs from the affine start
-        with the diagonal of K as preconditioner for at most
-        ``_JACOBI_STEPS`` iterations, then, if the residual is still
-        above ``tol``, restarts from its x with the V-cycle.
-        ``iterations`` counts both phases; the residual is the true one
-        of x.  Raises ValueError unless 0 < tol < inf, and
-        NoConvergenceError after 20 * len(b) iterations.
+        the scale of the stopping rule.  From an affine start at most
+        ``_JACOBI_START`` times ``tol``, CG runs with the diagonal of K as
+        preconditioner for at most ``_JACOBI_STEPS`` iterations, then, if
+        the residual is still above ``tol``, restarts from its x with the
+        V-cycle; from a start farther above ``tol`` it takes the V-cycle
+        from the first step.  ``iterations`` counts both phases; the
+        residual is the true one of x.  Raises ValueError unless
+        0 < tol < inf, and NoConvergenceError after 20 * len(b) iterations.
         """
         if not 0.0 < tol < np.inf:
             raise ValueError(f"K^+ tolerance must be finite and positive, got {tol}")
@@ -367,14 +402,16 @@ class Operators:
 
         x = X @ np.linalg.solve(self.XKX, X.T @ b)
         r, rel = residual(x)
+        # rel / _JACOBI_START, not tol * _JACOBI_START, which overflows for a huge tol
+        jacobi = _JACOBI_STEPS if rel / _JACOBI_START <= tol else 0
         it = 0
         while rel > tol:
             if it >= 20 * b.size:
                 raise NoConvergenceError(it, float(rel))
-            z = inv_diag * r if it < _JACOBI_STEPS else self.vcycle(r)
+            z = inv_diag * r if it < jacobi else self.vcycle(r)
             rho_new = r @ z
             # the search direction restarts where the preconditioner changes
-            p = z if it in (0, _JACOBI_STEPS) else z + (rho_new / rho) * p
+            p = z if it in (0, jacobi) else z + (rho_new / rho) * p
             rho = rho_new
             Kp = K @ p
             alpha = rho / (p @ Kp)
@@ -402,8 +439,14 @@ def operators(mesh, density):
         X[1::2, 1] = yc
         X[0::2, 2] = yc
         X[1::2, 2] = xc
-        ops = Operators(K, 1.0 / K.diagonal(), rb.mass, rb.matrix, rb.euclid, X,
-                        X.T @ (K @ X))
+        # X' K X in closed form, exact where the product with K is not: the
+        # fields have the constant gradients E, whose energy is |Omega| times
+        # the density's
+        E = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]],
+                      [[0.0, 1.0], [1.0, 0.0]]])
+        XKX = mesh.area * np.einsum("pij,qij->pq", E,
+                                    [density.quadratic_gradient(Eq) for Eq in E])
+        ops = Operators(K, 1.0 / K.diagonal(), rb.mass, rb.matrix, rb.euclid, X, XKX)
         mesh.operator_cache[density] = ops
     return ops
 

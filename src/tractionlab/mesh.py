@@ -91,9 +91,9 @@ class Mesh:
         # row 4e + 2i + j holds the 3 entries g[e, k, j] at columns 2 elements[e, k] + i
         shape = (len(g), 2, 2, 3)
         data = np.broadcast_to(g.transpose(0, 2, 1)[:, None], shape).ravel()
-        cols = np.broadcast_to((2 * self.elements[:, None, :] + np.arange(2)[:, None])[:, :, None],
-                               shape).ravel()
-        self.G = sp.csr_matrix((data, cols, np.arange(0, cols.size + 1, 3)),
+        cols = (2 * self.elements[:, None, :] + np.arange(2)[:, None]).astype(np.int32)
+        cols = np.broadcast_to(cols[:, :, None], shape).ravel()
+        self.G = sp.csr_matrix((data, cols, np.arange(0, cols.size + 1, 3, dtype=np.int32)),
                                shape=(4 * len(g), 2 * n))
         # P1 quadrature of the domain mean: (1/|Omega|) int v dx = mean_weights @ v
         self.mean_weights = np.bincount(self.elements.ravel(), np.repeat(signed / 3.0, 3),

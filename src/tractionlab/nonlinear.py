@@ -75,9 +75,9 @@ _ARMIJO = 1e-4
 # below anything the next step sees.  The tension sweep at 32x32 takes
 # 1/0/0/0 inner iterations per point, as the affine start of the solve
 # meets the test or leaves round-off that a Jacobi step of K^+ settles,
-# so it never builds the multigrid; at 1e-8 of b it takes 143/113/73/72.
-# The body force g = x, which runs past the Jacobi phase into the
-# multigrid, takes 79/79/79/41 against 80/80/80/41, with the same L-BFGS
+# so it never builds the multigrid; at 1e-8 of b it takes 109/86/58/54.
+# The body force g = x, whose solves iterate with the multigrid from the
+# first step, takes 61/61/61/32 against 62/62/62/32, with the same L-BFGS
 # iterations in all four
 _H0_CG_TOL = 1e-8
 # a trial step that fails Armijo but raises Fh by at most this, relative

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,6 +140,37 @@ class TestStiffness:
             )))
             quad = 0.5 * float(vals.reshape(-1) @ (K @ vals.reshape(-1)))
             assert quad == pytest.approx(stored, rel=1e-12)
+
+
+class TestGramForm:
+    """K = H' H on jittered meshes, against the three-factor form it replaces."""
+
+    LAMS = pytest.mark.parametrize("lam", [0.0, 1.0, 100.0])
+
+    @staticmethod
+    def stiffness(lam):
+        m = jittered_mesh(9, 7, np.random.default_rng(45))
+        return m, assemble_stiffness(m, Density(1.0, lam))
+
+    @LAMS
+    def test_bitwise_symmetric(self, lam):
+        _, K = self.stiffness(lam)
+        assert (K != K.T).nnz == 0
+
+    @LAMS
+    def test_matches_three_factor_form(self, lam):
+        m, K = self.stiffness(lam)
+        d = Density(1.0, lam)
+        C = np.stack([d.quadratic_gradient(0.5 * (E + E.T)).ravel()
+                      for E in np.eye(4).reshape(4, 2, 2)], axis=1)
+        ref = (m.G.T @ (sp.kron(sp.diags(m.areas), C) @ m.G)).toarray()
+        assert np.max(np.abs(K.toarray() - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @LAMS
+    def test_rigid_fields_in_kernel(self, lam):
+        m, K = self.stiffness(lam)
+        Z = rigid_basis(m).matrix
+        assert np.max(np.abs(K @ Z)) <= 1e-14 * np.max(abs(K) @ np.abs(Z))
 
 
 class TestSolve:

@@ -101,6 +101,21 @@ def test_coarsening_that_stops_on_no_reduction(monkeypatch):
     assert np.linalg.norm(x - exact) <= 1e-9 * np.linalg.norm(exact)
 
 
+def test_coarse_shift_in_the_units_of_the_moduli():
+    # on an 8x8 mesh the coarsest level is K itself.  Its shift is the mean
+    # diagonal of K, so the pseudo-inverse is exact and the solve takes the
+    # same steps for moduli of any size
+    m = rect_mesh(8, 8)
+    b = assemble_loads(m, BODY).load_vector.reshape(-1)
+    counts = [operators(m, Density(c, 1.5 * c)).kplus(b, 1e-10)[1]
+              for c in (1e-9, 1.0, 1e6, 8e10)]
+    assert len(set(counts)) == 1
+    ops = operators(m, Density(1e6, 1e6))
+    assert ops.vcycle.levels == []
+    K, C = ops.K.toarray(), ops.vcycle.coarsest
+    assert np.linalg.norm(K @ C @ K - K) <= 1e-12 * np.linalg.norm(K)
+
+
 def _jacobi_cg(ops, b, tol):
     # zero-start CG on the rigid complement, preconditioned by the diagonal
     # of K: a reference that shares neither the start nor the V-cycle
@@ -139,12 +154,12 @@ def _solutions(ops, b, tol=1e-12):
     return [x, y - Z @ (Z.T @ y)]
 
 
-def _assert_solved_past_the_switch(ops, b, tol=1e-10):
-    # the solve runs through the Jacobi phase into the multigrid, and the
-    # restart there keeps it to its tolerance.  The check is at
+def _assert_solved_by_the_multigrid(ops, b, tol=1e-10):
+    # the affine start lies far above tol, so the solve iterates with the
+    # multigrid, and keeps to its tolerance.  The check is at
     # solve_linear's 1e-10: at 1e-12 the true residual of the body force
-    # lies up to 20% above the recursive one that stops the solve, with or
-    # without the Jacobi phase, as round-off in K x reaches that level
+    # lies up to 20% above the recursive one that stops the solve, as
+    # round-off in K x reaches that level
     x, it, _ = ops.kplus(b, tol)
     assert it > fem._JACOBI_STEPS
     assert _relative_residual(ops, b, x) <= tol
@@ -157,7 +172,7 @@ def test_amg_agrees_with_jacobi(mesh, ops, spec):
     amg, jacobi = _solutions(ops, b)
     assert np.linalg.norm(amg - jacobi) <= 1e-9 * np.linalg.norm(jacobi)
     if spec is BODY:
-        _assert_solved_past_the_switch(ops, b)
+        _assert_solved_by_the_multigrid(ops, b)
 
 
 def test_amg_agrees_with_jacobi_random_rhs(ops):
@@ -168,7 +183,54 @@ def test_amg_agrees_with_jacobi_random_rhs(ops):
     for b in (noise, ops.Zeu @ rng.standard_normal(3) + 1e-12 * noise):
         amg, jacobi = _solutions(ops, b)
         assert np.linalg.norm(amg - jacobi) <= 1e-9 * np.linalg.norm(jacobi)
-        _assert_solved_past_the_switch(ops, b)
+        _assert_solved_by_the_multigrid(ops, b)
+
+
+def _vcycle_cg(ops, b, tol):
+    # CG from the affine start, preconditioned by the V-cycle from its first
+    # step, with kplus's stopping rule: its iteration count
+    Z, K = ops.Zeu, ops.K
+    inv_diag = 1.0 / K.diagonal()
+    b = b - Z @ (Z.T @ b)
+    denom = np.sqrt(b @ (inv_diag * b))
+    x = ops.X @ np.linalg.solve(ops.XKX, ops.X.T @ b)
+    r = b - K @ x
+    r -= Z @ (Z.T @ r)
+    it = 0
+    while np.sqrt(r @ (inv_diag * r)) / denom > tol:
+        z = ops.vcycle(r)
+        rho_new = r @ z
+        p = z if it == 0 else z + (rho_new / rho) * p
+        rho = rho_new
+        Kp = K @ p
+        alpha = rho / (p @ Kp)
+        x += alpha * p
+        r -= alpha * Kp
+        r -= Z @ (Z.T @ r)
+        it += 1
+    return it
+
+
+def test_far_start_skips_the_jacobi_phase(mesh, ops):
+    # the residual of the body force's affine start is above 1e7 tol: kplus
+    # takes the V-cycle from the first step, as the reference does
+    b = assemble_loads(mesh, BODY).load_vector.reshape(-1)
+    _, it, _ = ops.kplus(b, 1e-10)
+    assert it == _vcycle_cg(ops, b, 1e-10)
+
+
+def test_near_start_restarts_after_the_jacobi_phase(ops):
+    # white noise measured against a reference 1e6 times its size: the
+    # residual of the start is about 100 tol, within _JACOBI_START tol, so
+    # the Jacobi phase runs; the diagonal barely reaches the smooth part of
+    # the noise, and CG restarts from its x with the V-cycle, which settles
+    # it to tol
+    b = _complement(ops, np.random.default_rng(65).standard_normal(ops.K.shape[0]))
+    tol = 1e-8
+    x, it, rel = ops.kplus(b, tol, 1e6 * b)
+    assert it > fem._JACOBI_STEPS
+    assert rel <= tol
+    assert rel == pytest.approx(_relative_residual(ops, b, x) / 1e6, rel=1e-12)
 
 
 def test_iterations_do_not_grow_with_the_mesh():
@@ -243,6 +305,19 @@ def test_start_is_the_galerkin_projection():
     assert err @ K @ err > 0.0
 
 
+def test_galerkin_matrix_in_closed_form():
+    # X' K X is |Omega| times the density on the three constant gradients:
+    # it agrees with the product, and the shear field is exactly uncoupled
+    # from the normal ones, which the product with K is only to round-off
+    meshes = (jittered_mesh(8, 7, np.random.default_rng(67)),
+              rect_mesh(8, 7, (-0.35, 0.85), (0.1, 0.73)))
+    for m, lam in ((m, lam) for m in meshes for lam in (0.0, 1.0, 100.0)):
+        ops = operators(m, Density(1.0, lam))
+        XKX = ops.X.T @ (ops.K @ ops.X)
+        assert np.max(np.abs(ops.XKX - XKX)) <= 1e-13 * np.max(np.abs(XKX))
+        assert ops.XKX[0, 2] == ops.XKX[1, 2] == 0.0
+
+
 def test_multigrid_built_only_when_an_iteration_needs_it(tmp_path, monkeypatch):
     built = []
 
@@ -278,7 +353,8 @@ def test_multigrid_built_only_when_an_iteration_needs_it(tmp_path, monkeypatch):
     assert rel <= 1e-8
     assert "vcycle" not in ops.__dict__
 
-    # the body force runs past the Jacobi phase and builds the hierarchy once
+    # the body force's start lies far above its tolerance: it iterates with
+    # the multigrid from the first step and builds the hierarchy once
     assert main(["run", "bodyforce", "--out", str(tmp_path / "b")]) == 0
     report = json.loads((tmp_path / "b" / "report.json").read_text())
     assert report["linear"]["cg_iterations"] > fem._JACOBI_STEPS

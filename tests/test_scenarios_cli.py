@@ -326,6 +326,16 @@ class TestBuiltins:
 
 
 class TestCli:
+    def test_parser_built_once(self):
+        # one parser per process; a parse leaves no value behind for the next
+        parser = tractionlab.cli.build_parser()
+        assert tractionlab.cli.build_parser() is parser
+        first = parser.parse_args(["run", "tension", "--mesh-n", "8", "--tol", "1e-3"])
+        second = parser.parse_args(["sweep", "bodyforce"])
+        assert (first.command, first.mesh_n, first.tol) == ("run", 8, 1e-3)
+        assert (second.command, second.config, second.mesh_n, second.tol,
+                second.out) == ("sweep", "bodyforce", None, None, "out")
+
     def test_scenarios_command(self, capsys):
         assert main(["scenarios"]) == 0
         out = capsys.readouterr().out
