@@ -5,15 +5,19 @@ the infinitesimal rigid displacements (dimension 3 in 2D).  It is
 assembled as the Gram product K = H' H of the weighted strain operator
 H, three rows per element, so it is symmetric bit for bit by
 construction.
-``operators(mesh, density)`` builds the stiffness, the rigid basis with
-its mass image ``M Z`` and the Galerkin matrix of the symmetric affine
-fields once per (mesh, density) and keeps them on the mesh.  The solve
-path never assembles the mass matrix: ``mesh.mass_action`` applies it
-element by element, and ``mass_matrix`` stays as the assembled
-reference.  Only the functions that build something on a mesh take one;
-``solve_linear``, ``elastic_energy`` and ``element_strains`` read it
-from their assembly or field, and every element gradient in the package
-is ``DisplacementField.gradient_columns``.
+``operators(mesh, density)`` builds, once per (mesh, density) and kept
+on the mesh, what every K^+ solve reads: the rigid basis with its mass
+image ``M Z``, the symmetric affine fields X with their Galerkin matrix
+X' K X and their nodal forces K X, and the diagonal of K.  All of them
+are closed forms over the elements or the boundary edges, so the bundle
+assembles K itself only on the first CG step that needs it, and a solve
+that the affine start settles never assembles it.  The solve path never
+assembles the mass matrix: ``mesh.mass_action`` applies it element by
+element, and ``mass_matrix`` stays as the assembled reference.  Only the
+functions that build something on a mesh take one; ``solve_linear``,
+``elastic_energy`` and ``element_strains`` read it from their assembly
+or field, and every element gradient in the package is
+``DisplacementField.gradient_columns``.
 ``solve_linear`` refuses loads that ``assembly.classification`` does not
 find equilibrated.
 
@@ -21,26 +25,26 @@ Every K^+ is ``Operators.kplus(b, tol, ref)``, on the complement of the
 rigid displacements: ``solve_linear`` and the initial inverse Hessian of
 the rescaled-energy L-BFGS both call it.  It makes b Euclidean-
 orthogonal to the rigid modes, and conjugate gradients start from the
-Galerkin solution on the symmetric affine fields, x0 = X (X' K X)^-1 X'
-b: the K-orthogonal projection of K^+ b onto them, never farther from
-it in the energy norm than a zero start, and exact for a homogeneous
-load, which then takes no iteration.  Only the residual is made
-rigid-free every iteration: neither r' z nor K p sees the rigid part of
-the preconditioned z, and x is projected once at exit.  The solve stops
-when the Jacobi-norm residual sqrt(r' D^-1 r) of r = P(b - K x),
-relative to that of the rigid-free ``ref`` (default ``b``; ``b`` again
-when ``ref`` is rigid), is at most ``tol``, tested before every
-preconditioner call, and returns the true residual of its x.  A start
-whose residual is at most ``_JACOBI_START`` = 1e3 times ``tol``, as the
-L-BFGS initial-matrix solves of a homogeneous load have, gets
-``_JACOBI_STEPS`` = 10 iterations preconditioned by the diagonal of K,
-which settle such round-off for far less than building a multigrid.  A
-solve still above ``tol`` after them, or from a start farther above it,
-runs CG from its x with a symmetric smoothed-aggregation multigrid
-V-cycle, whose near-null space is the rigid modes, built on that first
-use; its iteration count hardly grows with the mesh.  The rule reads
-only the solve's own start, so a solve's count does not depend on the
-solves before it.
+Galerkin solution on the symmetric affine fields, x0 = X c with c =
+(X' K X)^-1 X' b: the K-orthogonal projection of K^+ b onto them, never
+farther from it in the energy norm than a zero start, and exact for a
+homogeneous load, which then takes no iteration.  Its residual b - (K X) c
+needs no K.  Only the residual is made rigid-free every iteration:
+neither r' z nor K p sees the rigid part of the preconditioned z, and x
+is projected once at exit.  The solve stops when the Jacobi-norm
+residual sqrt(r' D^-1 r) of r = P(b - K x), relative to that of the
+rigid-free ``ref`` (default ``b``; ``b`` again when ``ref`` is rigid), is
+at most ``tol``, tested before every preconditioner call, and returns the
+true residual of its x.  A start whose residual is at most
+``_JACOBI_START`` = 1e3 times ``tol``, as the L-BFGS initial-matrix
+solves of a homogeneous load have, gets ``_JACOBI_STEPS`` = 10
+iterations preconditioned by the diagonal of K, which settle such
+round-off for far less than building a multigrid.  A solve still above
+``tol`` after them, or from a start farther above it, runs CG from its x
+with a symmetric smoothed-aggregation multigrid V-cycle, whose near-null
+space is the rigid modes, built on that first use; its iteration count
+hardly grows with the mesh.  The rule reads only the solve's own start,
+so a solve's count does not depend on the solves before it.
 """
 
 from dataclasses import dataclass
@@ -134,27 +138,35 @@ def _centred_nodes(mesh):
 
 
 def rigid_basis(mesh):
-    """Translations plus the rotation J (x - centroid), mass-orthonormalized."""
+    """Translations plus the rotation J (x - centroid), mass-orthonormalized.
+
+    ``euclid`` is in closed form: e_x / sqrt(n), e_y / sqrt(n) and the
+    normalized rotation J (x - xbar) about the arithmetic mean xbar of the
+    nodes, Euclidean-orthogonal up to round-off.
+    """
     n = mesh.n_nodes
     centred = _centred_nodes(mesh)
     raw = np.zeros((2 * n, 3))
-    raw[0::2, 0] = 1.0
-    raw[1::2, 1] = 1.0
+    raw[0::2, 0] = raw[1::2, 1] = 1.0
     raw[:, 2] = (centred @ J2.T).reshape(-1)
-    # M raw from the mass actions of 1 and of the centred coordinates, each
-    # taken once: J2 only permutes and negates, so the products are exact
-    m = mass_action(mesh, np.column_stack([np.ones(n), centred]))
+    # M 1 = |Omega| mean_weights, and the mass action of the centred
+    # coordinates is taken once: J2 only permutes and negates, so the
+    # product is exact
     Mraw = np.zeros_like(raw)
-    Mraw[0::2, 0] = m[:, 0]
-    Mraw[1::2, 1] = m[:, 0]
-    Mraw[:, 2] = (m[:, 1:] @ J2.T).reshape(-1)
+    Mraw[0::2, 0] = Mraw[1::2, 1] = mesh.area * mesh.mean_weights
+    Mraw[:, 2] = (mass_action(mesh, centred) @ J2.T).reshape(-1)
 
     # Z = raw L^-T with raw' M raw = L L' (Cholesky): mass-orthonormal, same span,
     # through the 3 x 3 inverse rather than a solve with 2n right-hand sides
     L_inv = np.linalg.inv(np.linalg.cholesky(raw.T @ Mraw))
     Z = raw @ L_inv.T
     MZ = Mraw @ L_inv.T
-    Zeu, _ = np.linalg.qr(Z)
+    Zeu = np.zeros_like(raw)
+    Zeu[0::2, 0] = Zeu[1::2, 1] = 1.0 / np.sqrt(n)
+    # the column means, which nodes.mean(axis=0) takes several times longer to sum
+    x, y = mesh.nodes.T
+    Zeu[:, 2] = ((mesh.nodes - (x.mean(), y.mean())) @ J2.T).reshape(-1)
+    Zeu[:, 2] /= np.linalg.norm(Zeu[:, 2])
     fields = [DisplacementField(mesh, Z[:, k].reshape(n, 2)) for k in range(3)]
     return RigidBasis(mesh, fields, Z, Zeu, MZ)
 
@@ -169,18 +181,20 @@ def assemble_stiffness(mesh, density):
     the skew one) times their square roots, and H has the three rows
     sqrt|T| L' G_T per triangle T, one 3 x 2 block per triangle and node.
     Entries (i, j) and (j, i) of H' H sum the same products in the same order.
+    ``mesh`` is a Mesh or any object with its ``G``, ``areas`` and
+    ``elements``, such as the ``Operators`` bundle.
     """
     C = np.stack([density.quadratic_gradient(0.5 * (E + E.T)).ravel()
                   for E in np.eye(4).reshape(4, 2, 2)], axis=1)
     w, V = np.linalg.eigh(C)
     L = (V[:, 1:] * np.sqrt(w[1:])).reshape(2, 2, 3)
-    m = mesh.n_elements
+    m = len(mesh.areas)
     # g[e, j, k] = sqrt|T_e| d phi_k / dx_j, and block (e, k) of H is
     # [r, i] = sum_j L[i, j, r] g[e, j, k]
     g = mesh.G.data.reshape(m, 2, 2, 3)[:, 0] * np.sqrt(mesh.areas)[:, None, None]
     blocks = np.tensordot(g, L.transpose(1, 2, 0), axes=([1], [0]))
     H = sp.bsr_matrix((blocks.reshape(3 * m, 3, 2), mesh.elements.ravel(),
-                       np.arange(0, 3 * m + 1, 3)), shape=(3 * m, 2 * mesh.n_nodes))
+                       np.arange(0, 3 * m + 1, 3)), shape=(3 * m, mesh.G.shape[1]))
     K = (H.T @ H).tocsr()
     # the exact cancellations of a structured mesh would cost every K @ x and
     # join nodes in the aggregation graph; sorted rows make K @ x faster
@@ -189,14 +203,36 @@ def assemble_stiffness(mesh, density):
     return K
 
 
+def _stiffness_diagonal(mesh, density):
+    """The diagonal of ``assemble_stiffness`` from one pass over the elements.
+
+    The dof of component i at node k has K_cc = 2 sum_T |T|
+    quadratic(sym(e_i (x) grad phi_k)) over the triangles T at k.
+    """
+    # gx[e, k], gy[e, k] = grad phi_k on element e, copied out of G's strided
+    # rows, which would slow every product below
+    gx, gy = mesh.G.data.reshape(-1, 2, 2, 3)[:, 0].transpose(1, 0, 2).copy()
+    w = 2.0 * mesh.areas[:, None]
+    nodes, n = mesh.elements.ravel(), mesh.n_nodes
+    diag = np.empty(2 * n)
+    diag[0::2] = np.bincount(nodes, (w * density.quadratic_sym2(gx, 0.5 * gy, 0.0)).ravel(), n)
+    diag[1::2] = np.bincount(nodes, (w * density.quadratic_sym2(0.0, 0.5 * gx, gy)).ravel(), n)
+    return diag
+
+
 def elastic_energy(density, assembly, field):
     """Classical linear-elastic energy int quadratic(E(v)) dx - L(v).
 
     Raises MeshMismatchError for an assembly on another mesh than ``field``.
     """
-    a, b, c, d = field.gradient_columns().T
-    stored = float(field.mesh.areas @ density.quadratic_sym2(a, 0.5 * (b + c), d))
-    return stored - load_work(assembly, field)
+    return _stored_energy(density, field.mesh, field.gradient_columns()) \
+        - load_work(assembly, field)
+
+
+def _stored_energy(density, mesh, columns):
+    """int quadratic(E(v)) dx from the gradient columns of v, shape (m, 4)."""
+    a, b, c, d = columns.T
+    return float(mesh.areas @ density.quadratic_sym2(a, 0.5 * (b + c), d))
 
 
 # Smoothed-aggregation multigrid (Vanek, Mandel and Brezina, Computing 56,
@@ -343,25 +379,38 @@ class _VCycle:
 class Operators:
     """Linear-elastic operators of one (mesh, density), built once by ``operators``.
 
-    ``K`` stiffness and ``inv_diag`` the inverse of its diagonal, ``Z``
-    and ``Zeu`` the mass- and Euclidean-orthonormal rigid bases of
-    ``rigid_basis``, ``MZ = M Z`` (the only use of the mass matrix, so M
-    itself is never assembled), ``X`` the symmetric affine fields
-    (x~, 0), (0, y~) and (y~, x~) of the centred node coordinates as
-    columns, and ``XKX = X' K X`` their Galerkin matrix, in closed form.
-    ``vcycle``, the smoothed-aggregation V-cycle preconditioning K^+, is
-    built on first use, so solves that the affine start and the Jacobi
-    phase of ``kplus`` settle never build it.  Nothing in the bundle refers to
-    the mesh, so the bundle cached on the mesh forms no reference cycle.
+    ``density`` and the mesh's ``G``, ``areas`` and ``elements``, all that
+    ``assemble_stiffness`` reads; ``inv_diag`` the inverse of the diagonal
+    of K, summed over the elements; ``Z`` and ``Zeu`` the mass- and
+    Euclidean-orthonormal rigid bases of ``rigid_basis``, ``MZ = M Z``
+    (the only use of the mass matrix, so M itself is never assembled);
+    ``X`` the symmetric affine fields (x~, 0), (0, y~) and (y~, x~) of the
+    centred node coordinates as columns, ``KX = K X`` their nodal forces,
+    nonzero only at boundary nodes and stored by column, and ``XKX = X' K X`` their
+    Galerkin matrix, both in closed form.  The stiffness ``K`` and
+    ``vcycle``, the smoothed-aggregation V-cycle preconditioning K^+, are
+    built on first use, so a solve that the affine start settles builds
+    neither, and one that the Jacobi phase of ``kplus`` settles builds no
+    V-cycle.  Nothing in the bundle refers to the mesh, so the bundle
+    cached on the mesh forms no reference cycle.
     """
 
-    K: object
+    density: object
+    G: object
+    areas: np.ndarray
+    elements: np.ndarray
     inv_diag: np.ndarray
     MZ: np.ndarray
     Z: np.ndarray
     Zeu: np.ndarray
     X: np.ndarray
+    KX: np.ndarray
     XKX: np.ndarray
+
+    @cached_property
+    def K(self):
+        # the bundle holds all that assemble_stiffness reads of a mesh
+        return assemble_stiffness(self, self.density)
 
     @cached_property
     def vcycle(self):
@@ -375,7 +424,9 @@ class Operators:
         """K^+ b on the rigid-mode complement: ``(x, iterations, relative residual)``.
 
         The solve of the module docstring; ``ref`` (default ``b``) sets
-        the scale of the stopping rule.  From an affine start at most
+        the scale of the stopping rule.  The start and its residual come
+        from ``X``, ``KX`` and ``XKX``; the first CG step builds ``K``, and
+        a start within ``tol`` returns without it.  From an affine start at most
         ``_JACOBI_START`` times ``tol``, CG runs with the diagonal of K as
         preconditioner for at most ``_JACOBI_STEPS`` iterations, then, if
         the residual is still above ``tol``, restarts from its x with the
@@ -386,7 +437,7 @@ class Operators:
         """
         if not 0.0 < tol < np.inf:
             raise ValueError(f"K^+ tolerance must be finite and positive, got {tol}")
-        K, inv_diag, X = self.K, self.inv_diag, self.X
+        inv_diag, X = self.inv_diag, self.X
         b = b - self.rigid_part(b)
         denom = np.sqrt(b @ (inv_diag * b))
         if denom == 0.0:
@@ -395,13 +446,13 @@ class Operators:
             ref = ref - self.rigid_part(ref)
             denom = np.sqrt(ref @ (inv_diag * ref)) or denom
 
-        def residual(x):
-            r = b - K @ x
+        def projected(r):
             r -= self.rigid_part(r)
             return r, np.sqrt(r @ (inv_diag * r)) / denom
 
-        x = X @ np.linalg.solve(self.XKX, X.T @ b)
-        r, rel = residual(x)
+        c = np.linalg.solve(self.XKX, X.T @ b)
+        x = X @ c
+        r, rel = projected(b - self.KX @ c)
         # rel / _JACOBI_START, not tol * _JACOBI_START, which overflows for a huge tol
         jacobi = _JACOBI_STEPS if rel / _JACOBI_START <= tol else 0
         it = 0
@@ -413,7 +464,7 @@ class Operators:
             # the search direction restarts where the preconditioner changes
             p = z if it in (0, jacobi) else z + (rho_new / rho) * p
             rho = rho_new
-            Kp = K @ p
+            Kp = self.K @ p
             alpha = rho / (p @ Kp)
             x += alpha * p
             r -= alpha * Kp
@@ -423,7 +474,7 @@ class Operators:
         x -= self.rigid_part(x)
         if it:
             # CG stopped on its recursive r, which drifts from the true one
-            _, rel = residual(x)
+            _, rel = projected(b - self.K @ x)
         return x, it, float(rel)
 
 
@@ -431,7 +482,6 @@ def operators(mesh, density):
     """The Operators of ``mesh`` and ``density``, memoized on the mesh."""
     ops = mesh.operator_cache.get(density)
     if ops is None:
-        K = assemble_stiffness(mesh, density)
         rb = rigid_basis(mesh)
         xc, yc = _centred_nodes(mesh).T
         X = np.zeros((2 * mesh.n_nodes, 3))
@@ -439,14 +489,25 @@ def operators(mesh, density):
         X[1::2, 1] = yc
         X[0::2, 2] = yc
         X[1::2, 2] = xc
-        # X' K X in closed form, exact where the product with K is not: the
-        # fields have the constant gradients E, whose energy is |Omega| times
-        # the density's
+        # the fields have the constant gradients E and stresses S.  X' K X,
+        # exact where the product with K is not, is |Omega| times the
+        # density's energy.  K X is the nodal force of each stress, int S grad
+        # phi_a = the integral of its traction S n against phi_a over the
+        # boundary: |e| S n / 2 at each end of an edge e, as LoadAssembly
+        # spreads a traction, and zero inside
         E = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]],
                       [[0.0, 1.0], [1.0, 0.0]]])
-        XKX = mesh.area * np.einsum("pij,qij->pq", E,
-                                    [density.quadratic_gradient(Eq) for Eq in E])
-        ops = Operators(K, 1.0 / K.diagonal(), rb.mass, rb.matrix, rb.euclid, X, XKX)
+        S = np.array([density.quadratic_gradient(Eq) for Eq in E])
+        XKX = mesh.area * np.einsum("pij,qij->pq", E, S)
+        # force[e, i, q] = |e| (S_q n_e)_i / 2, at rows 2 a + i of both ends a
+        force = 0.5 * np.einsum("e,qij,ej->eiq", mesh.edge_lengths, S, mesh.edge_normals)
+        rows = 2 * mesh.edge_nodes[:, :, None, None] + np.arange(2)[:, None]
+        force, rows, cols = np.broadcast_arrays(force[:, None], rows, np.arange(3))
+        KX = sp.csc_matrix((force.ravel(), (rows.ravel(), cols.ravel())),
+                           shape=(2 * mesh.n_nodes, 3))
+        ops = Operators(density, mesh.G, mesh.areas, mesh.elements,
+                        1.0 / _stiffness_diagonal(mesh, density), rb.mass, rb.matrix,
+                        rb.euclid, X, KX, XKX)
         mesh.operator_cache[density] = ops
     return ops
 
@@ -464,9 +525,9 @@ def solve_linear(density, assembly, tol=1e-10):
 
     The problem lives on ``assembly.mesh``.  The minimizer is
     ``Operators.kplus`` of the load vector to ``tol``, moved to the gauge
-    P v = 0 (mass projection).  A homogeneous load (``tension``,
-    ``infmany``, ``compression``) has an affine minimizer: 0 iterations,
-    and the V-cycle is never built.
+    P v = 0 (mass projection); the energy is ``elastic_energy`` of it.  A
+    homogeneous load (``tension``, ``infmany``, ``compression``) has an
+    affine minimizer: 0 iterations, and neither K nor the V-cycle is built.
 
     Raises
     ------
@@ -487,6 +548,5 @@ def solve_linear(density, assembly, tol=1e-10):
     b = assembly.load_vector.reshape(-1)
     x, it, rel = ops.kplus(b, tol)
     x -= ops.Z @ (ops.MZ.T @ x)
-    energy = 0.5 * float(x @ (ops.K @ x)) - float(x @ b)
     sol = DisplacementField(mesh, x.reshape(-1, 2))
-    return LinearSolution(sol, energy, it, rel)
+    return LinearSolution(sol, elastic_energy(density, assembly, sol), it, rel)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _canonical_axis, skew2, skew3
-from .fem import DisplacementField, elastic_energy
+from .fem import DisplacementField, _stored_energy
 from .loads import INCOMPATIBLE, WEAK, MeshMismatchError, load_work
 
 # dead band for the negative-part trigger, relative to the integral mass.
@@ -76,8 +76,12 @@ def inner_skew_minimum(density, field):
     (W_star, offset_energy, a_star_sq) with offset_energy =
     int quadratic(E + (a*^2/2) I) dx and canonical a* >= 0.
     """
-    mesh = field.mesh
-    a, b, c, d = field.gradient_columns().T
+    return _inner_skew_minimum(density, field.mesh, field.gradient_columns())
+
+
+def _inner_skew_minimum(density, mesh, columns):
+    """``inner_skew_minimum`` from the gradient columns of the field, shape (m, 4)."""
+    a, b, c, d = columns.T
     q = density.quadratic_gradient(np.eye(2))[0, 0]      # quadratic_gradient(I) = q I
     per_elem = q * a + q * d
     num = float(np.sum(mesh.areas * per_elem))
@@ -124,10 +128,12 @@ def limit_report(mesh, density, assembly, field):
     """
     if field.mesh is not mesh or assembly.mesh is not mesh:
         raise MeshMismatchError("the field and the load assembly must live on the given mesh")
-    W_star, offset_energy, a2 = inner_skew_minimum(density, field)
+    # both energies read one gradient of the field and one load work
+    columns = field.gradient_columns()
+    W_star, offset_energy, a2 = _inner_skew_minimum(density, mesh, columns)
     work = load_work(assembly, field)
     F_value = offset_energy - work
-    E_value = elastic_energy(density, assembly, field)
+    E_value = _stored_energy(density, mesh, columns) - work
     return LimitReport(
         field=field,
         F_value=F_value,

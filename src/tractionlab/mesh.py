@@ -78,23 +78,29 @@ class Mesh:
         self.areas = signed
         self.area = float(np.sum(signed))
 
-        # grad of hat function at local node i: ((y_j - y_k), (x_k - x_j)) / (2A)
+        # g[e, j, k] = d phi_k / dx_j, the hat function at local node k:
+        # ((y_k+1 - y_k+2), (x_k+2 - x_k+1)) / (2A)
         inv2a = 1.0 / (2.0 * signed)
-        g = np.empty((len(self.elements), 3, 2))
+        m = len(self.elements)
+        g = np.empty((m, 2, 3))
         pts = (p0, p1, p2)
-        for i in range(3):
-            pj = pts[(i + 1) % 3]
-            pk = pts[(i + 2) % 3]
-            g[:, i, 0] = (pj[:, 1] - pk[:, 1]) * inv2a
-            g[:, i, 1] = (pk[:, 0] - pj[:, 0]) * inv2a
+        for k in range(3):
+            pj = pts[(k + 1) % 3]
+            pk = pts[(k + 2) % 3]
+            g[:, 0, k] = (pj[:, 1] - pk[:, 1]) * inv2a
+            g[:, 1, k] = (pk[:, 0] - pj[:, 0]) * inv2a
 
-        # row 4e + 2i + j holds the 3 entries g[e, k, j] at columns 2 elements[e, k] + i
-        shape = (len(g), 2, 2, 3)
-        data = np.broadcast_to(g.transpose(0, 2, 1)[:, None], shape).ravel()
-        cols = (2 * self.elements[:, None, :] + np.arange(2)[:, None]).astype(np.int32)
-        cols = np.broadcast_to(cols[:, :, None], shape).ravel()
-        self.G = sp.csr_matrix((data, cols, np.arange(0, cols.size + 1, 3, dtype=np.int32)),
-                               shape=(4 * len(g), 2 * n))
+        # row 4e + 2i + j holds the 3 entries g[e, j, k] at columns 2 elements[e, k] + i,
+        # written block by block: raveling broadcast views takes twice as long
+        data = np.empty((m, 2, 2, 3))
+        data[:, 0] = data[:, 1] = g
+        cols = np.empty(data.shape, dtype=np.int32)
+        cols[:, 0, 0] = 2 * self.elements
+        cols[:, 1, 0] = cols[:, 0, 0] + 1
+        cols[:, :, 1] = cols[:, :, 0]
+        self.G = sp.csr_matrix((data.ravel(), cols.ravel(),
+                                np.arange(0, cols.size + 1, 3, dtype=np.int32)),
+                               shape=(4 * m, 2 * n))
         # P1 quadrature of the domain mean: (1/|Omega|) int v dx = mean_weights @ v
         self.mean_weights = np.bincount(self.elements.ravel(), np.repeat(signed / 3.0, 3),
                                         minlength=n) / self.area
@@ -183,9 +189,11 @@ def mass_action(mesh, f):
     """M f for the scalar P1 mass matrix M, unassembled, on each column of f, shape (n, k):
     (M f)_a = sum over triangles T containing a of |T| (f_a + sum_{b in T} f_b) / 12."""
     out = np.empty_like(f)
-    for c in range(f.shape[1]):
-        fe = f[mesh.elements, c]
-        fe += fe.sum(axis=1, keepdims=True)
+    # gathers from a contiguous column and sums the three corners as two adds,
+    # each several times faster than its strided or reducing form
+    for c, column in enumerate(f.T.copy()):
+        fe = column[mesh.elements]
+        fe += (fe[:, 0] + fe[:, 1] + fe[:, 2])[:, None]
         fe *= mesh.areas[:, None] / 12.0
         out[:, c] = np.bincount(mesh.elements.ravel(), fe.ravel(), minlength=mesh.n_nodes)
     return out

@@ -77,6 +77,24 @@ def jittered_mesh(nx, ny, rng, amplitude=0.2):
     return Mesh(nodes, base.elements, edges)
 
 
+def l_shaped_mesh(n, rng, amplitude=0.2):
+    """jittered_mesh(n, n), n even, without its upper-right quarter: a nonconvex domain.
+
+    Every boundary edge is tagged "side".
+    """
+    base = rect_mesh(n, n)
+    used, elements = np.unique(base.elements[np.any(base.centroids < 0.0, axis=1)],
+                               return_inverse=True)
+    elements = elements.reshape(-1, 3)
+    nodes = base.nodes[used]
+    # an edge is on the boundary when no other triangle runs through it backwards
+    directed = {(int(a), int(b)) for tri in elements for a, b in zip(tri, np.roll(tri, -1))}
+    boundary = [(a, b) for a, b in directed if (b, a) not in directed]
+    interior = np.setdiff1d(np.arange(len(nodes)), np.array(boundary))
+    nodes[interior] += rng.uniform(-1.0, 1.0, (len(interior), 2)) * amplitude / n
+    return Mesh(nodes, elements, [(a, b, "side") for a, b in sorted(boundary)])
+
+
 def shape_gradients(mesh):
     """(m, 3, 2) gradients of the hat functions, the reference for ``mesh.G``.
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (SIDES, admissible_field, body_spec, infmany_spec, jittered_mesh,
-                      pressure_spec, shape_gradients, zero_loads)
+                      l_shaped_mesh, pressure_spec, shape_gradients, zero_loads)
 from tractionlab.algebra import Density, J2
 from tractionlab.fem import (DisplacementField, NotEquilibratedError,
                              assemble_stiffness, elastic_energy,
@@ -69,6 +71,25 @@ class TestRigidBasis:
             ref = M @ x
             Mx = mass_action(m, x.reshape(m.n_nodes, -1)).reshape(x.shape)
             assert np.max(np.abs(Mx - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("make", [
+        lambda: jittered_mesh(9, 7, np.random.default_rng(34)),
+        lambda: l_shaped_mesh(8, np.random.default_rng(35)),
+    ], ids=["jittered", "l-shaped"])
+    def test_bases_in_closed_form(self, make):
+        # the Euclidean basis is written down, not orthonormalized, and M 1 is
+        # read from the mean weights: the basis must still be orthonormal and
+        # span the mass-orthonormal one, and M Z must be M applied to Z
+        m = make()
+        rb = rigid_basis(m)
+        # the Gram matrix by exactly rounded sums: a plain product adds its
+        # own round-off of n eps, more than the basis has
+        gram = [[math.fsum(u * v) for v in rb.euclid.T] for u in rb.euclid.T]
+        assert np.max(np.abs(np.array(gram) - np.eye(3))) <= 1e-15
+        Z = rb.matrix
+        assert np.max(np.abs(Z - rb.euclid @ (rb.euclid.T @ Z))) <= 1e-13
+        ref = mass_matrix(m) @ Z
+        assert np.max(np.abs(rb.mass - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_bundle_keeps_the_mass_image_of_the_basis(self, density):
         m = jittered_mesh(6, 5, np.random.default_rng(33))
@@ -203,6 +224,18 @@ class TestSolve:
             solve_linear(density, asm, tol=tol)
         with pytest.raises(ValueError, match="tolerance"):
             operators(mesh, density).kplus(asm.load_vector.reshape(-1), tol)
+
+    @pytest.mark.parametrize("spec", [pressure_spec(16.0), infmany_spec(),
+                                      body_spec((1.3, 0.3, 0.3, 0.7))],
+                             ids=["tension", "infmany", "bodyforce"])
+    def test_energy_is_the_stiffness_form(self, mesh, density, spec):
+        # the energy is E of the solution, computed without K: it equals the
+        # quadratic form of the assembled stiffness
+        asm = assemble_loads(mesh, spec)
+        sol = solve_linear(density, asm)
+        x, b = sol.field.values.reshape(-1), asm.load_vector.reshape(-1)
+        ref = 0.5 * x @ (assemble_stiffness(mesh, density) @ x) - x @ b
+        assert sol.energy == pytest.approx(ref, rel=1e-12)
 
     def test_gauge_is_mass_orthogonal(self, mesh, density):
         asm = assemble_loads(mesh, pressure_spec(16.0))

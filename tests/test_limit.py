@@ -146,6 +146,25 @@ class TestLimitReport:
         minus = offset_energy(-W)
         assert abs(plus - minus) <= 1e-13 * (1.0 + abs(plus))
 
+    def test_one_gradient_per_report(self, mesh, density, monkeypatch):
+        # the inner minimum and the classical energy share one gradient of the
+        # field, and still match their public functions
+        calls = []
+        gradient_columns = DisplacementField.gradient_columns
+
+        def counting(field):
+            calls.append(1)
+            return gradient_columns(field)
+
+        field = DisplacementField(mesh, np.random.default_rng(80).standard_normal((81, 2)))
+        asm = assemble_loads(mesh, body_spec((0.4, 0.1, 0.1, -0.3)))
+        monkeypatch.setattr(DisplacementField, "gradient_columns", counting)
+        rep = limit_report(mesh, density, asm, field)
+        assert len(calls) == 1
+        _, offset_energy, _ = inner_skew_minimum(density, field)
+        assert rep.F_value == offset_energy - load_work(asm, field)
+        assert rep.E_value == elastic_energy(density, asm, field)
+
     def test_inputs_on_another_mesh_rejected(self, density):
         # the same 4x4 connectivity on another rectangle
         mesh, other = rect_mesh(4, 4), rect_mesh(4, 4, x_range=(-1.0, 1.0))

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import tractionlab.fem as fem
-from conftest import body_spec, infmany_spec, jittered_mesh, pressure_spec, stress_spec
+from conftest import (body_spec, infmany_spec, jittered_mesh, l_shaped_mesh, pressure_spec,
+                      stress_spec)
 from tractionlab.algebra import Density
 from tractionlab.cli import main
-from tractionlab.fem import operators, solve_linear
+from tractionlab.fem import assemble_stiffness, operators, solve_linear
 from tractionlab.loads import assemble_loads
 from tractionlab.mesh import rect_mesh
 
@@ -318,6 +319,38 @@ def test_galerkin_matrix_in_closed_form():
         assert ops.XKX[0, 2] == ops.XKX[1, 2] == 0.0
 
 
+@pytest.mark.parametrize("lam", [0.0, 1.0, 100.0])
+def test_diagonal_and_affine_forces_from_the_elements(lam):
+    # the bundle's inverse diagonal and K X are built without K, on a jittered
+    # square and on a nonconvex domain; K itself, built on first use, is the
+    # mesh's stiffness
+    for m in (jittered_mesh(9, 7, np.random.default_rng(70)),
+              l_shaped_mesh(8, np.random.default_rng(71))):
+        density = Density(1.0, lam)
+        ops = operators(m, density)
+        assert "K" not in ops.__dict__
+        ref = 1.0 / ops.K.diagonal()
+        assert np.max(np.abs(ops.inv_diag - ref) / ref) <= 1e-15
+        KX = ops.K @ ops.X
+        assert np.max(np.abs(ops.KX.toarray() - KX)) <= 1e-14 * np.max(np.abs(KX))
+        assert (ops.K != assemble_stiffness(m, density)).nnz == 0
+
+
+def test_homogeneous_solves_build_no_stiffness(tmp_path, monkeypatch):
+    # the affine start settles every K^+ solve of these runs, so none of them
+    # assembles K or builds the multigrid
+    def refuse(*args, **kwargs):
+        raise AssertionError("built on a path that the affine start settles")
+
+    monkeypatch.setattr(fem, "assemble_stiffness", refuse)
+    monkeypatch.setattr(fem, "_VCycle", refuse)
+    runs = ((["solve-limit", "tension", "--mesh-n", "64"], 0),
+            (["solve-limit", "infmany", "--mesh-n", "64"], 0),
+            (["run", "infmany"], 0), (["run", "compression"], 2))
+    for k, (argv, code) in enumerate(runs):
+        assert main(argv + ["--out", str(tmp_path / str(k))]) == code
+
+
 def test_multigrid_built_only_when_an_iteration_needs_it(tmp_path, monkeypatch):
     built = []
 
@@ -376,8 +409,9 @@ def test_bundle_forms_no_reference_cycle():
     try:
         m = rect_mesh(N_AMG, N_AMG)
         sol = solve_linear(DENSITY, assemble_loads(m, pressure_spec(16.0)))
-        refs = [weakref.ref(m), weakref.ref(operators(m, DENSITY).vcycle)]
-        del m, sol
-        assert [r() for r in refs] == [None, None]
+        ops = operators(m, DENSITY)
+        refs = [weakref.ref(m), weakref.ref(ops.K), weakref.ref(ops.vcycle)]
+        del m, sol, ops
+        assert [r() for r in refs] == [None, None, None]
     finally:
         gc.enable()

@@ -732,6 +732,18 @@ class TestOperatorBundle:
         assert main(["run", "tension", "--out", str(tmp_path)]) == 0
         assert len(calls) == 1
 
+    def test_body_force_run_assembles_the_stiffness_once(self, tmp_path, monkeypatch):
+        # the linear solve builds K on its first CG step, and the sweep reuses it
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return assemble_stiffness(*args, **kwargs)
+
+        monkeypatch.setattr(tractionlab.fem, "assemble_stiffness", counting)
+        assert main(["run", "bodyforce", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
     def test_solves_never_assemble_the_mass_matrix(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("mass_matrix called on the solve path")
