@@ -6,10 +6,11 @@ assembled as the Gram product K = H' H of the weighted strain operator
 H, three rows per element, so it is symmetric bit for bit by
 construction.
 ``operators(mesh, density)`` builds, once per (mesh, density) and kept
-on the mesh, what every K^+ solve reads: the rigid basis with its mass
-image ``M Z``, the symmetric affine fields X with their Galerkin matrix
-X' K X and their nodal forces K X, and the diagonal of K.  All of them
-are closed forms over the elements or the boundary edges, so the bundle
+on the mesh, what every K^+ solve reads: the one rigid basis ``Zeu``,
+Euclidean-orthonormal in closed form, with its mass dual ``Zdual``, the
+symmetric affine fields X with their Galerkin matrix X' K X and their
+nodal forces K X, and the diagonal of K.  All of them are closed forms
+over the nodes, the elements or the boundary edges, so the bundle
 assembles K itself only on the first CG step that needs it, and a solve
 that the affine start settles never assembles it.  The solve path never
 assembles the mass matrix: ``mesh.mass_action`` applies it element by
@@ -24,11 +25,11 @@ find equilibrated.
 Every K^+ is ``Operators.kplus(b, tol, ref)``, on the complement of the
 rigid displacements: ``solve_linear`` and the initial inverse Hessian of
 the rescaled-energy L-BFGS both call it.  It makes b Euclidean-
-orthogonal to the rigid modes, and conjugate gradients start from the
-Galerkin solution on the symmetric affine fields, x0 = X c with c =
-(X' K X)^-1 X' b: the K-orthogonal projection of K^+ b onto them, never
-farther from it in the energy norm than a zero start, and exact for a
-homogeneous load, which then takes no iteration.  Its residual b - (K X) c
+orthogonal to the rigid modes by P = I - Zeu Zeu', and conjugate
+gradients start from the Galerkin solution on the symmetric affine
+fields, x0 = X c with c = (X' K X)^-1 X' b: the K-orthogonal projection
+of K^+ b onto them, never farther from it in the energy norm than a zero
+start, and exact for a homogeneous load, which then takes no iteration.  Its residual b - (K X) c
 needs no K.  Only the residual is made rigid-free every iteration:
 neither r' z nor K p sees the rigid part of the preconditioned z, and x
 is projected once at exit.  The solve stops when the Jacobi-norm
@@ -41,10 +42,12 @@ solves of a homogeneous load have, gets ``_JACOBI_STEPS`` = 10
 iterations preconditioned by the diagonal of K, which settle such
 round-off for far less than building a multigrid.  A solve still above
 ``tol`` after them, or from a start farther above it, runs CG from its x
-with a symmetric smoothed-aggregation multigrid V-cycle, whose near-null
-space is the rigid modes, built on that first use; its iteration count
-hardly grows with the mesh.  The rule reads only the solve's own start,
-so a solve's count does not depend on the solves before it.
+with a symmetric smoothed-aggregation multigrid V-cycle, built on that
+first use, whose near-null space is ``Zeu``: smoothed aggregation reads
+only the span of that basis on each aggregate, so any basis of the rigid
+modes builds the same levels; its iteration count hardly grows with the
+mesh.  The rule reads only the solve's own start, so a solve's count
+does not depend on the solves before it.
 """
 
 from dataclasses import dataclass
@@ -53,7 +56,6 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .algebra import J2
 from .loads import load_work
 from .mesh import mass_action
 
@@ -119,56 +121,6 @@ def mass_matrix(mesh):
 def integral_mean(mesh, values):
     """Domain mean of a nodal field, exact for P1: (1/|Omega|) int v dx."""
     return mesh.mean_weights @ np.asarray(values).reshape(mesh.n_nodes, 2)
-
-
-@dataclass
-class RigidBasis:
-    """Mass-orthonormal basis of the rigid displacements (dimension 3 in 2D)."""
-
-    mesh: object
-    fields: list
-    matrix: np.ndarray          # (2n, 3), mass-orthonormal columns
-    euclid: np.ndarray          # (2n, 3), Euclidean-orthonormal columns, same span
-    mass: np.ndarray            # (2n, 3), M @ matrix
-
-
-def _centred_nodes(mesh):
-    """Node coordinates relative to the centroid of the domain, shape (n, 2)."""
-    return mesh.nodes - integral_mean(mesh, mesh.nodes)
-
-
-def rigid_basis(mesh):
-    """Translations plus the rotation J (x - centroid), mass-orthonormalized.
-
-    ``euclid`` is in closed form: e_x / sqrt(n), e_y / sqrt(n) and the
-    normalized rotation J (x - xbar) about the arithmetic mean xbar of the
-    nodes, Euclidean-orthogonal up to round-off.
-    """
-    n = mesh.n_nodes
-    centred = _centred_nodes(mesh)
-    raw = np.zeros((2 * n, 3))
-    raw[0::2, 0] = raw[1::2, 1] = 1.0
-    raw[:, 2] = (centred @ J2.T).reshape(-1)
-    # M 1 = |Omega| mean_weights, and the mass action of the centred
-    # coordinates is taken once: J2 only permutes and negates, so the
-    # product is exact
-    Mraw = np.zeros_like(raw)
-    Mraw[0::2, 0] = Mraw[1::2, 1] = mesh.area * mesh.mean_weights
-    Mraw[:, 2] = (mass_action(mesh, centred) @ J2.T).reshape(-1)
-
-    # Z = raw L^-T with raw' M raw = L L' (Cholesky): mass-orthonormal, same span,
-    # through the 3 x 3 inverse rather than a solve with 2n right-hand sides
-    L_inv = np.linalg.inv(np.linalg.cholesky(raw.T @ Mraw))
-    Z = raw @ L_inv.T
-    MZ = Mraw @ L_inv.T
-    Zeu = np.zeros_like(raw)
-    Zeu[0::2, 0] = Zeu[1::2, 1] = 1.0 / np.sqrt(n)
-    # the column means, which nodes.mean(axis=0) takes several times longer to sum
-    x, y = mesh.nodes.T
-    Zeu[:, 2] = ((mesh.nodes - (x.mean(), y.mean())) @ J2.T).reshape(-1)
-    Zeu[:, 2] /= np.linalg.norm(Zeu[:, 2])
-    fields = [DisplacementField(mesh, Z[:, k].reshape(n, 2)) for k in range(3)]
-    return RigidBasis(mesh, fields, Z, Zeu, MZ)
 
 
 def assemble_stiffness(mesh, density):
@@ -381,18 +333,22 @@ class Operators:
 
     ``density`` and the mesh's ``G``, ``areas`` and ``elements``, all that
     ``assemble_stiffness`` reads; ``inv_diag`` the inverse of the diagonal
-    of K, summed over the elements; ``Z`` and ``Zeu`` the mass- and
-    Euclidean-orthonormal rigid bases of ``rigid_basis``, ``MZ = M Z``
-    (the only use of the mass matrix, so M itself is never assembled);
-    ``X`` the symmetric affine fields (x~, 0), (0, y~) and (y~, x~) of the
-    centred node coordinates as columns, ``KX = K X`` their nodal forces,
-    nonzero only at boundary nodes and stored by column, and ``XKX = X' K X`` their
+    of K, summed over the elements; ``Zeu`` the one rigid basis, the
+    Euclidean-orthonormal columns e_x / sqrt(n), e_y / sqrt(n) and the
+    normalized rotation J x~, with x~ the node coordinates centred on
+    their arithmetic mean; ``Zdual = M Zeu (Zeu' M Zeu)^-1`` its mass dual,
+    Zdual' Zeu = I, so Zeu Zdual' is the mass projection onto the rigid
+    displacements (the only use of the mass matrix, so M itself is never
+    assembled); ``X`` the symmetric affine fields (x~, 0), (0, y~) and
+    (y~, x~) as columns, ``KX = K X`` their nodal forces, nonzero only at
+    boundary nodes and stored by column, and ``XKX = X' K X`` their
     Galerkin matrix, both in closed form.  The stiffness ``K`` and
-    ``vcycle``, the smoothed-aggregation V-cycle preconditioning K^+, are
-    built on first use, so a solve that the affine start settles builds
-    neither, and one that the Jacobi phase of ``kplus`` settles builds no
-    V-cycle.  Nothing in the bundle refers to the mesh, so the bundle
-    cached on the mesh forms no reference cycle.
+    ``vcycle``, the smoothed-aggregation V-cycle preconditioning K^+ with
+    ``Zeu`` as its near-null space, are built on first use, so a solve
+    that the affine start settles builds neither, and one that the Jacobi
+    phase of ``kplus`` settles builds no V-cycle.  Nothing in the bundle
+    refers to the mesh, so the bundle cached on the mesh forms no
+    reference cycle.
     """
 
     density: object
@@ -400,9 +356,8 @@ class Operators:
     areas: np.ndarray
     elements: np.ndarray
     inv_diag: np.ndarray
-    MZ: np.ndarray
-    Z: np.ndarray
     Zeu: np.ndarray
+    Zdual: np.ndarray
     X: np.ndarray
     KX: np.ndarray
     XKX: np.ndarray
@@ -414,7 +369,7 @@ class Operators:
 
     @cached_property
     def vcycle(self):
-        return _VCycle(self.K, self.Z)
+        return _VCycle(self.K, self.Zeu)
 
     def rigid_part(self, v):
         """Zeu Zeu' v, the Euclidean projection of v onto the rigid displacements."""
@@ -424,9 +379,11 @@ class Operators:
         """K^+ b on the rigid-mode complement: ``(x, iterations, relative residual)``.
 
         The solve of the module docstring; ``ref`` (default ``b``) sets
-        the scale of the stopping rule.  The start and its residual come
-        from ``X``, ``KX`` and ``XKX``; the first CG step builds ``K``, and
-        a start within ``tol`` returns without it.  From an affine start at most
+        the scale of the stopping rule, and ``b``, ``ref``, every residual
+        and the returned x are made rigid-free by ``rigid_part``.  The
+        start and its residual come from ``X``, ``KX`` and ``XKX``; the
+        first CG step builds ``K``, and a start within ``tol`` returns
+        without it.  From an affine start at most
         ``_JACOBI_START`` times ``tol``, CG runs with the diagonal of K as
         preconditioner for at most ``_JACOBI_STEPS`` iterations, then, if
         the residual is still above ``tol``, restarts from its x with the
@@ -482,9 +439,24 @@ def operators(mesh, density):
     """The Operators of ``mesh`` and ``density``, memoized on the mesh."""
     ops = mesh.operator_cache.get(density)
     if ops is None:
-        rb = rigid_basis(mesh)
-        xc, yc = _centred_nodes(mesh).T
-        X = np.zeros((2 * mesh.n_nodes, 3))
+        n = mesh.n_nodes
+        # the node coordinates centred on their arithmetic mean, from the
+        # column means, which nodes.mean(axis=0) takes several times longer to sum
+        x, y = mesh.nodes.T
+        xc, yc = x - x.mean(), y - y.mean()
+        # the rigid basis in closed form: e_x / sqrt(n), e_y / sqrt(n) and the
+        # normalized rotation J (x - xbar) = (yc, -xc), Euclidean-orthonormal
+        # up to round-off.  Its mass image takes M 1 = |Omega| mean_weights
+        # and the mass action of the rotation column alone
+        Zeu = np.zeros((2 * n, 3))
+        Zeu[0::2, 0] = Zeu[1::2, 1] = 1.0 / np.sqrt(n)
+        Zeu[:, 2] = np.stack([yc, -xc], axis=1).ravel()
+        Zeu[:, 2] /= np.linalg.norm(Zeu[:, 2])
+        MZeu = np.zeros_like(Zeu)
+        MZeu[0::2, 0] = MZeu[1::2, 1] = mesh.area * mesh.mean_weights / np.sqrt(n)
+        MZeu[:, 2] = mass_action(mesh, Zeu[:, 2].reshape(n, 2)).reshape(-1)
+        Zdual = MZeu @ np.linalg.inv(Zeu.T @ MZeu)
+        X = np.zeros((2 * n, 3))
         X[0::2, 0] = xc
         X[1::2, 1] = yc
         X[0::2, 2] = yc
@@ -506,8 +478,7 @@ def operators(mesh, density):
         KX = sp.csc_matrix((force.ravel(), (rows.ravel(), cols.ravel())),
                            shape=(2 * mesh.n_nodes, 3))
         ops = Operators(density, mesh.G, mesh.areas, mesh.elements,
-                        1.0 / _stiffness_diagonal(mesh, density), rb.mass, rb.matrix,
-                        rb.euclid, X, KX, XKX)
+                        1.0 / _stiffness_diagonal(mesh, density), Zeu, Zdual, X, KX, XKX)
         mesh.operator_cache[density] = ops
     return ops
 
@@ -524,8 +495,9 @@ def solve_linear(density, assembly, tol=1e-10):
     """Minimize int quadratic(E(v)) dx - L(v) over the rigid-mode complement.
 
     The problem lives on ``assembly.mesh``.  The minimizer is
-    ``Operators.kplus`` of the load vector to ``tol``, moved to the gauge
-    P v = 0 (mass projection); the energy is ``elastic_energy`` of it.  A
+    ``Operators.kplus`` of the load vector to ``tol``, moved to the mass
+    gauge Zdual' v = 0 by v -= Zeu Zdual' v, so its rigid part in the
+    mass inner product vanishes; the energy is ``elastic_energy`` of it.  A
     homogeneous load (``tension``, ``infmany``, ``compression``) has an
     affine minimizer: 0 iterations, and neither K nor the V-cycle is built.
 
@@ -547,6 +519,6 @@ def solve_linear(density, assembly, tol=1e-10):
     ops = operators(mesh, density)
     b = assembly.load_vector.reshape(-1)
     x, it, rel = ops.kplus(b, tol)
-    x -= ops.Z @ (ops.MZ.T @ x)
+    x -= ops.Zeu @ (ops.Zdual.T @ x)
     sol = DisplacementField(mesh, x.reshape(-1, 2))
     return LinearSolution(sol, elastic_energy(density, assembly, sol), it, rel)

@@ -128,12 +128,14 @@ def limit_report(mesh, density, assembly, field):
     """
     if field.mesh is not mesh or assembly.mesh is not mesh:
         raise MeshMismatchError("the field and the load assembly must live on the given mesh")
-    # both energies read one gradient of the field and one load work
+    # both energies read one gradient of the field and one load work; with
+    # a*^2 = 0 the offset energy is the stored energy itself
     columns = field.gradient_columns()
     W_star, offset_energy, a2 = _inner_skew_minimum(density, mesh, columns)
     work = load_work(assembly, field)
     F_value = offset_energy - work
-    E_value = _stored_energy(density, mesh, columns) - work
+    stored = offset_energy if a2 == 0.0 else _stored_energy(density, mesh, columns)
+    E_value = stored - work
     return LimitReport(
         field=field,
         F_value=F_value,

@@ -296,10 +296,13 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8):
     barrier, where the gradient does not vanish.  The second can be a
     rotation trap rather than a minimum (seen with lam = 0): where
     l.phi < 0 for phi = x + h v, the half turn phi -> -phi lowers Fh by
-    2 |l.phi| / h, but the gradient has no part along it.  Diverged is
-    declared only for loads that ``assembly.classification`` finds
-    incompatible, the one class whose h-family is unbounded below (Fh =
-    2 tr S / h on the rotation path at theta = pi); Fh at this h is
+    2 |l.phi| / h, but the gradient has no part along it.  At such a trap
+    round-off in the start picks the status: the same run can stall or
+    end iter_limit with its line search exhausted at the barrier, at the
+    same Fh.  Diverged is declared only for loads that
+    ``assembly.classification`` finds incompatible, the one class whose
+    h-family is unbounded below (Fh = 2 tr S / h on the rotation path at
+    theta = pi); Fh at this h is
     bounded below for every equilibrated load.  The result is then the
     rotation-orbit certificate, with no minimization.  The solver reports
     gradient-norm stationarity only, never global optimality.

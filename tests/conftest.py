@@ -139,6 +139,17 @@ def infmany16(mesh16):
     return assemble_loads(mesh16, infmany_spec())
 
 
+def rigid_fields(mesh, density):
+    """The columns of the bundle's rigid basis ``Zeu`` as fields, times sqrt(n).
+
+    The scale gives nodal values of order one: each translation is a unit vector.
+    """
+    from tractionlab.fem import DisplacementField, operators
+
+    Zeu = operators(mesh, density).Zeu
+    return [DisplacementField(mesh, np.sqrt(mesh.n_nodes) * z) for z in Zeu.T]
+
+
 def random_field_values(mesh, rng, amplitude=1.0):
     return amplitude * rng.standard_normal((mesh.n_nodes, 2))
 

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (SIDES, admissible_field, body_spec, infmany_spec, jittered_mesh,
-                      l_shaped_mesh, pressure_spec, shape_gradients, zero_loads)
+                      l_shaped_mesh, pressure_spec, rigid_fields, shape_gradients,
+                      zero_loads)
 from tractionlab.algebra import Density, J2
 from tractionlab.fem import (DisplacementField, NotEquilibratedError,
                              assemble_stiffness, elastic_energy,
                              element_strains, linear_field,
-                             mass_matrix, operators, rigid_basis, solve_linear)
+                             mass_matrix, operators, solve_linear)
 from tractionlab.loads import LoadSpec, assemble_loads, constant_traction
 from tractionlab.mesh import mass_action, rect_mesh
 from tractionlab.nonlinear import eval_rescaled, rescaled_gradient
@@ -29,34 +30,26 @@ def density():
 
 
 class TestRigidBasis:
-    def test_dimension(self, mesh):
-        assert len(rigid_basis(mesh).fields) == 3
+    def test_dimension(self, mesh, density):
+        assert operators(mesh, density).Zeu.shape == (2 * mesh.n_nodes, 3)
 
-    def test_basis_keeps_its_mesh(self):
-        # built on a temporary mesh, the basis must still reach it
-        rb = rigid_basis(rect_mesh(4, 4))
-        assert rb.mesh.n_nodes == 25
-        assert all(f.mesh is rb.mesh for f in rb.fields)
-
-    def test_strain_free_on_dyadic_mesh(self, mesh):
-        # raw generators are exactly strain free; normalization scales by an
-        # irrational factor, leaving per-entry rounding only
-        rb = rigid_basis(mesh)
-        for f in rb.fields:
+    def test_strain_free_on_dyadic_mesh(self, mesh, density):
+        # the rotation about the arithmetic mean of the nodes is strain free up
+        # to the rounding of the centred coordinates and of the normalization
+        for f in rigid_fields(mesh, density):
             E = element_strains(f)
             assert np.max(np.abs(E)) <= 5e-14
 
-    def test_strain_free_on_general_mesh(self):
+    def test_strain_free_on_general_mesh(self, density):
         m = rect_mesh(3, 5, (-0.35, 0.85), (0.1, 0.73))
-        for f in rigid_basis(m).fields:
+        for f in rigid_fields(m, density):
             E = element_strains(f)
             assert np.max(np.abs(E)) <= 1e-12
 
-    def test_mass_gram_identity(self, mesh):
-        rb = rigid_basis(mesh)
-        M = mass_matrix(mesh)
-        gram = rb.matrix.T @ (M @ rb.matrix)
-        assert np.allclose(gram, np.eye(3), atol=1e-12)
+    def test_mass_gram_identity(self, mesh, density):
+        # the mass dual is biorthogonal to the basis
+        ops = operators(mesh, density)
+        assert np.max(np.abs(ops.Zdual.T @ ops.Zeu - np.eye(3))) <= 1e-14
 
     @pytest.mark.parametrize("make", [
         lambda: rect_mesh(7, 5, (-0.3, 0.7), (0.1, 0.9)),
@@ -76,26 +69,32 @@ class TestRigidBasis:
         lambda: jittered_mesh(9, 7, np.random.default_rng(34)),
         lambda: l_shaped_mesh(8, np.random.default_rng(35)),
     ], ids=["jittered", "l-shaped"])
-    def test_bases_in_closed_form(self, make):
+    def test_bases_in_closed_form(self, make, density):
         # the Euclidean basis is written down, not orthonormalized, and M 1 is
-        # read from the mean weights: the basis must still be orthonormal and
-        # span the mass-orthonormal one, and M Z must be M applied to Z
+        # read from the mean weights: the basis must still be orthonormal, and
+        # its mass dual biorthogonal to it and M Zeu (Zeu' M Zeu)^-1 of the
+        # assembled mass matrix
         m = make()
-        rb = rigid_basis(m)
+        ops = operators(m, density)
+        Zeu = ops.Zeu
         # the Gram matrix by exactly rounded sums: a plain product adds its
         # own round-off of n eps, more than the basis has
-        gram = [[math.fsum(u * v) for v in rb.euclid.T] for u in rb.euclid.T]
+        gram = [[math.fsum(u * v) for v in Zeu.T] for u in Zeu.T]
         assert np.max(np.abs(np.array(gram) - np.eye(3))) <= 1e-15
-        Z = rb.matrix
-        assert np.max(np.abs(Z - rb.euclid @ (rb.euclid.T @ Z))) <= 1e-13
-        ref = mass_matrix(m) @ Z
-        assert np.max(np.abs(rb.mass - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(ops.Zdual.T @ Zeu - np.eye(3))) <= 1e-14
+        M = mass_matrix(m)
+        ref = M @ Zeu @ np.linalg.inv(Zeu.T @ (M @ Zeu))
+        assert np.max(np.abs(ops.Zdual - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_bundle_keeps_the_mass_image_of_the_basis(self, density):
+        # the gauge v - Zeu Zdual' v of solve_linear is mass-orthogonal to the
+        # rigid displacements
         m = jittered_mesh(6, 5, np.random.default_rng(33))
         ops = operators(m, density)
-        ref = mass_matrix(m) @ ops.Z
-        assert np.max(np.abs(ops.MZ - ref)) <= 1e-14 * np.max(np.abs(ref))
+        V = np.random.default_rng(36).standard_normal((2 * m.n_nodes, 4))
+        MZ = mass_matrix(m) @ ops.Zeu
+        moments = MZ.T @ (V - ops.Zeu @ (ops.Zdual.T @ V))
+        assert np.max(np.abs(moments)) <= 1e-14 * np.abs(MZ).sum(axis=0).max() * np.abs(V).max()
 
 
 class TestStrain:
@@ -127,7 +126,7 @@ class TestStiffness:
     def test_rigid_fields_in_kernel(self, mesh, density):
         K = assemble_stiffness(mesh, density)
         knorm = np.max(np.abs(K.data))
-        for f in rigid_basis(mesh).fields:
+        for f in rigid_fields(mesh, density):
             assert np.max(np.abs(K @ f.values.reshape(-1))) <= 1e-12 * knorm
 
     def test_kernel_dimension_is_three(self, density):
@@ -190,7 +189,7 @@ class TestGramForm:
     @LAMS
     def test_rigid_fields_in_kernel(self, lam):
         m, K = self.stiffness(lam)
-        Z = rigid_basis(m).matrix
+        Z = operators(m, Density(1.0, lam)).Zeu
         assert np.max(np.abs(K @ Z)) <= 1e-14 * np.max(abs(K) @ np.abs(Z))
 
 
@@ -240,16 +239,15 @@ class TestSolve:
     def test_gauge_is_mass_orthogonal(self, mesh, density):
         asm = assemble_loads(mesh, pressure_spec(16.0))
         sol = solve_linear(density, asm)
-        M = mass_matrix(mesh)
-        rb = rigid_basis(mesh)
-        coeffs = rb.matrix.T @ (M @ sol.field.values.reshape(-1))
+        Zeu = operators(mesh, density).Zeu
+        coeffs = Zeu.T @ (mass_matrix(mesh) @ sol.field.values.reshape(-1))
         assert np.max(np.abs(coeffs)) <= 1e-10
 
     def test_energy_gauge_invariance(self, mesh, density):
         asm = assemble_loads(mesh, pressure_spec(16.0))
         sol = solve_linear(density, asm)
         base = elastic_energy(density, asm, sol.field)
-        for z in rigid_basis(mesh).fields:
+        for z in rigid_fields(mesh, density):
             shifted = DisplacementField(mesh, sol.field.values + 0.8 * z.values)
             val = elastic_energy(density, asm, shifted)
             assert abs(val - base) <= 1e-11 * (1.0 + abs(base))

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
-from conftest import body_spec, infmany_spec, pressure_spec, sweep_inputs, zero_spec
+from conftest import (body_spec, infmany_spec, pressure_spec, rigid_fields, sweep_inputs,
+                      zero_spec)
 import tractionlab.limit as limit_module
 from tractionlab.algebra import Density, skew2
 from tractionlab.fem import (DisplacementField, elastic_energy, element_strains,
-                             linear_field, mass_matrix, rigid_basis,
-                             solve_linear)
+                             linear_field, mass_matrix, solve_linear)
 from tractionlab.limit import (IncompatibleLoadsError, inner_skew_minimum,
                                inner_skew_minimum_3d, limit_report,
                                minimize_limit, shifted_minimizer)
@@ -165,6 +165,22 @@ class TestLimitReport:
         assert rep.F_value == offset_energy - load_work(asm, field)
         assert rep.E_value == elastic_energy(density, asm, field)
 
+    def test_one_density_evaluation_without_skew_offset(self, mesh, density, monkeypatch):
+        # with a*^2 = 0 the offset energy of the inner minimum is the stored
+        # energy, which the report then does not evaluate again
+        calls = []
+        quadratic_sym2 = Density.quadratic_sym2
+        monkeypatch.setattr(Density, "quadratic_sym2",
+                            lambda self, *args: calls.append(1) or quadratic_sym2(self, *args))
+        asm = assemble_loads(mesh, pressure_spec(16.0))
+        for A, a2_zero in ((np.eye(2), True), (-np.eye(2), False)):
+            field = linear_field(mesh, A)
+            calls.clear()
+            rep = limit_report(mesh, density, asm, field)
+            assert (rep.a_star_sq == 0.0) == a2_zero
+            assert len(calls) == (1 if a2_zero else 2)
+            assert rep.E_value == elastic_energy(density, asm, field)
+
     def test_inputs_on_another_mesh_rejected(self, density):
         # the same 4x4 connectivity on another rectangle
         mesh, other = rect_mesh(4, 4), rect_mesh(4, 4, x_range=(-1.0, 1.0))
@@ -182,7 +198,7 @@ class TestLimitReport:
         rng = np.random.default_rng(56)
         v = DisplacementField(mesh, rng.standard_normal((mesh.n_nodes, 2)))
         base = limit_report(mesh, density, asm, v).F_value
-        for z in rigid_basis(mesh).fields:
+        for z in rigid_fields(mesh, density):
             shifted = DisplacementField(mesh, v.values + 1.3 * z.values)
             val = limit_report(mesh, density, asm, shifted).F_value
             assert abs(val - base) <= 1e-11 * (1.0 + abs(base))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import SIDES, infmany_spec, pressure_spec, zero_spec
-from tractionlab.algebra import rodrigues, skew2
+from conftest import SIDES, infmany_spec, pressure_spec, rigid_fields, zero_spec
+from tractionlab.algebra import Density, rodrigues, skew2
 from tractionlab.fem import DisplacementField, linear_field
 from tractionlab.loads import (INCOMPATIBLE, STRICT, WEAK, BodyForce, LoadSpec,
                                MeshMismatchError, MissingTractionRuleError,
@@ -102,12 +102,11 @@ class TestLoadWork:
             assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
     def test_rigid_shift_invariance(self, mesh):
-        from tractionlab.fem import rigid_basis
         asm = assemble_loads(mesh, pressure_spec(16.0))
         rng = np.random.default_rng(32)
         v = DisplacementField(mesh, rng.standard_normal((mesh.n_nodes, 2)))
         base = load_work(asm, v)
-        for z in rigid_basis(mesh).fields:
+        for z in rigid_fields(mesh, Density(1.0)):
             shifted = DisplacementField(mesh, v.values + z.values)
             assert abs(load_work(asm, shifted) - base) <= 1e-11 * (1.0 + abs(base))
 

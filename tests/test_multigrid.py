@@ -12,7 +12,8 @@ from conftest import (body_spec, infmany_spec, jittered_mesh, l_shaped_mesh, pre
                       stress_spec)
 from tractionlab.algebra import Density
 from tractionlab.cli import main
-from tractionlab.fem import assemble_stiffness, operators, solve_linear
+from tractionlab.fem import (assemble_stiffness, integral_mean, mass_matrix, operators,
+                             solve_linear)
 from tractionlab.loads import assemble_loads
 from tractionlab.mesh import rect_mesh
 
@@ -57,7 +58,7 @@ def test_vcycle_positive_on_rigid_complement(ops):
 def test_prolongators_keep_rigid_modes(ops):
     # rebuild each level's coarse near-null space with the builder's own
     # aggregation: the smoothed prolongator maps it into the kernel of A
-    B, bs = ops.Z, 2
+    B, bs = ops.Zeu, 2
     assert len(ops.vcycle.levels) >= 2
     for A, _, P, R in ops.vcycle.levels:
         agg = fem._aggregate(fem._node_graph(A, bs))
@@ -71,7 +72,7 @@ def test_prolongators_keep_rigid_modes(ops):
 def test_coarsest_level_is_the_pseudo_inverse(ops):
     # rebuild the coarsest level's matrix and near-null space: the dense
     # operator there is A^+, which vanishes on that space
-    B, bs = ops.Z, 2
+    B, bs = ops.Zeu, 2
     for A, _, P, R in ops.vcycle.levels:
         _, B = fem._tentative_prolongator(fem._aggregate(fem._node_graph(A, bs)), bs, B)
         bs = 3
@@ -81,6 +82,30 @@ def test_coarsest_level_is_the_pseudo_inverse(ops):
     assert np.max(np.abs(C - C.T)) <= 1e-14 * np.max(np.abs(C))
     assert np.max(np.abs(A @ C @ A - A)) <= 1e-12 * np.max(np.abs(A))
     assert np.max(np.abs(C @ B)) <= 1e-12 * np.max(np.abs(C)) * np.max(np.abs(B))
+
+
+def test_tentative_prolongators_read_only_the_span():
+    # the V-cycle is built on the Euclidean basis Zeu.  A mass-orthonormal
+    # basis, the raw generators through a Cholesky factor of their mass Gram
+    # matrix, is Zeu U with U upper triangular and a positive diagonal, so the
+    # per-aggregate Gram-Schmidt of either gives the same prolongator on every
+    # level, and coarse near-null spaces that again differ by such a U
+    m = jittered_mesh(N_AMG, N_AMG, np.random.default_rng(61))
+    ops = operators(m, DENSITY)
+    centred = m.nodes - integral_mean(m, m.nodes)
+    raw = np.zeros((2 * m.n_nodes, 3))
+    raw[0::2, 0] = raw[1::2, 1] = 1.0
+    raw[0::2, 2] = centred[:, 1]
+    raw[1::2, 2] = -centred[:, 0]
+    L = np.linalg.cholesky(raw.T @ (mass_matrix(m) @ raw))
+    Bm, B, bs = raw @ np.linalg.inv(L).T, ops.Zeu, 2
+    assert len(ops.vcycle.levels) >= 2
+    for A, _, _, _ in ops.vcycle.levels:
+        agg = fem._aggregate(fem._node_graph(A, bs))
+        T, B = fem._tentative_prolongator(agg, bs, B)
+        Tm, Bm = fem._tentative_prolongator(agg, bs, Bm)
+        assert abs(T - Tm).max() <= 1e-13
+        bs = 3
 
 
 def test_coarsening_that_stops_on_no_reduction(monkeypatch):
