@@ -1,9 +1,15 @@
 """Command-line interface.
 
 Subcommands analyze, solve-linear, solve-limit, sweep and run execute the
-first 1, 2, 3, 4 and 4 stages of one scenario; sweep falls back to
-DEFAULT_H_LIST when the config has no h_list, where run skips the sweep.
-scenarios lists the built-ins.  A stage whose precondition fails for a
+first 1, 2, 3, 4 and 4 entries of ``STAGES`` on one scenario; sweep falls
+back to DEFAULT_H_LIST when the config has no h_list, where run skips the
+sweep.  scenarios lists the built-ins.  ``STAGES`` lists each stage's
+name, its key in report.json and its function, which takes the ``_Run``
+state.  A stage ends ok by returning its report block and console line,
+and in any other way (refused, skipped, aborted) by raising ``_Stop``
+with its status and, where it has them, its block and line; the one loop
+in ``cmd_stages`` records both outcomes alike, writes report.json and
+returns the exit code.  A stage whose precondition fails for a
 reason the theory predicts (non-equilibrated loads, incompatible loads,
 non-strict sweep) is refused, not failed: the run reports the
 explanation and exits with code 2.  A sweep whose minimizer stops short
@@ -38,6 +44,14 @@ SKIPPED = "skipped"
 ABORTED = "aborted"
 
 
+class _Stop(Exception):
+    """Ends a stage with a status other than ok, and its report block and console line."""
+
+    def __init__(self, status, block=None, line=None):
+        super().__init__(status)
+        self.status, self.block, self.line = status, block, line
+
+
 class _Run:
     """Shared state while executing the stages of one scenario."""
 
@@ -63,126 +77,95 @@ class _Run:
     def write(self, name, text):
         (self.out / name).write_text(text, encoding="utf-8")
 
-    def analyze(self):
-        cls = self.assembly.classification
-        self.report["classification"] = classification_dict(cls)
-        self.write("classification.json", report_json(self.report["classification"]))
-        self.stages["analyze"] = OK
-        print(f"classification: {cls.compat_class} (equilibrated: {cls.equilibrated})")
 
-    def solve_linear_stage(self):
-        sc = self.scenario
-        try:
-            self.linear = solve_linear(self.density, self.assembly, tol=sc.cg_tol)
-        except NotEquilibratedError as exc:
-            self.stages["solve_linear"] = REFUSED
-            self.report["linear"] = {
-                "refused": str(exc),
-                "explanation": "the load work does not vanish on rigid displacements, "
-                               "so the classical energy has no minimizer",
-            }
-            print(f"solve-linear refused: {exc}")
-            return
-        self.report["linear"] = {
-            "min_E": checked(self.linear.energy, sc.cg_tol),
-            "cg_iterations": self.linear.iterations,
-            "preconditioner": "sa-amg",
-            "cg_residual": checked(self.linear.residual, sc.cg_tol),
-        }
-        self.write("solution_linear.txt", solution_dump(self.linear.field))
-        self.stages["solve_linear"] = OK
-        print(f"min E = {self.linear.energy!r} ({self.linear.iterations} cg iterations)")
-
-    def solve_limit_stage(self):
-        sc = self.scenario
-        if self.stages.get("solve_linear") != OK:
-            self.stages["solve_limit"] = SKIPPED
-            return
-        try:
-            self.limit = minimize_limit(self.density, self.assembly, self.linear)
-        except IncompatibleLoadsError as exc:
-            self.stages["solve_limit"] = REFUSED
-            self.report["limit"] = {
-                "refused": str(exc),
-                "inf_F": "-inf",
-                "witness": skew_dict(exc.witness),
-                "witness_work": exc.witness_work,
-                "explanation": "a skew direction with positive load work reverses the "
-                               "compatibility inequality; the limit energy is unbounded "
-                               "from below",
-            }
-            print(f"solve-limit refused: {exc}")
-            return
-        lim = self.limit
-        coincidence = abs(lim.F_value - lim.E_value)
-        block = {
-            "min_F": checked(lim.F_value, sc.cg_tol),
-            "min_E": checked(lim.E_value, sc.cg_tol),
-            "W0_norm": checked(float(np.linalg.norm(lim.W_star)), 1e-6),
-            "coincidence_abs_diff": checked(coincidence, 1e-9 * (1 + abs(lim.E_value))),
-        }
-        if self.assembly.classification.compat_class == WEAK and sc.shift_ts:
-            checks = []
-            for t in sc.shift_ts:
-                _, rec = shifted_minimizer(self.density, self.assembly, lim, t)
-                checks.append({
-                    "t": rec.t,
-                    "F_delta": checked(rec.F_delta, 1e-8 * (1 + abs(lim.F_value))),
-                    "E_delta_positive": rec.E_delta > 0.0,
-                    "E_delta": rec.E_delta,
-                })
-            block["shift_checks"] = checks
-        self.report["limit"] = block
-        self.stages["solve_limit"] = OK
-        print(f"min F = {lim.F_value!r}, |min F - min E| = {coincidence!r}")
-
-    def sweep_stage(self):
-        if not self.h_list:
-            self.stages["sweep"] = SKIPPED
-            self.report["nonlinear"] = {"skipped": "no h_list configured"}
-            return
-        if self.stages.get("solve_limit") != OK:
-            self.stages["sweep"] = REFUSED
-            self.report["nonlinear"] = {
-                "refused": "sweep requires a solvable limit problem",
-            }
-            print("sweep refused: limit stage did not complete")
-            return
-        try:
-            result = h_sweep(self.density, self.assembly, self.limit, self.h_list,
-                             grad_tol=self.scenario.grad_tol)
-        except SweepRefusedError as exc:
-            self.stages["sweep"] = REFUSED
-            self.report["nonlinear"] = {"refused": str(exc)}
-            print(f"sweep refused: {exc}")
-            return
-        except SweepAbortedError as exc:
-            self.stages["sweep"] = ABORTED
-            self.report["nonlinear"] = {"aborted": str(exc),
-                                        "sweep": sweep_rows(exc.records)}
-            self.write("sweep.csv", sweep_csv(exc.records))
-            print(exc)
-            return
-        table = sweep_csv(result.records)
-        self.write("sweep.csv", table)
-        self.report["nonlinear"] = {
-            "sweep": sweep_rows(result.records),
-            "energy_floor": result.energy_floor,
-        }
-        self.stages["sweep"] = OK
-        print(table, end="")
-
-    def exit_code(self):
-        if ABORTED in self.stages.values():
-            return 1
-        return 2 if REFUSED in self.stages.values() else 0
-
-    def finish(self):
-        self.write("report.json", report_json(self.report))
-        return self.exit_code()
+def _analyze(run):
+    cls = run.assembly.classification
+    block = classification_dict(cls)
+    run.write("classification.json", report_json(block))
+    return block, f"classification: {cls.compat_class} (equilibrated: {cls.equilibrated})"
 
 
-# subcommand -> how many of _Run's stages it runs, in order
+def _solve_linear(run):
+    sc = run.scenario
+    try:
+        lin = run.linear = solve_linear(run.density, run.assembly, tol=sc.cg_tol)
+    except NotEquilibratedError as exc:
+        raise _Stop(REFUSED, {
+            "refused": str(exc),
+            "explanation": "the load work does not vanish on rigid displacements, "
+                           "so the classical energy has no minimizer",
+        }, f"solve-linear refused: {exc}")
+    run.write("solution_linear.txt", solution_dump(lin.field))
+    return {
+        "min_E": checked(lin.energy, sc.cg_tol),
+        "cg_iterations": lin.iterations,
+        "preconditioner": "sa-amg",
+        "cg_residual": checked(lin.residual, sc.cg_tol),
+    }, f"min E = {lin.energy!r} ({lin.iterations} cg iterations)"
+
+
+def _solve_limit(run):
+    sc = run.scenario
+    if run.linear is None:
+        raise _Stop(SKIPPED)
+    try:
+        lim = run.limit = minimize_limit(run.density, run.assembly, run.linear)
+    except IncompatibleLoadsError as exc:
+        raise _Stop(REFUSED, {
+            "refused": str(exc),
+            "inf_F": "-inf",
+            "witness": skew_dict(exc.witness),
+            "witness_work": exc.witness_work,
+            "explanation": "a skew direction with positive load work reverses the "
+                           "compatibility inequality; the limit energy is unbounded "
+                           "from below",
+        }, f"solve-limit refused: {exc}")
+    coincidence = abs(lim.F_value - lim.E_value)
+    block = {
+        "min_F": checked(lim.F_value, sc.cg_tol),
+        "min_E": checked(lim.E_value, sc.cg_tol),
+        "W0_norm": checked(float(np.linalg.norm(lim.W_star)), 1e-6),
+        "coincidence_abs_diff": checked(coincidence, 1e-9 * (1 + abs(lim.E_value))),
+    }
+    if run.assembly.classification.compat_class == WEAK and sc.shift_ts:
+        checks = []
+        for t in sc.shift_ts:
+            _, rec = shifted_minimizer(run.density, run.assembly, lim, t)
+            checks.append({
+                "t": rec.t,
+                "F_delta": checked(rec.F_delta, 1e-8 * (1 + abs(lim.F_value))),
+                "E_delta_positive": rec.E_delta > 0.0,
+                "E_delta": rec.E_delta,
+            })
+        block["shift_checks"] = checks
+    return block, f"min F = {lim.F_value!r}, |min F - min E| = {coincidence!r}"
+
+
+def _sweep(run):
+    if not run.h_list:
+        raise _Stop(SKIPPED, {"skipped": "no h_list configured"})
+    if run.limit is None:
+        raise _Stop(REFUSED, {"refused": "sweep requires a solvable limit problem"},
+                    "sweep refused: limit stage did not complete")
+    try:
+        result = h_sweep(run.density, run.assembly, run.limit, run.h_list,
+                         grad_tol=run.scenario.grad_tol)
+    except SweepRefusedError as exc:
+        raise _Stop(REFUSED, {"refused": str(exc)}, f"sweep refused: {exc}")
+    except SweepAbortedError as exc:
+        run.write("sweep.csv", sweep_csv(exc.records))
+        raise _Stop(ABORTED, {"aborted": str(exc), "sweep": sweep_rows(exc.records)}, str(exc))
+    table = sweep_csv(result.records)
+    run.write("sweep.csv", table)
+    block = {"sweep": sweep_rows(result.records), "energy_floor": result.energy_floor}
+    return block, table.rstrip("\n")
+
+
+# (stage, report key, function) in run order; a stage returns (block, line) or raises _Stop
+STAGES = (("analyze", "classification", _analyze), ("solve_linear", "linear", _solve_linear),
+          ("solve_limit", "limit", _solve_limit), ("sweep", "nonlinear", _sweep))
+
+# subcommand -> how many of STAGES it runs
 STAGE_COUNTS = {"analyze": 1, "solve-linear": 2, "solve-limit": 3, "sweep": 4, "run": 4}
 
 
@@ -190,10 +173,20 @@ def cmd_stages(args):
     scenario = load_scenario(args.config, mesh_n=args.mesh_n, tol=args.tol)
     h_list = scenario.h_list or (DEFAULT_H_LIST if args.command == "sweep" else ())
     run = _Run(scenario, args.out, h_list)
-    stages = (run.analyze, run.solve_linear_stage, run.solve_limit_stage, run.sweep_stage)
-    for stage in stages[:STAGE_COUNTS[args.command]]:
-        stage()
-    return run.finish()
+    for name, key, stage in STAGES[:STAGE_COUNTS[args.command]]:
+        status = OK
+        try:
+            block, line = stage(run)
+        except _Stop as stop:
+            status, block, line = stop.status, stop.block, stop.line
+        run.stages[name] = status
+        if block is not None:
+            run.report[key] = block
+        if line is not None:
+            print(line)
+    run.write("report.json", report_json(run.report))
+    statuses = run.stages.values()
+    return 1 if ABORTED in statuses else 2 if REFUSED in statuses else 0
 
 
 def cmd_scenarios(args):

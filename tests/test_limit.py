@@ -13,7 +13,7 @@ from tractionlab.fem import (DisplacementField, elastic_energy, element_strains,
 from tractionlab.limit import (IncompatibleLoadsError, inner_skew_minimum,
                                inner_skew_minimum_3d, limit_report,
                                minimize_limit, shifted_minimizer)
-from tractionlab.loads import MeshMismatchError, assemble_loads, load_work
+from tractionlab.loads import WEAK, MeshMismatchError, assemble_loads, load_work
 from tractionlab.mesh import rect_mesh
 
 
@@ -223,6 +223,19 @@ class TestMinimize:
         _, lim = sweep_inputs(mesh, density, infmany_spec())
         assert abs(lim.F_value - lim.E_value) <= 1e-9 * (1.0 + abs(lim.E_value))
         assert np.linalg.norm(lim.W_star) <= 1e-6
+
+    def test_weak_body_force_round_off_is_no_skew(self, density):
+        # g = A x with tr A = 0 is weak.  CG noise leaves int div v_lin within
+        # about 1e-12 of zero, of either sign; taken as a negative part, it
+        # would give |W_star| up to 3.8e-7 instead of 0
+        for n in (16, 32):
+            mesh = rect_mesh(n, n)
+            for A in ((6.0, 4.0, 4.0, -6.0), (1.0, 0.3, 0.3, -1.0), (2.0, 0.0, 0.0, -2.0)):
+                asm = assemble_loads(mesh, body_spec(A))
+                assert asm.classification.compat_class == WEAK
+                lim = minimize_limit(density, asm, solve_linear(density, asm, tol=1e-10))
+                assert lim.a_star_sq == 0.0
+                assert not lim.W_star.any()
 
     def test_argmin_coincidence_strict(self, mesh, density):
         asm, lim = sweep_inputs(mesh, density, pressure_spec(16.0))

@@ -78,6 +78,46 @@ tol = 1e-3
 h_list = 0.1 0.05
 """
 
+# the resultant force is (21, 0): solve-linear is refused
+NOT_EQUILIBRATED = SMALL_TENSION.replace("[loads.left]\npressure = 16",
+                                         "[loads.left]\nconstant = 5 0")
+
+# strict (tr S = 20), but at h = 0.4 the limit minimizer of this compressive
+# load already inverts elements
+SQUEEZE = (SMALL_TENSION.replace("nx = 6\nny = 6", "nx = 8\nny = 8")
+           .replace("pressure = 16", "pressure = 40", 2)
+           .replace("pressure = 16", "pressure = -30")
+           .replace("h_list = 0.2 0.1", "h_list = 0.4 0.2 0.1"))
+
+# Console lines of the stage outcomes.  The fields are read back from the
+# run's report.json and sweep.csv (see _console_fields), so the lines pin
+# the format and agree with the files, not the last bits of a solve.
+MIN_E = "min E = {E!r} ({cg} cg iterations)"
+MIN_F = "min F = {F!r}, |min F - min E| = {diff!r}"
+TABLE = "{table}"
+LIMIT_INCOMPLETE = "sweep refused: limit stage did not complete"
+STRICT = "classification: strict (equilibrated: True)"
+ALL_OK = {"analyze": "ok", "solve_linear": "ok", "solve_limit": "ok", "sweep": "ok"}
+CLASSIFIED = {"classification.json", "report.json"}
+SOLVED = CLASSIFIED | {"solution_linear.txt"}
+
+
+def _console_fields(out):
+    rep = json.loads((out / "report.json").read_text())
+    linear, limit = rep.get("linear", {}), rep.get("limit", {})
+    sweep = out / "sweep.csv"
+    return {
+        "E": linear.get("min_E", {}).get("value"),
+        "cg": linear.get("cg_iterations"),
+        "F": limit.get("min_F", {}).get("value"),
+        "diff": limit.get("coincidence_abs_diff", {}).get("value"),
+        "table": sweep.read_text().rstrip("\n") if sweep.exists() else None,
+    }
+
+
+def _expected_stdout(lines, out):
+    return "".join(line.format_map(_console_fields(out)) + "\n" for line in lines)
+
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -383,15 +423,15 @@ class TestCli:
         # the limit minimizer is stated once, in the limit block
         assert set(nonlinear) == {"sweep", "energy_floor"}
 
-    @pytest.mark.parametrize("command, stages", [
-        ("analyze", {"analyze": "ok"}),
-        ("solve-linear", {"analyze": "ok", "solve_linear": "ok"}),
-        ("solve-limit", {"analyze": "ok", "solve_linear": "ok", "solve_limit": "ok"}),
-        ("sweep", {"analyze": "ok", "solve_linear": "ok", "solve_limit": "ok", "sweep": "ok"}),
-        ("run", {"analyze": "ok", "solve_linear": "ok", "solve_limit": "ok",
-                 "sweep": "skipped"}),
+    @pytest.mark.parametrize("command, stages, files, lines", [
+        ("analyze", {"analyze": "ok"}, CLASSIFIED, [STRICT]),
+        ("solve-linear", {"analyze": "ok", "solve_linear": "ok"}, SOLVED, [STRICT, MIN_E]),
+        ("solve-limit", {"analyze": "ok", "solve_linear": "ok", "solve_limit": "ok"}, SOLVED,
+         [STRICT, MIN_E, MIN_F]),
+        ("sweep", ALL_OK, SOLVED | {"sweep.csv"}, [STRICT, MIN_E, MIN_F, TABLE]),
+        ("run", dict(ALL_OK, sweep="skipped"), SOLVED, [STRICT, MIN_E, MIN_F]),
     ], ids=["analyze", "solve-linear", "solve-limit", "sweep", "run"])
-    def test_subcommand_stages(self, tmp_path, command, stages):
+    def test_subcommand_stages(self, tmp_path, capsys, command, stages, files, lines):
         # no h_list: sweep falls back to DEFAULT_H_LIST, run skips the sweep
         sc_file = tmp_path / "sc.ini"
         sc_file.write_text(SMALL_TENSION.replace("h_list = 0.2 0.1\n", ""))
@@ -399,12 +439,52 @@ class TestCli:
         assert main([command, str(sc_file), "--out", str(out)]) == 0
         rep = json.loads((out / "report.json").read_text())
         assert rep["stages"] == stages
+        assert {f.name for f in out.iterdir()} == files
+        assert capsys.readouterr().out == _expected_stdout(lines, out)
         if command == "sweep":
             rows = rep["nonlinear"]["sweep"]
             assert tuple(r["h"] for r in rows) == DEFAULT_H_LIST
             assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 4
-        else:
-            assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command, config, code, stages, files, lines", [
+        ("run", "tension", 0, ALL_OK, SOLVED | {"sweep.csv"},
+         [STRICT, MIN_E, MIN_F, TABLE]),
+        ("run", "infmany", 0, dict(ALL_OK, sweep="skipped"), SOLVED,
+         ["classification: weak (equilibrated: True)", MIN_E, MIN_F]),
+        ("run", "bodyforce", 0, ALL_OK, SOLVED | {"sweep.csv"},
+         [STRICT, MIN_E, MIN_F, TABLE]),
+        ("run", "compression", 2, dict(ALL_OK, solve_limit="refused", sweep="refused"), SOLVED,
+         ["classification: incompatible (equilibrated: True)", MIN_E,
+          "solve-limit refused: incompatible loads: inf F = -infinity along the witness skew "
+          "direction (L(z_W) = 1 > 0 for the unit witness, F decays like min E - tau * L(z_W) "
+          "as tau -> +infinity)", LIMIT_INCOMPLETE]),
+        ("sweep", "infmany", 2, dict(ALL_OK, sweep="refused"), SOLVED,
+         ["classification: weak (equilibrated: True)", MIN_E, MIN_F,
+          "sweep refused: sweep requires strictly compatible loads: under weak compatibility "
+          "minimizing sequences may lose compactness (extra limit minimizers with unbounded "
+          "skew gradients)"]),
+        ("run", NOT_EQUILIBRATED, 2,
+         dict(ALL_OK, solve_linear="refused", solve_limit="skipped", sweep="refused"),
+         CLASSIFIED,
+         ["classification: strict (equilibrated: False)",
+          "solve-linear refused: loads are not equilibrated: |resultant force| = 2.100e+01, "
+          "|skew moment| = 0.000e+00", LIMIT_INCOMPLETE]),
+        ("run", SQUEEZE, 1, dict(ALL_OK, sweep="aborted"), SOLVED | {"sweep.csv"},
+         [STRICT, MIN_E, MIN_F, "sweep aborted at h = 0.4: warm start is inadmissible: "
+          "initial state has lost orientation"]),
+    ], ids=["tension", "infmany", "bodyforce", "compression", "sweep-infmany",
+            "not-equilibrated", "squeeze"])
+    def test_stage_outcomes(self, tmp_path, capsys, command, config, code, stages, files, lines):
+        # what each outcome of each stage prints, writes and records; a config
+        # with a newline is a config text, anything else a built-in's name
+        if "\n" in config:
+            (tmp_path / "sc.ini").write_text(config)
+            config = str(tmp_path / "sc.ini")
+        out = tmp_path / "o"
+        assert main([command, config, "--mesh-n", "8", "--out", str(out)]) == code
+        assert json.loads((out / "report.json").read_text())["stages"] == stages
+        assert {f.name for f in out.iterdir()} == files
+        assert capsys.readouterr().out == _expected_stdout(lines, out)
 
     def test_run_compression_exit_2_with_witness(self, tmp_path):
         out = tmp_path / "o"
@@ -461,14 +541,9 @@ class TestCli:
         assert len(csv_lines) == 2 and csv_lines[1].endswith(rows[0]["status"])
 
     def test_inadmissible_warm_start_aborts(self, tmp_path):
-        # strict (tr S = 20), but at h = 0.4 the limit minimizer of this
-        # compressive load already inverts elements: the sweep aborts there
-        # with a report, not with a bare error
+        # the sweep of SQUEEZE aborts at h = 0.4 with a report, not with a bare error
         sc_file = tmp_path / "sc.ini"
-        sc_file.write_text(SMALL_TENSION.replace("nx = 6\nny = 6", "nx = 8\nny = 8")
-                           .replace("pressure = 16", "pressure = 40", 2)
-                           .replace("pressure = 16", "pressure = -30")
-                           .replace("h_list = 0.2 0.1", "h_list = 0.4 0.2 0.1"))
+        sc_file.write_text(SQUEEZE)
         out = tmp_path / "o"
         assert main(["run", str(sc_file), "--out", str(out)]) == 1
         rep = json.loads((out / "report.json").read_text())
@@ -490,10 +565,8 @@ class TestCli:
         assert "compactness" in rep["nonlinear"]["refused"]
 
     def test_not_equilibrated_refused(self, tmp_path):
-        cfg = SMALL_TENSION.replace("[loads.left]\npressure = 16",
-                                    "[loads.left]\nconstant = 5 0")
         sc_file = tmp_path / "bad.ini"
-        sc_file.write_text(cfg)
+        sc_file.write_text(NOT_EQUILIBRATED)
         out = tmp_path / "o"
         assert main(["run", str(sc_file), "--out", str(out)]) == 2
         rep = json.loads((out / "report.json").read_text())
