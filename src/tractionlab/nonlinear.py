@@ -288,8 +288,10 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8):
     starts from ``fem.Operators.kplus`` on the rigid-mode complement, to
     a residual of 1e-8 of the rigid-free gradient, and from the scalar
     sy/yy on the rigid span, so the iteration count does not grow with
-    the mesh.  ``cg_iterations`` of the result counts the PCG iterations
-    of those solves.
+    the mesh; a pair with s'y <= 0 is not kept, so the inverse Hessian
+    stays positive definite, to the tolerance of its K^+ solves, and -H g
+    is a descent direction.  ``cg_iterations`` of the result counts the
+    PCG iterations of those solves.
     Converged means |grad| <= grad_tol * (1 + |Fh|).  Stalled means that
     10 accepted steps in a row did not lower Fh: grad_tol is below what
     round-off in Fh allows, or the iterates press against the orientation
@@ -347,8 +349,6 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8):
         Hg, cg = _two_loop(g, pairs, ops)
         cg_iterations += cg
         d = -Hg
-        if d @ g >= 0.0:
-            d = -g
         t = 1.0
         gd = g @ d
         for _ in range(80):
@@ -374,7 +374,7 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8):
         s = x_new - xf
         y = g_new - g
         sy = s @ y
-        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+        if sy > 0.0:
             pairs.append((s, y, 1.0 / sy))
         flat_steps = flat_steps + 1 if f_new >= f else 0
         xf, f, g = x_new, f_new, g_new

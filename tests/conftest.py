@@ -28,6 +28,19 @@ def body_spec(A):
     return LoadSpec({tag: zero for tag in SIDES}, BodyForce("linear", A))
 
 
+def two_side_pressures(p_x, p_y):
+    """Pressure p_x on the left and right sides, p_y on the top and bottom."""
+    return LoadSpec({"left": pressure(p_x), "right": pressure(p_x),
+                     "top": pressure(p_y), "bottom": pressure(p_y)})
+
+
+def spd_body_spec(theta, e1, e2):
+    """Body force g = A x with A = R_theta diag(e1, e2) R_theta'."""
+    c, s = np.cos(theta), np.sin(theta)
+    R = np.array([[c, -s], [s, c]])
+    return body_spec(tuple((R @ np.diag([e1, e2]) @ R.T).ravel()))
+
+
 def stress_spec(S):
     """Tractions S n on the four sides of a rectangle."""
     normals = {"left": (-1.0, 0.0), "right": (1.0, 0.0), "top": (0.0, 1.0),

@@ -232,7 +232,6 @@ def _vcycle_cg(ops, b, tol):
         alpha = rho / (p @ Kp)
         x += alpha * p
         r -= alpha * Kp
-        r -= Z @ (Z.T @ r)
         it += 1
     return it
 
@@ -250,11 +249,12 @@ def test_near_start_restarts_after_the_jacobi_phase(ops):
     # residual of the start is about 100 tol, within _JACOBI_START tol, so
     # the Jacobi phase runs; the diagonal barely reaches the smooth part of
     # the noise, and CG restarts from its x with the V-cycle, which settles
-    # it to tol
+    # it to tol in 8 steps.  Carrying the Jacobi phase's search direction
+    # into the V-cycle phase instead takes 138 or 139
     b = _complement(ops, np.random.default_rng(65).standard_normal(ops.K.shape[0]))
     tol = 1e-8
     x, it, rel = ops.kplus(b, tol, 1e6 * b)
-    assert it > fem._JACOBI_STEPS
+    assert fem._JACOBI_STEPS < it <= fem._JACOBI_STEPS + 20
     assert rel <= tol
     assert rel == pytest.approx(_relative_residual(ops, b, x) / 1e6, rel=1e-12)
 

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from campaigns import LbfgsDraw, lbfgs_draws, lbfgs_run
 from conftest import (SIDES, admissible_field, body_spec, infmany_spec, jittered_mesh,
-                      pressure_spec, stress_spec, sweep_inputs, zero_loads, zero_spec)
+                      pressure_spec, spd_body_spec, stress_spec, sweep_inputs,
+                      two_side_pressures, zero_loads, zero_spec)
 from tractionlab import fem, loads, nonlinear
 from tractionlab.algebra import Density, J2, rodrigues, skew2
 from tractionlab.fem import (DisplacementField, NotEquilibratedError, elastic_energy,
@@ -571,19 +573,6 @@ class TestMoments:
         assert np.max(np.abs(skew - ref_skew)) <= 1e-13 * np.max(np.abs(ref_skew))
 
 
-def two_side_pressures(p_x, p_y):
-    """Pressure p_x on the left and right sides, p_y on the top and bottom."""
-    return LoadSpec({"left": pressure(p_x), "right": pressure(p_x),
-                     "top": pressure(p_y), "bottom": pressure(p_y)})
-
-
-def spd_body_spec(theta, e1, e2):
-    """Body force g = A x with A = R_theta diag(e1, e2) R_theta'."""
-    c, s = np.cos(theta), np.sin(theta)
-    R = np.array([[c, -s], [s, c]])
-    return body_spec(tuple((R @ np.diag([e1, e2]) @ R.T).ravel()))
-
-
 _MAGNITUDES = st.floats(1.0, 30.0)
 _STRICT_LOADS = st.one_of(
     st.builds(pressure_spec, _MAGNITUDES),
@@ -625,24 +614,24 @@ class TestFlatEnergy:
         assert np.linalg.norm(g) <= 1e-8 * (1.0 + abs(res.value))
 
     def test_campaign_cases_need_the_slope_test(self):
-        # single points of a seeded campaign of strict sweeps, from the linear
-        # minimizer.  Each converges; without the slope test at least one ends
-        # iter_limit or stalled, and each does so for some one-ulp changes of
-        # its start.  The floats are exact: two decimals change the path
-        cases = [(16, 612176794, 5.0, 23.49488501711061, 7.5310085097271635, 1.0),
-                 (12, 1925306114, 1.0, 22.540255128236147, 17.838933051731853, 1.0),
-                 (12, 539016777, 5.0, 24.375135270601156, 20.617664799959208, 1.0),
-                 (12, 539016777, 5.0, 24.375135270601156, 20.617664799959208, 0.8),
-                 (8, 1490541066, 5.0, 22.169688221059886, 4.282943623231467, 1.0),
-                 (12, 1518948225, 5.0, 17.050311171717656, 24.404326660865323, 0.8)]
-        for n, seed, lam, p_x, p_y, h in cases:
-            mesh = jittered_mesh(n, n, np.random.default_rng(seed))
-            density = Density(1.0, lam)
-            asm, lim = sweep_inputs(mesh, density, two_side_pressures(p_x, p_y))
-            res = minimize_rescaled(mesh, density, asm, h, init=lim.field)
-            assert res.status == CONVERGED, (n, seed, h)
-            g = rescaled_gradient(density, asm, res.field, h)
-            assert np.linalg.norm(g) <= 1e-8 * (1.0 + abs(res.value))
+        # single points of seeded campaigns of strict sweeps, from the linear
+        # minimizer: three two-side pressures of an earlier campaign, exact
+        # floats (two decimals change the path), and three draws of
+        # campaigns.lbfgs_draws.  Each converges from its start and from 16
+        # one-ulp changes of it; without the slope test each fails from 15%
+        # to 70% of such starts, and at least one fails from the exact start
+        cases = [(LbfgsDraw(12, 1925306114, 1.0, "two_side",
+                            (22.540255128236147, 17.838933051731853)), 1.0),
+                 (LbfgsDraw(8, 1490541066, 5.0, "two_side",
+                            (22.169688221059886, 4.282943623231467)), 1.0),
+                 (LbfgsDraw(12, 1518948225, 5.0, "two_side",
+                            (17.050311171717656, 24.404326660865323)), 0.8)]
+        draws = lbfgs_draws()
+        cases += [(draws[25], 1.0), (draws[51], 0.8), (draws[100], 0.8)]
+        for draw, h in cases:
+            res = lbfgs_run(draw, h)
+            assert res.status == CONVERGED, (draw, h)
+            assert res.grad_norm <= 1e-8 * (1.0 + abs(res.value))
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(8, 16), jitter=st.booleans(), lam=st.sampled_from([0.0, 1.0, 5.0]),
