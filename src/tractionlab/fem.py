@@ -166,14 +166,21 @@ def _stiffness_diagonal(mesh, density):
     The dof of component i at node k has K_cc = 2 sum_T |T|
     quadratic(sym(e_i (x) grad phi_k)) over the triangles T at k.
     """
-    # gx[e, k], gy[e, k] = grad phi_k on element e, copied out of G's strided
-    # rows, which would slow every product below
-    gx, gy = mesh.G.data.reshape(-1, 2, 2, 3)[:, 0].transpose(1, 0, 2).copy()
-    w = 2.0 * mesh.areas[:, None]
+    g = mesh.G.data.reshape(-1, 2, 2, 3)[:, 0]
+    w = 2.0 * mesh.areas
+    # terms[i, e, k] = the term of element e at its local node k in K_cc for
+    # component i, one local node at a time, which keeps the temporaries at m
+    # values each; gx, gy = grad phi_k, copied out of G's strided rows, which
+    # would slow every product below
+    terms = np.empty((2,) + mesh.elements.shape)
+    for k in range(3):
+        gx, gy = g[:, 0, k].copy(), g[:, 1, k].copy()
+        np.multiply(w, density.quadratic_sym2(gx, 0.5 * gy, 0.0), out=terms[0, :, k])
+        np.multiply(w, density.quadratic_sym2(0.0, 0.5 * gx, gy), out=terms[1, :, k])
     nodes, n = mesh.elements.ravel(), mesh.n_nodes
     diag = np.empty(2 * n)
-    diag[0::2] = np.bincount(nodes, (w * density.quadratic_sym2(gx, 0.5 * gy, 0.0)).ravel(), n)
-    diag[1::2] = np.bincount(nodes, (w * density.quadratic_sym2(0.0, 0.5 * gx, gy)).ravel(), n)
+    diag[0::2] = np.bincount(nodes, terms[0].ravel(), n)
+    diag[1::2] = np.bincount(nodes, terms[1].ravel(), n)
     return diag
 
 
@@ -212,10 +219,12 @@ _COARSEST_DOFS = 300
 
 
 def _node_graph(A, bs):
-    """Node adjacency (diagonal included) of a matrix with bs x bs node blocks."""
-    rows = np.repeat(np.arange(A.shape[0]) // bs, np.diff(A.indptr))
+    """Node adjacency (diagonal included) of a matrix with bs x bs node blocks:
+    the block pattern of A, whose indices in a row may come in any order."""
+    blocks = A.tobsr(blocksize=(bs, bs))
     n = A.shape[0] // bs
-    return sp.csr_matrix((np.ones(rows.size), (rows, A.indices // bs)), shape=(n, n))
+    return sp.csr_matrix((np.ones(len(blocks.indices)), blocks.indices, blocks.indptr),
+                         shape=(n, n))
 
 
 def _aggregate(S):

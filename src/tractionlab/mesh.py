@@ -65,11 +65,11 @@ class Mesh:
             bad = int(np.argmax((self.elements < 0) | (self.elements >= n)).item())
             raise MeshFormatError(f"element {bad // 3} references a node out of range")
 
-        p0 = self.nodes[self.elements[:, 0]]
-        p1 = self.nodes[self.elements[:, 1]]
-        p2 = self.nodes[self.elements[:, 2]]
-        signed = 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-                        - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0]))
+        # x[e, k], y[e, k]: the coordinates of local node k of element e
+        x, y = self.nodes[:, 0][self.elements], self.nodes[:, 1][self.elements]
+        x0, x1, x2 = x.T
+        y0, y1, y2 = y.T
+        signed = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
         if np.any(signed <= 0.0):
             bad = int(np.argmax(signed <= 0.0))
             raise MeshOrientationError(
@@ -78,25 +78,25 @@ class Mesh:
         self.areas = signed
         self.area = float(np.sum(signed))
 
-        # g[e, j, k] = d phi_k / dx_j, the hat function at local node k:
-        # ((y_k+1 - y_k+2), (x_k+2 - x_k+1)) / (2A)
-        inv2a = 1.0 / (2.0 * signed)
-        m = len(self.elements)
-        g = np.empty((m, 2, 3))
-        pts = (p0, p1, p2)
-        for k in range(3):
-            pj = pts[(k + 1) % 3]
-            pk = pts[(k + 2) % 3]
-            g[:, 0, k] = (pj[:, 1] - pk[:, 1]) * inv2a
-            g[:, 1, k] = (pk[:, 0] - pj[:, 0]) * inv2a
-
         # row 4e + 2i + j holds the 3 entries g[e, j, k] at columns 2 elements[e, k] + i,
         # written block by block: raveling broadcast views takes twice as long
+        m = len(self.elements)
         data = np.empty((m, 2, 2, 3))
-        data[:, 0] = data[:, 1] = g
+        # g[e, j, k] = d phi_k / dx_j, the hat function at local node k:
+        # ((y_k+1 - y_k+2), (x_k+2 - x_k+1)) / (2A), written straight into G's data.
+        # A new array of m values is fresh memory whose page faults can cost as
+        # much as the arithmetic on it, so the differences reuse one buffer
+        g = data[:, 0]
+        inv2a = 1.0 / (2.0 * signed)
+        diff = np.empty(m)
+        for k in range(3):
+            j, l = (k + 1) % 3, (k + 2) % 3
+            np.multiply(np.subtract(y[:, j], y[:, l], out=diff), inv2a, out=g[:, 0, k])
+            np.multiply(np.subtract(x[:, l], x[:, j], out=diff), inv2a, out=g[:, 1, k])
+        data[:, 1] = g
         cols = np.empty(data.shape, dtype=np.int32)
-        cols[:, 0, 0] = 2 * self.elements
-        cols[:, 1, 0] = cols[:, 0, 0] + 1
+        np.multiply(self.elements, 2, out=cols[:, 0, 0], casting="unsafe")
+        np.add(cols[:, 0, 0], 1, out=cols[:, 1, 0])
         cols[:, :, 1] = cols[:, :, 0]
         self.G = sp.csr_matrix((data.ravel(), cols.ravel(),
                                 np.arange(0, cols.size + 1, 3, dtype=np.int32)),
@@ -104,7 +104,7 @@ class Mesh:
         # P1 quadrature of the domain mean: (1/|Omega|) int v dx = mean_weights @ v
         self.mean_weights = np.bincount(self.elements.ravel(), np.repeat(signed / 3.0, 3),
                                         minlength=n) / self.area
-        self.centroids = (p0 + p1 + p2) / 3.0
+        self.centroids = np.column_stack([(x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0])
         self.operator_cache = {}
 
         self._init_boundary(boundary_edges)
@@ -127,17 +127,22 @@ class Mesh:
                                       "be one non-empty word without whitespace or '#'")
 
         n = len(self.nodes)
-        codes, owner, count = np.unique(_edge_codes(_element_edges(self.elements), n),
-                                        return_index=True, return_counts=True)
+        # each run of equal element-edge codes is one edge: its first entry names
+        # the owner, and its length counts the owners
+        codes = _element_edge_codes(self.elements, n)
+        order, first = _stable_runs(codes)
+        starts = np.flatnonzero(first)
+        owner = order[starts]
+        codes, count = codes[owner], np.diff(starts, append=len(order))
         # a sentinel above every code keeps the search positions of tagged edges in range
         codes, owner, count = np.append(codes, n * n), np.append(owner, -1), np.append(count, 0)
         in_range = np.all((ij >= 0) & (ij < n), axis=1)
         tagged = _edge_codes(np.where(in_range[:, None], ij, 0), n)
         pos = np.searchsorted(codes, tagged)
         is_edge = in_range & (codes[pos] == tagged)
-        order = np.argsort(tagged, kind="stable")
-        repeat = np.zeros(len(ij), dtype=bool)
-        repeat[order[1:]] = tagged[order[1:]] == tagged[order[:-1]]
+        order, first = _stable_runs(tagged)
+        repeat = np.empty(len(ij), dtype=bool)
+        repeat[order] = ~first
         # the first offending edge in list order, reported with its first failed check
         failures = (
             (~in_range, MeshFormatError, "references a node out of range"),
@@ -151,7 +156,9 @@ class Mesh:
             _, error, what = failures[int(np.argmax(bad[row]))]
             i, j = ij[row].tolist()
             raise error(f"boundary edge ({i}, {j}) {what}")
-        missing = np.setdiff1d(codes[count == 1], tagged)
+        tagged_edge = np.zeros(len(codes), dtype=bool)
+        tagged_edge[pos] = True
+        missing = codes[(count == 1) & ~tagged_edge]
         if missing.size:
             i, j = divmod(int(missing[0]), n)
             raise MeshTopologyError(f"triangulation boundary edge ({i}, {j}) has no tag entry")
@@ -202,6 +209,15 @@ def mass_action(mesh, f):
 def _element_edges(elements):
     """(3m, 2) endpoints: row 3e + k joins local nodes k and k + 1 (mod 3) of element e."""
     return np.column_stack([elements.ravel(), np.roll(elements, -1, axis=1).ravel()])
+
+
+def _element_edge_codes(elements, n):
+    """``_edge_codes`` of ``_element_edges(elements)``, from the (m, 3) columns directly."""
+    rolled = np.roll(elements, -1, axis=1)
+    codes = np.minimum(elements, rolled)
+    codes *= n
+    codes += np.maximum(elements, rolled, out=rolled)
+    return codes.ravel()
 
 
 def _edge_codes(pairs, n):
@@ -273,9 +289,12 @@ def refine(mesh):
 def write_mesh(mesh, solution=None):
     """Serialize a mesh (optionally with nodal solution lines ``u i vx vy``).
 
-    ``solution`` must have shape (n_nodes, 2).  Each float is written as
-    its shortest round-trip ``repr``, formatted once per distinct float64
-    bit pattern of the array it belongs to.
+    ``solution`` must have shape (n_nodes, 2).  The ``t`` lines, about
+    three quarters of the text of a mesh, are assembled as bytes by
+    ``_element_lines``.  The ``v``, ``e`` and ``u`` lines go through one
+    ``%`` template per kind: each float is written as its shortest
+    round-trip ``repr``, formatted once per distinct float64 bit pattern
+    of the array it belongs to, and a tag as the ``str`` it is.
     """
     n, m, k = mesh.n_nodes, mesh.n_elements, len(mesh.edge_tags)
     if solution is not None:
@@ -283,13 +302,39 @@ def write_mesh(mesh, solution=None):
         if values.shape != (n, 2):
             raise ValueError(f"solution has shape {values.shape}, expected ({n}, 2)")
     parts = [("v %s %s\n" * n) % tuple(_float_strings(mesh.nodes)),
-             ("t %d %d %d\n" * m) % tuple(mesh.elements.ravel().tolist()),
+             _element_lines(mesh.elements, n),
              ("e %d %d %s\n" * k)
              % tuple(_interleave(*mesh.edge_nodes.T.tolist(), mesh.edge_tags))]
     if solution is not None:
         text = _float_strings(values)
         parts.append(("u %d %s %s\n" * n) % tuple(_interleave(range(n), text[0::2], text[1::2])))
     return "".join(parts)
+
+
+def _element_lines(elements, n):
+    """The ``t`` lines of ``elements``, whose node indices lie below n.
+
+    Every line is laid out in fixed-width slots: ``t``, then for each
+    index a space and its decimal digits, right-aligned in the width of
+    n - 1 behind 0 bytes, then a newline.  The slots are gathered from a
+    uint8 table of the slots of 0 ... n - 1, and one compaction drops the
+    0 bytes.
+    """
+    width = len(str(max(n - 1, 0)))
+    index = np.arange(n)
+    table = np.zeros((n, 1 + width), dtype=np.uint8)
+    table[:, 0] = ord(" ")
+    for c in range(1, width + 1):
+        power = 10 ** (width - c)
+        table[:, c] = np.where(index >= power, index // power % 10 + ord("0"), 0)
+    table[:1, width] = ord("0")     # the one index with no digit at or above its units
+    m = len(elements)
+    lines = np.empty((m, 2 + 3 * (1 + width)), dtype=np.uint8)
+    lines[:, 0] = ord("t")
+    np.take(table, elements, axis=0, out=lines[:, 1:-1].reshape(m, 3, 1 + width))
+    lines[:, -1] = ord("\n")
+    flat = lines.ravel()
+    return str(flat[flat != 0], "ascii")
 
 
 def _float_strings(values):
@@ -309,6 +354,16 @@ def _float_strings(values):
     repeated = counts > 1
     text[repeated] = [repr(x) for x in flat[first[repeated]].tolist()]
     return text[inverse].tolist()
+
+
+def _stable_runs(keys):
+    """``(order, first)``: ``keys[order]`` is sorted, equal keys in index order,
+    and ``first[i]`` is whether sorted position i starts a run of equal keys."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return order, first
 
 
 def _interleave(*columns):

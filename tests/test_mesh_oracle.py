@@ -2,8 +2,9 @@
 
 ``oracle_init_boundary`` and ``oracle_refine`` are verbatim copies of the
 per-element loops that ``Mesh._init_boundary`` and ``refine`` used before
-they were rewritten with ``np.unique`` edge codes; the new code must give
-the same arrays, the same node numbering and the same errors.
+they were rewritten with sorted edge codes; the new code must give the
+same arrays, the same node numbering and the same errors.  ``per_line_text``
+is the text format written one line at a time, the oracle of ``write_mesh``.
 """
 
 from types import SimpleNamespace
@@ -235,6 +236,51 @@ class TestWriteMeshBytes:
         assert _same_bits(back.nodes, mesh.nodes)
         finite = np.isfinite(solution)
         assert _same_bits(values[finite], solution.astype(np.float64)[finite])
+
+    @staticmethod
+    def fan_mesh(n, rng):
+        """A fan of n - 2 triangles around one centre node, node labels shuffled,
+        so that the top index n - 1 lands at a random place in the ``t`` lines."""
+        angle = np.sort(rng.uniform(0.0, 2.0 * np.pi, n - 1))
+        points = np.vstack([[0.0, 0.0], np.column_stack([np.cos(angle), np.sin(angle)])])
+        label = rng.permutation(n)
+        nodes = np.empty_like(points)
+        nodes[label] = points
+        rim = label[1:]
+        elements = np.column_stack([np.full(n - 1, label[0]), rim, np.roll(rim, -1)])
+        return Mesh(nodes, elements, [(i, j, "rim") for i, j in elements[:, 1:].tolist()])
+
+    # the digit width of a node index changes past 9, 99 and 999
+    @pytest.mark.parametrize("top", [9, 10, 99, 100, 1000, 1024])
+    @pytest.mark.parametrize("field", ["affine", "random"])
+    def test_index_widths_byte_identical(self, top, field):
+        rng = np.random.default_rng(top)
+        mesh = rect_mesh(40, 24) if top == 1024 else self.fan_mesh(top + 1, rng)
+        assert mesh.n_nodes == top + 1
+        if field == "affine":
+            solution = mesh.nodes @ rng.standard_normal((2, 2)).T + rng.standard_normal(2)
+        else:
+            solution = rng.standard_normal((mesh.n_nodes, 2)) * 10.0 ** rng.integers(-9, 9, 2)
+        assert write_mesh(mesh) == per_line_text(mesh)
+        text = write_mesh(mesh, solution)
+        assert text == per_line_text(mesh, solution)
+        back, values = read_mesh(text)
+        assert _same_bits(back.elements, mesh.elements)
+        assert _same_bits(values, solution)
+
+    def test_non_ascii_tag_byte_identical(self):
+        # the tags go through the % template, the element lines through bytes:
+        # both parts of the dump must join into the same text and UTF-8 bytes
+        m = rect_mesh(3, 2)
+        mesh = Mesh(m.nodes, m.elements, [(i, j, ("bord-é", "côté_2", "底")[k % 3])
+                                          for k, (i, j) in enumerate(m.edge_nodes.tolist())])
+        solution = np.arange(2.0 * m.n_nodes).reshape(-1, 2) / 3.0
+        text = write_mesh(mesh, solution)
+        assert text.encode("utf-8") == per_line_text(mesh, solution).encode("utf-8")
+        back, values = read_mesh(text)
+        assert back.edge_tags == mesh.edge_tags
+        assert _same_bits(back.elements, mesh.elements)
+        assert _same_bits(values, solution)
 
     def test_jittered_round_trip_bit_for_bit(self):
         rng = np.random.default_rng(8)
