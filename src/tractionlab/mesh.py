@@ -206,13 +206,9 @@ def mass_action(mesh, f):
     return out
 
 
-def _element_edges(elements):
-    """(3m, 2) endpoints: row 3e + k joins local nodes k and k + 1 (mod 3) of element e."""
-    return np.column_stack([elements.ravel(), np.roll(elements, -1, axis=1).ravel()])
-
-
 def _element_edge_codes(elements, n):
-    """``_edge_codes`` of ``_element_edges(elements)``, from the (m, 3) columns directly."""
+    """(3m,) ``_edge_codes`` of the element edges: entry 3e + k codes the edge
+    that joins local nodes k and k + 1 (mod 3) of element e."""
     rolled = np.roll(elements, -1, axis=1)
     codes = np.minimum(elements, rolled)
     codes *= n
@@ -264,14 +260,14 @@ def refine(mesh):
     Boundary edges are split in two and keep their tags.
     """
     n = mesh.n_nodes
-    ends = _element_edges(mesh.elements)
-    codes, first, inverse = np.unique(_edge_codes(ends, n), return_index=True,
-                                      return_inverse=True)
+    codes, first, inverse = np.unique(_element_edge_codes(mesh.elements, n),
+                                      return_index=True, return_inverse=True)
     # midpoints are numbered in the order their edges first appear, element by element
     order = np.argsort(first)
     midpoint = np.empty_like(order)
     midpoint[order] = np.arange(n, n + len(order))
-    pa, pb = ends[first[order]].T
+    e, k = np.divmod(first[order], 3)
+    pa, pb = mesh.elements[e, k], mesh.elements[e, (k + 1) % 3]
     nodes = np.concatenate([mesh.nodes, 0.5 * (mesh.nodes[pa] + mesh.nodes[pb])])
 
     a, b, c = mesh.elements.T

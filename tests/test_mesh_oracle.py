@@ -239,9 +239,11 @@ class TestWriteMeshBytes:
 
     @staticmethod
     def fan_mesh(n, rng):
-        """A fan of n - 2 triangles around one centre node, node labels shuffled,
-        so that the top index n - 1 lands at a random place in the ``t`` lines."""
-        angle = np.sort(rng.uniform(0.0, 2.0 * np.pi, n - 1))
+        """A closed fan of n - 1 triangles around one centre node, one per rim node,
+        node labels shuffled, so that the top index n - 1 lands at a random place
+        in the ``t`` lines.  Each rim angle is jittered by at most half its even
+        spacing, so no gap reaches pi and every triangle turns counter-clockwise."""
+        angle = (np.arange(n - 1) + rng.uniform(0.0, 0.5, n - 1)) * (2.0 * np.pi / (n - 1))
         points = np.vstack([[0.0, 0.0], np.column_stack([np.cos(angle), np.sin(angle)])])
         label = rng.permutation(n)
         nodes = np.empty_like(points)
