@@ -10,9 +10,10 @@ on the mesh, what every K^+ solve reads: the one rigid basis ``Zeu``,
 Euclidean-orthonormal in closed form, with its mass dual ``Zdual``, the
 symmetric affine fields X with their Galerkin matrix X' K X and their
 nodal forces K X, and the diagonal of K.  All of them are closed forms
-over the nodes, the elements or the boundary edges, so the bundle
-assembles K itself only on the first CG step that needs it, and a solve
-that the affine start settles never assembles it.  The solve path never
+over the nodes, the elements or the boundary edges, and the Jacobi phase
+of a solve applies K element by element, so the bundle assembles K
+itself only where it builds the V-cycle: a solve that the affine start
+or the Jacobi phase settles builds neither.  The solve path never
 assembles the mass matrix: ``mesh.mass_action`` applies it element by
 element, and ``mass_matrix`` stays as the assembled reference.  Only the
 functions that build something on a mesh take one; ``solve_linear``,
@@ -41,10 +42,13 @@ true residual of its x.  A start whose residual is at most
 ``_JACOBI_START`` = 1e3 times ``tol``, as the L-BFGS initial-matrix
 solves of a homogeneous load have, gets ``_JACOBI_STEPS`` = 10
 iterations preconditioned by the diagonal of K, which settle such
-round-off for far less than building a multigrid.  A solve still above
-``tol`` after them, or from a start farther above it, runs CG from its x
-with a symmetric smoothed-aggregation multigrid V-cycle, built on that
-first use, whose near-null space is ``Zeu``: smoothed aggregation reads
+round-off for far less than building a multigrid.  They apply K element
+by element, as G'(|T| quadratic_gradient(sym G p)), whether or not K is
+built, so the bits of a solve depend on its own inputs only.  A solve
+still above ``tol`` after them, or from a start farther above it, runs
+CG from its x with a symmetric smoothed-aggregation multigrid V-cycle,
+built on that first use together with K, whose near-null space is
+``Zeu``: smoothed aggregation reads
 only the span of that basis on each aggregate, so any basis of the rigid
 modes builds the same levels; its iteration count hardly grows with the
 mesh.  The rule reads only the solve's own start, so a solve's count
@@ -348,7 +352,8 @@ class Operators:
     """Linear-elastic operators of one (mesh, density), built once by ``operators``.
 
     ``density`` and the mesh's ``G``, ``areas`` and ``elements``, all that
-    ``assemble_stiffness`` reads; ``inv_diag`` the inverse of the diagonal
+    ``assemble_stiffness`` reads, and its ``GT``, shared with the mesh, for
+    ``element_action``; ``inv_diag`` the inverse of the diagonal
     of K, summed over the elements; ``Zeu`` the one rigid basis, the
     Euclidean-orthonormal columns e_x / sqrt(n), e_y / sqrt(n) and the
     normalized rotation J x~, with x~ the node coordinates centred on
@@ -358,17 +363,18 @@ class Operators:
     assembled); ``X`` the symmetric affine fields (x~, 0), (0, y~) and
     (y~, x~) as columns, ``KX = K X`` their nodal forces, nonzero only at
     boundary nodes and stored by column, and ``XKX = X' K X`` their
-    Galerkin matrix, both in closed form.  The stiffness ``K`` and
-    ``vcycle``, the smoothed-aggregation V-cycle preconditioning K^+ with
-    ``Zeu`` as its near-null space, are built on first use, so a solve
-    that the affine start settles builds neither, and one that the Jacobi
-    phase of ``kplus`` settles builds no V-cycle.  Nothing in the bundle
-    refers to the mesh, so the bundle cached on the mesh forms no
+    Galerkin matrix, both in closed form.  ``vcycle``, the
+    smoothed-aggregation V-cycle preconditioning K^+ with ``Zeu`` as its
+    near-null space, and the stiffness ``K`` it is built from and applied
+    with are built on first use, so a solve that the affine start or the
+    Jacobi phase of ``kplus`` settles builds neither.  Nothing in the
+    bundle refers to the mesh, so the bundle cached on the mesh forms no
     reference cycle.
     """
 
     density: object
     G: object
+    GT: object
     areas: np.ndarray
     elements: np.ndarray
     inv_diag: np.ndarray
@@ -398,15 +404,17 @@ class Operators:
         the scale of the stopping rule, and ``b``, ``ref``, the residual of
         the start, the true residual at exit and the returned x are made
         rigid-free by ``rigid_part``.  The start and its residual come
-        from ``X``, ``KX`` and ``XKX``; the first CG step builds ``K``, and
-        a start within ``tol`` returns without it.  From an affine start at
-        most ``_JACOBI_START`` times ``tol``, CG runs with the diagonal of K as
-        preconditioner for at most ``_JACOBI_STEPS`` iterations, then, if
-        the residual is still above ``tol``, restarts from its x with the
-        V-cycle; from a start farther above ``tol`` it takes the V-cycle
-        from the first step.  ``iterations`` counts both phases; the
-        residual is the true one of x.  Raises ValueError unless
-        0 < tol < inf, and NoConvergenceError after 20 * len(b) iterations.
+        from ``X``, ``KX`` and ``XKX``.  From an affine start at most
+        ``_JACOBI_START`` times ``tol``, CG runs with the diagonal of K as
+        preconditioner and ``element_action`` as K for at most
+        ``_JACOBI_STEPS`` iterations, then, if the residual is still above
+        ``tol``, restarts from its x with the V-cycle and ``K``; from a
+        start farther above ``tol`` it takes the V-cycle from the first
+        step.  So a solve that the start or the Jacobi phase settles builds
+        neither ``K`` nor ``vcycle``.  ``iterations`` counts both phases;
+        the residual is the true one of x, from the K of the last phase.
+        Raises ValueError unless 0 < tol < inf, and NoConvergenceError
+        after 20 * len(b) iterations.
         """
         if not 0.0 < tol < np.inf:
             raise ValueError(f"K^+ tolerance must be finite and positive, got {tol}")
@@ -437,7 +445,7 @@ class Operators:
             # the search direction restarts where the preconditioner changes
             p = z if it in (0, jacobi) else z + (rho_new / rho) * p
             rho = rho_new
-            Kp = self.K @ p
+            Kp = self.element_action(p) if it < jacobi else self.K @ p
             alpha = rho / (p @ Kp)
             x += alpha * p
             r -= alpha * Kp
@@ -446,8 +454,25 @@ class Operators:
         x -= self.rigid_part(x)
         if it:
             # CG stopped on its recursive r, which drifts from the true one
-            _, rel = projected(b - self.K @ x)
+            Kx = self.element_action(x) if it <= jacobi else self.K @ x
+            _, rel = projected(b - Kx)
         return x, it, float(rel)
+
+    def element_action(self, v):
+        """K v element by element, G'(|T| quadratic_gradient(sym G v)), with no K assembled.
+
+        It equals ``K @ v`` to round-off, not bit for bit; the Jacobi phase
+        of ``kplus`` uses it whether or not K is built, so the bits of a
+        solve depend on its own inputs only.
+        """
+        a, b, c, d = (self.G @ v).reshape(-1, 4).T
+        S00, S01, S11 = self.density.quadratic_gradient_sym2(a, 0.5 * (b + c), d)
+        stress = np.empty((len(self.areas), 4))
+        stress[:, 0] = S00
+        stress[:, 1] = stress[:, 2] = S01
+        stress[:, 3] = S11
+        stress *= self.areas[:, None]
+        return self.GT @ stress.reshape(-1)
 
 
 def operators(mesh, density):
@@ -492,7 +517,7 @@ def operators(mesh, density):
         force, rows, cols = np.broadcast_arrays(force[:, None], rows, np.arange(3))
         KX = sp.csc_matrix((force.ravel(), (rows.ravel(), cols.ravel())),
                            shape=(2 * mesh.n_nodes, 3))
-        ops = Operators(density, mesh.G, mesh.areas, mesh.elements,
+        ops = Operators(density, mesh.G, mesh.GT, mesh.areas, mesh.elements,
                         1.0 / _stiffness_diagonal(mesh, density), Zeu, Zdual, X, KX, XKX)
         mesh.operator_cache[density] = ops
     return ops

@@ -16,6 +16,8 @@ A tag is one word: non-empty, without whitespace or '#', so that it
 reads back as written.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -32,6 +34,27 @@ class MeshTopologyError(ValueError):
     """Boundary edge list inconsistent with the triangulation."""
 
 
+class _LazyTranspose:
+    """``A.T @ x`` through a CSR copy of A', built on the first product.
+
+    The CSR product sums each row in the order of ``A.T @ x``, so the bits
+    agree, in less than half the time for G at 32x32.  A mesh and its
+    operator bundles share the one of G, so G' is built at most once per
+    mesh and only where a product needs it, and a bundle reaches it
+    without referring to the mesh.
+    """
+
+    def __init__(self, A):
+        self._A = A
+
+    @cached_property
+    def csr(self):
+        return self._A.T.tocsr()
+
+    def __matmul__(self, x):
+        return self.csr @ x
+
+
 class Mesh:
     """Immutable triangulation with tagged boundary edges.
 
@@ -46,6 +69,8 @@ class Mesh:
     G : (4m, 2n) sparse CSR discrete gradient; maps interleaved nodal values
         (v[2a + i] = v_i at node a) to row-major element gradients
         ((G v)[4e + 2i + j] = dv_i/dx_j on element e)
+    GT : G' for ``GT @ x``, built as CSR on the first product and shared
+        with the mesh's operator bundles
     mean_weights : (n,) nodal weights of the domain mean of a P1 field
     centroids : (m, 2) element centroids
     edge_lengths : (k,)
@@ -105,6 +130,7 @@ class Mesh:
         self.mean_weights = np.bincount(self.elements.ravel(), np.repeat(signed / 3.0, 3),
                                         minlength=n) / self.area
         self.centroids = np.column_stack([(x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0])
+        self.GT = _LazyTranspose(self.G)
         self.operator_cache = {}
 
         self._init_boundary(boundary_edges)

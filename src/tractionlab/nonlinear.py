@@ -12,7 +12,10 @@ kernels work on the four gradient components of
 det F and the Green strain come from one helper, and the density and its
 stress from ``Density.quadratic_sym2`` and
 ``Density.quadratic_gradient_sym2``, for the L-BFGS steps and the
-rotation-path probe alike.
+rotation-path probe alike.  The minimization forms that deformation once
+per trial: the energy evaluation keeps it, and the gradient of an
+accepted trial, or of a start, reads it instead of forming it again.  The
+gradient scatters its element terms through the mesh's stored G'.
 
 Minimization uses limited-memory BFGS with a backtracking line search
 that enforces the Armijo decrease; the orientation barrier is the
@@ -135,14 +138,39 @@ def _deformation(field, h):
     return (F00, F01, F10, F11), det, (e00, e01, e11)
 
 
-def eval_rescaled(density, assembly, field, h):
-    """Rescaled total energy Fh(v), +inf when some element has lost orientation."""
-    _, det, e = _deformation(field, h)
+def _energy(density, assembly, field, h):
+    """``(Fh(v), deformation)``, with the ``_deformation`` that Fh was evaluated
+    at, for ``_gradient`` to read; ``(inf, None)`` when some element has lost
+    orientation."""
+    deformation = _deformation(field, h)
+    _, det, e = deformation
     if np.any(det <= 0.0):
-        return np.inf
+        return np.inf, None
     # h^-2 quadratic(Eh) = quadratic(Eh / h)
     stored = float(field.mesh.areas @ density.quadratic_sym2(*e))
-    return stored - load_work(assembly, field)
+    return stored - load_work(assembly, field), deformation
+
+
+def _gradient(density, assembly, deformation):
+    """Nodal gradient of Fh, shape (n, 2), from an admissible ``_deformation``
+    of a field on ``assembly.mesh``."""
+    mesh = assembly.mesh
+    (F00, F01, F10, F11), det, (e00, e01, e11) = deformation
+    # d/dG of h^-2 quadratic(Eh) is F S with S = quadratic_gradient(Eh / h)
+    S00, S01, S11 = density.quadratic_gradient_sym2(e00, e01, e11)
+    dPsi = np.empty((len(det), 4))
+    dPsi[:, 0] = F00 * S00 + F01 * S01
+    dPsi[:, 1] = F00 * S01 + F01 * S11
+    dPsi[:, 2] = F10 * S00 + F11 * S01
+    dPsi[:, 3] = F10 * S01 + F11 * S11
+    dPsi *= mesh.areas[:, None]
+    out = (mesh.GT @ dPsi.reshape(-1)).reshape(-1, 2)
+    return out - assembly.load_vector
+
+
+def eval_rescaled(density, assembly, field, h):
+    """Rescaled total energy Fh(v), +inf when some element has lost orientation."""
+    return _energy(density, assembly, field, h)[0]
 
 
 def rescaled_gradient(density, assembly, field, h):
@@ -154,23 +182,14 @@ def rescaled_gradient(density, assembly, field, h):
     """
     if field.mesh is not assembly.mesh:
         raise MeshMismatchError("field and load assembly use different meshes")
-    mesh = field.mesh
-    (F00, F01, F10, F11), det, (e00, e01, e11) = _deformation(field, h)
+    deformation = _deformation(field, h)
+    det = deformation[1]
     if np.any(det <= 0.0):
         bad = int(np.argmin(det))
         raise InadmissibleStateError(
             f"element {bad} has det(I + h grad v) = {det[bad]!r} <= 0"
         )
-    # d/dG of h^-2 quadratic(Eh) is F S with S = quadratic_gradient(Eh / h)
-    S00, S01, S11 = density.quadratic_gradient_sym2(e00, e01, e11)
-    dPsi = np.empty((len(det), 4))
-    dPsi[:, 0] = F00 * S00 + F01 * S01
-    dPsi[:, 1] = F00 * S01 + F01 * S11
-    dPsi[:, 2] = F10 * S00 + F11 * S01
-    dPsi[:, 3] = F10 * S01 + F11 * S11
-    dPsi *= mesh.areas[:, None]
-    out = (mesh.G.T @ dPsi.reshape(-1)).reshape(-1, 2)
-    return out - assembly.load_vector
+    return _gradient(density, assembly, deformation)
 
 
 @dataclass(frozen=True)
@@ -221,8 +240,9 @@ def _instability_probe(density, assembly, h):
     """
     cls = assembly.classification
     fld = rotation_path_field(assembly.mesh, cls.witness, np.pi, h)
-    value = float(eval_rescaled(density, assembly, fld, h))
-    grad = rescaled_gradient(density, assembly, fld, h)
+    # F = I + h grad v = -I there, so det F = 1 and the state is admissible
+    value, deformation = _energy(density, assembly, fld, h)
+    grad = _gradient(density, assembly, deformation)
     return NonlinearResult(
         status=DIVERGED,
         field=fld,
@@ -291,7 +311,9 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8):
     the mesh; a pair with s'y <= 0 is not kept, so the inverse Hessian
     stays positive definite, to the tolerance of its K^+ solves, and -H g
     is a descent direction.  ``cg_iterations`` of the result counts the
-    PCG iterations of those solves.
+    PCG iterations of those solves.  Each trial forms its deformation
+    once: its gradient, when it is needed, reads the deformation that its
+    energy evaluation formed.
     Converged means |grad| <= grad_tol * (1 + |Fh|).  Stalled means that
     10 accepted steps in a row did not lower Fh: grad_tol is below what
     round-off in Fh allows, or the iterates press against the orientation
@@ -325,11 +347,10 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8):
     ops = operators(mesh, density)
     x = np.zeros((mesh.n_nodes, 2)) if init is None else np.asarray(init.values, dtype=float)
     x = _gauge(mesh, x)
-    fld = DisplacementField(mesh, x)
-    f = eval_rescaled(density, assembly, fld, h)
+    f, deformation = _energy(density, assembly, DisplacementField(mesh, x), h)
     if not np.isfinite(f):
         raise InadmissibleStateError("initial state has lost orientation")
-    g = rescaled_gradient(density, assembly, fld, h).reshape(-1)
+    g = _gradient(density, assembly, deformation).reshape(-1)
     floor = f
     barrier_hits = 0
     cg_iterations = 0
@@ -355,14 +376,13 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8):
             # gauged before it is evaluated, so an accepted trial point is the
             # next iterate with its energy already known
             x_new = _gauge(mesh, (xf + t * d).reshape(-1, 2)).reshape(-1)
-            cand = DisplacementField(mesh, x_new)
-            f_new = eval_rescaled(density, assembly, cand, h)
+            f_new, deformation = _energy(density, assembly, DisplacementField(mesh, x_new), h)
             if f_new == np.inf:
                 barrier_hits += 1
             floor = min(floor, f_new)
             armijo = f_new <= f + _ARMIJO * t * gd
             if armijo or f_new <= f + _FLAT_ENERGY * (1.0 + abs(f)):
-                g_new = rescaled_gradient(density, assembly, cand, h).reshape(-1)
+                g_new = _gradient(density, assembly, deformation).reshape(-1)
                 if armijo or _WOLFE_SIGMA * gd <= g_new @ d <= -_WOLFE_UPPER * gd:
                     break
             t *= 0.5
@@ -397,31 +417,38 @@ def minimize_rescaled(mesh, density, assembly, h, init=None, grad_tol=1e-8):
 
 
 # fixed panel of polynomial test tensors for the weak-convergence surrogate:
-# three constant symmetric directions, each also weighted by x1 and x2
-_PANEL_CONST = (
+# three constant symmetric directions, each also weighted by x1 and x2, as
+# columns in the row-major order of the gradient columns
+_PANEL = np.stack([T.ravel() for T in (
     np.array([[1.0, 0.0], [0.0, 1.0]]),
     np.array([[1.0, 0.0], [0.0, -1.0]]),
     np.array([[0.0, 1.0], [1.0, 0.0]]),
-)
+)], axis=1)
+
+
+def _moment_weights(mesh):
+    """int 1, int x1 and int x2 over each element, shape (m, 3)."""
+    return mesh.areas[:, None] * np.column_stack([np.ones(mesh.n_elements), mesh.centroids])
+
+
+def _strain_moments(columns, weights):
+    # the panel tensors are symmetric, so E(v) : T = grad v : T
+    return ((columns @ _PANEL).T @ weights).reshape(-1)
 
 
 def strain_moments(field):
     """Strain moments int E(v) : T_k dx for the fixed 9-tensor panel."""
-    mesh = field.mesh
-    panel = np.stack([T.ravel() for T in _PANEL_CONST], axis=1)
-    # the panel tensors are symmetric, so E(v) : T = grad v : T
-    base = field.gradient_columns() @ panel      # (m, 3)
-    # int 1, int x1 and int x2 over each element
-    weights = mesh.areas[:, None] * np.column_stack([np.ones(mesh.n_elements), mesh.centroids])
-    return (base.T @ weights).reshape(-1)
+    return _strain_moments(field.gradient_columns(), _moment_weights(field.mesh))
+
+
+def _mean_skew(mesh, columns):
+    Gm = (np.einsum("m,mk->k", mesh.areas, columns) / mesh.area).reshape(2, 2)
+    return 0.5 * (Gm - Gm.T)
 
 
 def mean_skew_gradient(field):
     """Area-averaged skew part of grad v, a 2x2 skew matrix."""
-    mesh = field.mesh
-    cols = field.gradient_columns()
-    Gm = (np.einsum("m,mk->k", mesh.areas, cols) / mesh.area).reshape(2, 2)
-    return 0.5 * (Gm - Gm.T)
+    return _mean_skew(field.mesh, field.gradient_columns())
 
 
 @dataclass(frozen=True)
@@ -485,7 +512,9 @@ def h_sweep(density, assembly, limit, h_list, grad_tol=1e-8):
     if limit.field.mesh is not mesh:
         raise MeshMismatchError("the sweep's loads and limit minimizer must live on one mesh")
 
-    limit_moments = strain_moments(limit.field)
+    # each point's gradient columns serve both of its measures
+    weights = _moment_weights(mesh)
+    limit_moments = _strain_moments(limit.field.gradient_columns(), weights)
     warm = limit.field
     records = []
     floor = np.inf
@@ -495,11 +524,12 @@ def h_sweep(density, assembly, limit, h_list, grad_tol=1e-8):
         except InadmissibleStateError as exc:
             raise SweepAbortedError(records, h, f"warm start is inadmissible: {exc}") from None
         floor = min(floor, res.energy_floor)
+        columns = res.field.gradient_columns()
         records.append(SweepRecord(
             h=h,
             Fh=float(res.value),
-            W_proxy=math.sqrt(h) * float(np.linalg.norm(mean_skew_gradient(res.field))),
-            moment_dist=float(np.linalg.norm(strain_moments(res.field) - limit_moments)),
+            W_proxy=math.sqrt(h) * float(np.linalg.norm(_mean_skew(mesh, columns))),
+            moment_dist=float(np.linalg.norm(_strain_moments(columns, weights) - limit_moments)),
             iters=res.iterations,
             cg_iters=res.cg_iterations,
             status=res.status,

@@ -7,7 +7,7 @@ from tractionlab.fem import DisplacementField, linear_field
 from tractionlab.loads import (INCOMPATIBLE, STRICT, WEAK, BodyForce, LoadSpec,
                                MeshMismatchError, MissingTractionRuleError,
                                TractionRule, assemble_loads, classify_moment_matrix,
-                               load_work)
+                               load_work, tangential)
 from tractionlab.mesh import rect_mesh
 
 
@@ -61,10 +61,22 @@ class TestAssembly:
         with pytest.raises(ValueError, match=f"^{message}"):
             make()
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: TractionRule("shear", (1.0,)), "unknown traction kind 'shear'"),
+        (lambda: TractionRule("constant", (1.0,)), "constant traction needs a 2-vector"),
+        (lambda: TractionRule("pressure", (1.0, 2.0)), "pressure traction needs a scalar"),
+        (lambda: TractionRule("tangential", ()), "tangential traction needs a scalar"),
+        (lambda: BodyForce("quadratic", (1.0,)), "unknown body force kind 'quadratic'"),
+    ])
+    def test_malformed_rules_rejected(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
     def test_tangential_rule_direction(self, mesh):
         # tangential traction on the right side (n = e1) points along +e2
+        assert tangential(3.0) == TractionRule("tangential", (3.0,))
         spec = LoadSpec({
-            "right": TractionRule("tangential", (3.0,)),
+            "right": tangential(3.0),
             "left": TractionRule("constant", (0.0, 0.0)),
             "top": TractionRule("constant", (0.0, 0.0)),
             "bottom": TractionRule("constant", (0.0, 0.0)),
@@ -150,6 +162,11 @@ class TestClassification:
             assemble_loads(mesh, pressure_spec(1.0), tol)
         with pytest.raises(ValueError, match="tolerance"):
             classify_moment_matrix(np.eye(3), tol)
+
+    def test_moment_matrix_of_another_size_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"^expected a 2x2 or 3x3 moment matrix, got shape \(4, 4\)$"):
+            classify_moment_matrix(np.eye(4))
 
     def test_tension_strict(self, mesh):
         cls = assemble_loads(mesh, pressure_spec(1.0)).classification

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -182,6 +184,18 @@ class TestTextFormat:
         with pytest.raises(MeshFormatError, match="line 2"):
             read_mesh("v 0 0\nv 1\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("v 0 0\nt 0 1\n", "line 2: expected: t <i> <j> <k>"),
+        ("v 0 0\ne 0 1\n", "line 2: expected: e <i> <j> <tag>"),
+        ("v 0 0\nu 0 1.0\n", "line 2: expected: u <i> <vx> <vy>"),
+        ("# no records\n\n", "mesh has no nodes"),
+        (write_mesh(rect_mesh(2, 2), solution=np.ones((9, 2))) + "u 9 1.0 1.0\n",
+         "solution line references node 9 out of range"),
+    ])
+    def test_malformed_text_is_format_error(self, text, message):
+        with pytest.raises(MeshFormatError, match=f"^{re.escape(message)}$"):
+            read_mesh(text)
+
     def test_comments_and_blank_lines_ignored(self):
         m, _ = read_mesh("\n# hi\n" + UNIT_SQUARE_TEXT + "\n# bye\n")
         assert m.n_nodes == 4
@@ -202,6 +216,16 @@ class TestRefine:
 
 
 class TestConstructorValidation:
+    @pytest.mark.parametrize("nodes, elements, message", [
+        (np.zeros((3, 3)), [[0, 1, 2]], "nodes must be an (n, 2) array"),
+        (np.zeros(6), [[0, 1, 2]], "nodes must be an (n, 2) array"),
+        (np.zeros((3, 2)), [[0, 1]], "elements must be an (m, 3) array"),
+        (np.zeros((3, 2)), [0, 1, 2], "elements must be an (m, 3) array"),
+    ])
+    def test_array_of_wrong_shape_is_format_error(self, nodes, elements, message):
+        with pytest.raises(MeshFormatError, match=f"^{re.escape(message)}$"):
+            Mesh(nodes, elements, [])
+
     def test_duplicate_boundary_edge(self):
         with pytest.raises(MeshTopologyError, match="twice"):
             Mesh(

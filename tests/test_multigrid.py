@@ -14,8 +14,10 @@ from tractionlab.algebra import Density
 from tractionlab.cli import main
 from tractionlab.fem import (assemble_stiffness, integral_mean, mass_matrix, operators,
                              solve_linear)
+from tractionlab.limit import minimize_limit
 from tractionlab.loads import assemble_loads
 from tractionlab.mesh import rect_mesh
+from tractionlab.nonlinear import minimize_rescaled
 
 DENSITY = Density(1.0, 1.0)
 BODY = body_spec((1.3, 0.3, 0.3, 0.7))
@@ -346,18 +348,21 @@ def test_galerkin_matrix_in_closed_form():
 
 @pytest.mark.parametrize("lam", [0.0, 1.0, 100.0])
 def test_diagonal_and_affine_forces_from_the_elements(lam):
-    # the bundle's inverse diagonal and K X are built without K, on a jittered
-    # square and on a nonconvex domain; K itself, built on first use, is the
-    # mesh's stiffness
+    # the bundle's inverse diagonal, K X and K applied element by element
+    # need no K, on a jittered square and on a nonconvex domain; K itself,
+    # built on first use, is the mesh's stiffness
     for m in (jittered_mesh(9, 7, np.random.default_rng(70)),
               l_shaped_mesh(8, np.random.default_rng(71))):
         density = Density(1.0, lam)
         ops = operators(m, density)
+        V = np.random.default_rng(72).standard_normal((2 * m.n_nodes, 3))
+        KV = np.column_stack([ops.element_action(v) for v in V.T])
         assert "K" not in ops.__dict__
         ref = 1.0 / ops.K.diagonal()
         assert np.max(np.abs(ops.inv_diag - ref) / ref) <= 1e-15
         KX = ops.K @ ops.X
         assert np.max(np.abs(ops.KX.toarray() - KX)) <= 1e-14 * np.max(np.abs(KX))
+        assert np.max(np.abs(KV - ops.K @ V)) <= 1e-14 * np.max(np.abs(KV))
         assert (ops.K != assemble_stiffness(m, density)).nnz == 0
 
 
@@ -418,6 +423,56 @@ def test_multigrid_built_only_when_an_iteration_needs_it(tmp_path, monkeypatch):
     assert report["linear"]["cg_iterations"] > fem._JACOBI_STEPS
     assert all(p["cg_iters"] > 0 for p in report["nonlinear"]["sweep"])
     assert built == [1]
+
+
+def test_jacobi_phase_builds_no_stiffness():
+    # a start within _JACOBI_START tol that the Jacobi phase settles: it
+    # applies K element by element, so the solve builds neither K nor the
+    # V-cycle, and its bits do not depend on whether K was built before it
+    m = rect_mesh(32, 32)
+    ops = operators(m, DENSITY)
+    ref = assemble_loads(m, BODY).load_vector.reshape(-1)
+    noise = ops.element_action(np.random.default_rng(69).standard_normal(ref.size))
+    b = 5e-8 * np.linalg.norm(ref) / np.linalg.norm(noise) * noise
+    x, it, rel = ops.kplus(b, 1e-8, ref)
+    assert 0 < it <= fem._JACOBI_STEPS and rel <= 1e-8
+    assert "K" not in ops.__dict__ and "vcycle" not in ops.__dict__
+    assert ops.K.shape == (b.size, b.size)
+    again = ops.kplus(b, 1e-8, ref)
+    assert np.array_equal(again[0], x) and again[1:] == (it, rel)
+
+
+def test_iteration_cap_raises():
+    # no solve reaches a tolerance below round-off: this one stops after
+    # 20 * ndof = 360 iterations, with the residual it reached
+    m = rect_mesh(2, 2)
+    asm = assemble_loads(m, body_spec((1.0, 0.0, 0.0, 1.0)))
+    with pytest.raises(fem.NoConvergenceError) as info:
+        solve_linear(DENSITY, asm, tol=1e-300)
+    assert info.value.iterations == 360
+    assert np.isfinite(info.value.residual)
+    assert str(info.value) == \
+        f"no convergence after 360 iterations (residual {info.value.residual:.3e})"
+
+
+def test_one_transpose_per_mesh():
+    # the gradient scatter and the Jacobi phase share the mesh's G', built as
+    # CSR on the first product with it; the linear and limit solves build none.
+    # It sums as G.T @ does, bit for bit
+    m = jittered_mesh(16, 16, np.random.default_rng(73))
+    for spec in (pressure_spec(16.0), infmany_spec(), BODY):
+        asm = assemble_loads(m, spec)
+        minimize_limit(DENSITY, asm, solve_linear(DENSITY, asm))
+    assert "csr" not in m.GT.__dict__
+    ops = operators(m, DENSITY)
+    assert ops.GT is m.GT
+    asm = assemble_loads(m, pressure_spec(16.0))
+    minimize_rescaled(m, DENSITY, asm, 0.1, init=solve_linear(DENSITY, asm).field)
+    GT = m.GT.csr
+    ops.element_action(np.ones(2 * m.n_nodes))
+    assert m.GT.csr is GT
+    y = np.random.default_rng(74).standard_normal(m.G.shape[0])
+    assert np.array_equal(m.GT @ y, m.G.T @ y)
 
 
 def test_bundle_is_memoized_per_density():

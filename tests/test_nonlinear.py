@@ -241,9 +241,10 @@ class TestMinimize:
             minimize_rescaled(mesh, density, tension, 0.1, init=bad)
 
     def test_one_deformation_per_evaluation(self, mesh, density, tension, monkeypatch):
-        # Fh = +inf is the one orientation test: no trial and no iterate forms
-        # the deformation outside an energy or a gradient evaluation
-        calls = dict.fromkeys(("_deformation", "eval_rescaled", "rescaled_gradient"), 0)
+        # Fh = +inf is the one orientation test, and the gradient of a trial
+        # reads the deformation its energy evaluation formed: no trial and no
+        # iterate forms the deformation outside an energy evaluation
+        calls = dict.fromkeys(("_deformation", "_energy", "_gradient"), 0)
         for name in calls:
             def counted(*args, f=getattr(nonlinear, name), name=name):
                 calls[name] += 1
@@ -251,7 +252,9 @@ class TestMinimize:
             monkeypatch.setattr(nonlinear, name, counted)
         res = minimize_rescaled(mesh, density, tension, 0.2)
         assert res.status == CONVERGED and res.iterations > 0
-        assert calls["_deformation"] == calls["eval_rescaled"] + calls["rescaled_gradient"]
+        # the start and every accepted trial have a gradient
+        assert calls["_gradient"] >= res.iterations + 1
+        assert calls["_deformation"] == calls["_energy"]
 
     def test_not_equilibrated_rejected(self, mesh, density):
         # the constant traction (1, 0) on every side has resultant (4, 0): Fh
@@ -268,14 +271,14 @@ class TestMinimize:
                                                       monkeypatch):
         # every trial after the start is outside the domain of Fh: 80 halvings
         # each hit the barrier, and the minimization ends at its start
-        evaluate = nonlinear.eval_rescaled
+        evaluate = nonlinear._energy
         calls = []
 
         def barrier_after_start(*args):
             calls.append(1)
-            return evaluate(*args) if len(calls) == 1 else np.inf
+            return evaluate(*args) if len(calls) == 1 else (np.inf, None)
 
-        monkeypatch.setattr(nonlinear, "eval_rescaled", barrier_after_start)
+        monkeypatch.setattr(nonlinear, "_energy", barrier_after_start)
         init = solve_linear(density, tension).field
         res = minimize_rescaled(mesh, density, tension, 0.1, init=init)
         assert res.status == ITER_LIMIT
@@ -671,15 +674,16 @@ class TestCertificate:
             assert eval_rescaled(density, asm, v, h) >= res.value - 1e-12 * abs(res.value)
 
     def test_one_energy_and_one_gradient_evaluation(self, mesh, density, compression, monkeypatch):
+        # the gradient reads the deformation that the energy evaluation formed
         calls = []
-        for name in ("eval_rescaled", "rescaled_gradient"):
+        for name in ("_deformation", "_energy", "_gradient"):
             f = getattr(nonlinear, name)
             monkeypatch.setattr(nonlinear, name,
                                 lambda *args, f=f, name=name: calls.append(name) or f(*args))
         for h in (0.2, 0.1):
             calls.clear()
             assert minimize_rescaled(mesh, density, compression, h).status == DIVERGED
-            assert sorted(calls) == ["eval_rescaled", "rescaled_gradient"]
+            assert sorted(calls) == ["_deformation", "_energy", "_gradient"]
 
 
 def turned_field(mesh, v, theta, h):

@@ -21,7 +21,7 @@ from tractionlab.fem import assemble_stiffness, solve_linear
 from tractionlab.loads import BodyForce, TractionRule
 from tractionlab.mesh import read_mesh, rect_mesh, write_mesh
 from tractionlab.nonlinear import SweepRecord
-from tractionlab.report import skew_dict
+from tractionlab.report import report_json, skew_dict
 from tractionlab.scenarios import (DEFAULT_H_LIST, ConfigError, Scenario, builtin_scenarios,
                                    load_scenario, parse_scenario)
 
@@ -226,6 +226,17 @@ class TestParsing:
             parse_scenario(SMALL_TENSION + "\n[plotting]\ncolor = red\n")
         with pytest.raises(ConfigError, match=r"\[DEFAULT\]: unknown section"):
             parse_scenario("[DEFAULT]\nnx = 4\n\n" + SMALL_TENSION)
+
+    @pytest.mark.parametrize("text, message", [
+        (SMALL_TENSION.replace("kind = rect", "kind = foo"),
+         r"^\[mesh\] kind: unknown mesh kind 'foo'$"),
+        # configparser's own message, with no section of ours in front
+        (SMALL_TENSION.replace("ny = 6", "nx = 7"),
+         r"^While reading from .*: option 'nx' in section 'mesh' already exists$"),
+    ])
+    def test_rejected_text(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_scenario(text)
 
     @pytest.mark.parametrize("section, key", [
         ("scenario", "title"), ("mesh", "nz"), ("density", "nu"), ("loads.left", "presure"),
@@ -518,6 +529,11 @@ class TestCli:
             assert skew_dict(skew3(w)) == {"dim": 3, "coeffs": list(w)}
         assert skew_dict(None) is None
 
+    def test_report_json_of_numpy_scalars_and_non_finite_floats(self):
+        text = report_json({"n": np.int64(3), "ok": np.bool_(True), "x": np.nan,
+                            "lo": -np.inf, "hi": np.float32(np.inf)})
+        assert json.loads(text) == {"n": 3, "ok": True, "x": "nan", "lo": "-inf", "hi": "+inf"}
+
     def test_bad_tol_flag_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["run", "tension", "--mesh-n", "8", "--tol", "-1", "--out", str(out)]) == 1
@@ -792,9 +808,11 @@ class TestSolveCount:
 
 
 class TestOperatorBundle:
-    """One stiffness assembly per run; the multigrid imports no solver module."""
+    """At most one stiffness assembly per run; the multigrid imports no solver module."""
 
-    def test_run_assembles_the_stiffness_once(self, tmp_path, monkeypatch):
+    def test_run_tension_assembles_no_stiffness(self, tmp_path, monkeypatch):
+        # the affine start settles the linear solve, and the Jacobi phase of the
+        # sweep's K^+ solves applies K element by element
         calls = []
 
         def counting(*args, **kwargs):
@@ -803,7 +821,9 @@ class TestOperatorBundle:
 
         monkeypatch.setattr(tractionlab.fem, "assemble_stiffness", counting)
         assert main(["run", "tension", "--out", str(tmp_path)]) == 0
-        assert len(calls) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert sum(p["cg_iters"] for p in report["nonlinear"]["sweep"]) > 0
+        assert calls == []
 
     def test_body_force_run_assembles_the_stiffness_once(self, tmp_path, monkeypatch):
         # the linear solve builds K on its first CG step, and the sweep reuses it
